@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -180,28 +179,6 @@ def cmd_majorant(args) -> int:
     raise SystemExit(f"unknown majorant verb {args.verb!r}")
 
 
-def _oplab_checks(op, gammas, samples, tol, seed):
-    """Fixed check list; each entry draws from its own child generator so
-    thread scheduling cannot change the report."""
-    entries = []
-    if op.rho is not None and op.rho < 0:
-        entries.append(("class", lambda rng: [
-            operator_lab.check_operator_class(op, "comonotone", rng, samples, rho=op.rho, tol=tol)
-        ]))
-    else:
-        entries.append(("class", lambda rng: [
-            operator_lab.check_operator_class(op, "monotone", rng, samples, tol=tol)
-        ]))
-    entries.append(("resolvent", lambda rng: list(
-        operator_lab.check_resolvent_properties(op, rng, gammas, samples, tol=tol).values()
-    )))
-    entries.append(("min_selection", lambda rng: list(
-        operator_lab.check_minimal_norm_selection(op, rng, max(20, samples // 5), tol=tol).values()
-    )))
-    entries.append(("closedness", lambda rng: [operator_lab.graph_closedness_check(op, rng)]))
-    return entries
-
-
 def cmd_oplab(args) -> int:
     if args.verb != "verify":
         raise SystemExit(f"unknown oplab verb {args.verb!r}")
@@ -218,21 +195,23 @@ def cmd_oplab(args) -> int:
             cfg[key] = type(cfg[key])(value.strip())
     op = _resolve_instance(args.instance, args.seed)
     gammas = _gamma_grid(op, args.gamma_grid)
-    entries = _oplab_checks(op, gammas, cfg["samples"], cfg["tol"], args.seed)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(entries))
-
-    def run_entry(idx):
-        return entries[idx][1](np.random.default_rng(seeds[idx]))
-
-    if cfg["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            grouped = list(pool.map(run_entry, range(len(entries))))
-    else:
-        grouped = [run_entry(i) for i in range(len(entries))]
-    checks = {}
-    for (group, _), reports in zip(entries, grouped):
-        for rep in reports:
-            checks[f"{group}.{rep.name}"] = rep.as_dict()
+    samples, tol = cfg["samples"], cfg["tol"]
+    # one child generator per check group, so no group's draws shift another's
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(args.seed).spawn(4)]
+    kind, rho = ("comonotone", op.rho) if (op.rho or 0) < 0 else ("monotone", None)
+    groups = {
+        "class": [operator_lab.check_operator_class(op, kind, rngs[0], samples, rho=rho, tol=tol)],
+        "resolvent": operator_lab.check_resolvent_properties(
+            op, rngs[1], gammas, samples, tol=tol
+        ).values(),
+        "min_selection": operator_lab.check_minimal_norm_selection(
+            op, rngs[2], max(20, samples // 5), tol=tol
+        ).values(),
+        "closedness": [operator_lab.graph_closedness_check(op, rngs[3])],
+    }
+    checks = {
+        f"{group}.{rep.name}": rep.as_dict() for group, reps in groups.items() for rep in reps
+    }
     failed = sorted(name for name, rep in checks.items() if not rep["passed"])
     _emit(
         {
@@ -343,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--gamma-grid", default=None)
     p.add_argument("--config", default=None, help="flat key=value overrides")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect on the output")
     p.set_defaults(fn=cmd_oplab)
 
     p = sub.add_parser("run", parents=[common], help="run an iteration and dump its trace")

@@ -3,14 +3,21 @@
 Operators are given intensionally: a value map returning a set description
 (finite points or an interval box, possibly with infinite faces), optional
 closed-form resolvents, and a graph sampler.  Checks are sampled
-falsification, reported with worst slacks; slacks are signed so that
-negative means violation.
+falsification, reported with worst slacks.
+
+Slack convention: each property is one array of slacks over the samples a
+check draws.  A sample passes when ``slack >= -tol``, so a negative slack
+beyond the tolerance is a violation and a non-finite slack fails; only the
+worst violating sample is formatted, as the witness.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,10 +49,6 @@ class ComonotoneStepError(ValueError):
 
 def l2(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
-
-
-def lp_norm(v: np.ndarray, p: float) -> float:
-    return float(np.linalg.norm(v, ord=p))
 
 
 def as_vector(x, dim: int) -> np.ndarray:
@@ -187,6 +190,9 @@ class SetValuedOperator:
     norm_bound_on_ball: Callable[[float], float] | None = None
     graph_sampler: Callable[[np.random.Generator, int, float], list] | None = None
     zero_point: np.ndarray | None = None
+    # (rng, count, gamma, radius) -> (count, dim) points of the resolvent domain at
+    # gamma; unset means the cube [-radius, radius]^dim
+    domain_sampler: Callable[[np.random.Generator, int, float, float], np.ndarray] | None = None
 
     def in_domain(self, x) -> bool:
         return self.value_fn(as_vector(x, self.dim)) is not None
@@ -511,6 +517,7 @@ def tan_subgradient() -> SetValuedOperator:
         declared_classes=("monotone",),
         norm_bound_on_ball=lambda r: math.inf,
         graph_sampler=sampler,
+        domain_sampler=lambda rng, n, g, r: np.abs(rng.uniform(-r, r, size=(n, 1))) + g + 1e-3,
     )
 
 
@@ -575,13 +582,16 @@ class CheckReport:
     worst_slack: float = math.inf
     witness: str = ""
 
-    def record(self, slack: float, context: str, tol: float) -> None:
-        self.checks += 1
-        if slack < self.worst_slack:
-            self.worst_slack = slack
-            self.witness = context if slack < -tol else self.witness
-        if slack < -tol:
-            self.violations += 1
+    @classmethod
+    def from_slacks(cls, name: str, slacks, tols, witness: Callable[[int], str]) -> CheckReport:
+        """Report over per-sample slacks; ``witness(i)`` describes sample ``i``."""
+        slacks = np.asarray(slacks, dtype=float).ravel()
+        bad = ~(slacks >= -np.asarray(tols, dtype=float).ravel())
+        worst = float(slacks[np.argmin(slacks)]) if slacks.size else math.inf
+        report = cls(name, slacks.size, int(bad.sum()), worst)
+        if report.violations:
+            report.witness = witness(int(np.argmin(np.where(bad, slacks, np.inf))))
+        return report
 
     @property
     def passed(self) -> bool:
@@ -592,10 +602,27 @@ class CheckReport:
             "name": self.name,
             "checks": self.checks,
             "violations": self.violations,
-            "worst_slack": None if math.isinf(self.worst_slack) else self.worst_slack,
+            "worst_slack": self.worst_slack if math.isfinite(self.worst_slack) else None,
             "passed": self.passed,
             "witness": self.witness,
         }
+
+
+def _report_rows(name: str, rows: list[tuple], tol: float, context: str) -> CheckReport:
+    """Report over ``(slack, *values)`` rows; ``context`` formats the values."""
+    slacks = [row[0] for row in rows]
+    return CheckReport.from_slacks(name, slacks, tol, lambda i: context.format(*rows[i][1:]))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis, through the same dot kernel as
+    ``float(a_i @ b_i)`` so each entry equals the per-vector value."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``l2`` along the last axis."""
+    return np.sqrt(_dots(a, a))
 
 
 def check_operator_class(
@@ -616,25 +643,22 @@ def check_operator_class(
     direction, any p-norm) or ``comonotone`` (inner product dominates
     ``rho`` times the squared value gap).
     """
-    report = CheckReport(f"{kind}" + (f"(rho={rho})" if rho is not None else ""))
-    pairs = op.graph_samples(rng, samples, radius)
-    for i in range(len(pairs) - 1):
-        (x, u), (y, v) = pairs[i], pairs[i + 1]
-        dx, du = x - y, u - v
-        ctx = f"x={x}, y={y}"
-        if kind == "monotone":
-            report.record(float(dx @ du), ctx, tol)
-        elif kind == "comonotone":
-            if rho is None:
-                raise ValueError("comonotone checks need a degree rho")
-            report.record(float(dx @ du) - rho * l2(du) ** 2, ctx, tol)
-        elif kind == "accretive":
-            base = lp_norm(dx, norm_p)
-            slack = min(lp_norm(dx + lam * du, norm_p) - base for lam in lam_grid)
-            report.record(slack, ctx, tol)
-        else:
-            raise ValueError(f"unknown class {kind!r}")
-    return report
+    graph = np.array(op.graph_samples(rng, samples, radius), dtype=float).reshape(-1, 2, op.dim)
+    x, u = graph[:, 0], graph[:, 1]
+    dx, du = x[:-1] - x[1:], u[:-1] - u[1:]
+    if kind == "monotone":
+        slacks = _dots(dx, du)
+    elif kind == "comonotone":
+        if rho is None:
+            raise ValueError("comonotone checks need a degree rho")
+        slacks = _dots(dx, du) - rho * _norms(du) ** 2
+    elif kind == "accretive":
+        norm = functools.partial(np.linalg.norm, ord=norm_p, axis=-1)
+        slacks = np.min([norm(dx + lam * du) for lam in lam_grid], axis=0) - norm(dx)
+    else:
+        raise ValueError(f"unknown class {kind!r}")
+    name = kind + (f"(rho={rho})" if rho is not None else "")
+    return CheckReport.from_slacks(name, slacks, tol, lambda i: f"x={x[i]}, y={x[i + 1]}")
 
 
 def inner_vs_norm_check(
@@ -643,7 +667,7 @@ def inner_vs_norm_check(
     """Duality bridge: a nonpositive inner product against one vector is the
     same as the vector's norm never shrinking when subtracting any scaled
     copy of the other; checked both ways on a scale grid."""
-    report = CheckReport("inner_product_vs_norm_bridge")
+    rows = []
     for _ in range(samples):
         x = rng.normal(size=dim)
         y = rng.normal(size=dim)
@@ -652,31 +676,137 @@ def inner_vs_norm_check(
         if l2(y) > 1e-12:
             grid.append(max(0.0, inner) / l2(y) ** 2)
         holds_norm = all(l2(x) <= l2(x - abs(a) * y) + tol for a in grid)
-        if inner <= 0:
-            report.record(1.0 if holds_norm else -1.0, f"x={x}, y={y}", tol)
-        else:
-            report.record(-1.0 if holds_norm else 1.0, f"x={x}, y={y}", tol)
-    return report
+        rows.append((1.0 if holds_norm == (inner <= 0) else -1.0, x, y))
+    return _report_rows("inner_product_vs_norm_bridge", rows, tol, "x={}, y={}")
 
 
-def _alpha_for(op: SetValuedOperator, gamma: float) -> float:
+def _alpha_for(op: SetValuedOperator, gamma):
     rho = op.rho if op.rho is not None else 0.0
     return 1.0 / (2.0 * (rho / gamma + 1.0))
 
 
-def _sample_domain_points(
-    op: SetValuedOperator, rng: np.random.Generator, count: int, gamma: float, radius: float
-) -> list[np.ndarray]:
-    out = []
-    tries = 0
-    while len(out) < count and tries < 50 * count:
-        tries += 1
-        x = rng.uniform(-radius, radius, size=op.dim)
-        if op.name == "tan_subgradient":
-            x = np.abs(x) + gamma + 1e-3
-        if op.resolvent_domain_fn is None or op.resolvent_domain_fn(gamma, x):
-            out.append(x)
+def _resolve_rows(op: SetValuedOperator, gammas, points: np.ndarray, tol: float) -> np.ndarray:
+    """Resolvent of each row at its step size; NaN outside the domain, so it fails."""
+    out = np.full(points.shape, np.nan)
+    for i, (gamma, x) in enumerate(zip(gammas, points)):
+        with contextlib.suppress(OutsideDomain):
+            out[i] = resolvent(op, gamma, x, tol=tol)
     return out
+
+
+def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, SimpleNamespace]:
+    """The resolvent suite's sample sets named in ``kinds``, as rows tagged
+    with their step sizes.  Every point is drawn first, in a fixed order."""
+    draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
+    points, graph = [], []
+    for gamma in gammas:
+        points.append(draw(rng, samples, gamma, radius)[: samples // 2 * 2])
+        graph.append(op.graph_samples(rng, max(10, samples // 4), radius))
+    steps = [(gamma, lam) for gamma in gammas for lam in gammas]
+    changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
+    resolve = functools.partial(_resolve_rows, op, tol=tol)
+    sets = {}
+
+    # consecutive pairs of the domain points drawn at each step size
+    pg = np.repeat(gammas, [len(p) // 2 for p in points])
+    x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
+    jx, jy = resolve(pg, x), resolve(pg, y)
+    u, dres = (x - jx) / pg[:, None], (x - jx) - (y - jy)
+    member = [op.membership(p, v, tol * max(1.0, l2(v))) for p, v in zip(jx, u)]
+    sets["pairs"] = SimpleNamespace(
+        gamma=pg,
+        alpha=_alpha_for(op, pg),
+        dxy=x - y,
+        dj=jx - jy,
+        dres=dres,
+        nxy=_norms(x - y),
+        nj=_norms(jx - jy),
+        nres=_norms(dres),
+        ygap=_norms(u - (y - jy) / pg[:, None]),
+        member=np.array(member, dtype=bool),
+        where=lambda i: f"gamma={pg[i]}, x={x[i]}, y={y[i]}",
+    )
+
+    # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
+    gg = np.repeat(gammas, [len(g) for g in graph])
+    zw = np.array([pair for g in graph for pair in g], dtype=float).reshape(-1, 2, op.dim)
+    z, w = zw[:, 0], zw[:, 1]
+    jzw = resolve(gg, z + gg[:, None] * w)
+    sets["inclusion"] = SimpleNamespace(z=z, p=jzw, where=lambda i: f"gamma={gg[i]}, z={z[i]}")
+    if "minimality" in kinds:
+        jz = resolve(gg, z)
+        keep = ~np.isnan(jz).any(axis=1)  # z outside the resolvent domain is skipped
+        mg, mz = gg[keep], z[keep]
+        sets["minimality"] = SimpleNamespace(
+            nsel=_norms(np.array([op.minimal_norm(p) for p in mz]).reshape(mz.shape)),
+            nu=_norms((mz - jz[keep]) / mg[:, None]),
+            where=lambda i: f"gamma={mg[i]}, z={mz[i]}",
+        )
+
+    # parameter changes: resolvents at lam and, through the identity, at gamma
+    cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
+    cx = np.concatenate(changes)
+    jl = resolve(lam, cx)
+    ratio = (cg / lam)[:, None]
+    sets["changes"] = SimpleNamespace(
+        gamma=cg,
+        lam=lam,
+        x=cx,
+        nx=_norms(cx),
+        jl=jl,
+        jg=resolve(cg, ratio * cx + (1 - ratio) * jl),
+        where=lambda i: f"gamma={cg[i]}, lambda={lam[i]}, x={cx[i]}",
+    )
+    if "displacements" in kinds:
+        sets["displacements"] = SimpleNamespace(**vars(sets["changes"]), jgx=resolve(cg, cx))
+    return sets
+
+
+def _norm_blend(s, t):
+    blends = [_norms(r * s.dxy + (1 - r) * s.dj) for r in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    return np.min(blends, axis=0) - s.nj
+
+
+def _averaged(s, t):
+    return s.alpha * (s.nxy**2 - s.nj**2) - (1 - s.alpha) * s.nres**2
+
+
+def _conical(s, t):
+    return 2 * s.alpha * _dots(s.dj, s.dres) - (1 - 2 * s.alpha) * s.nres**2
+
+
+def _displacement(s, t):
+    return (2 + s.gamma / s.lam) * _norms(s.x - s.jl) - _norms(s.x - s.jgx)
+
+
+def _unit(s):
+    return 1.0
+
+
+# The resolvent suite (Bauschke & Combettes, ch. 4 and 23) in report order: the sample
+# set each property runs on, its slack given that set and the tolerances, the factor on
+# the tolerance, and whether it also runs on instances with a negative degree rho.
+_RESOLVENT_PROPERTIES = {
+    "defining_inclusion_unique": ("inclusion", lambda s, t: t - _norms(s.p - s.z), _unit, True),
+    "firmly_nonexpansive_norm_form": ("pairs", _norm_blend, _unit, False),
+    "firmly_nonexpansive_inner_form": (
+        "pairs", lambda s, t: _dots(s.dxy, s.dj) - s.nj**2, _unit, False
+    ),
+    "nonexpansive": ("pairs", lambda s, t: s.nxy - s.nj, _unit, False),
+    "averaged_form": ("pairs", _averaged, lambda s: np.maximum(1.0, s.nxy**2), True),
+    "conical_form": ("pairs", _conical, lambda s: np.maximum(1.0, s.nxy**2), True),
+    "resolvent_identity": (
+        "changes", lambda s, t: t - _norms(s.jl - s.jg), lambda s: np.maximum(1.0, s.nx), True
+    ),
+    "displacement_bound": ("displacements", _displacement, lambda s: np.maximum(1.0, s.nx), False),
+    "yosida_membership": ("pairs", lambda s, t: np.where(s.member, 1.0, -1.0), _unit, True),
+    "yosida_lipschitz": (
+        "pairs", lambda s, t: 2 / s.gamma * s.nxy - s.ygap, lambda s: np.maximum(1.0, s.nxy), False
+    ),
+    "yosida_norm_minimality": (
+        "minimality", lambda s, t: s.nsel - s.nu, lambda s: np.maximum(1.0, s.nsel), False
+    ),
+}
 
 
 def check_resolvent_properties(
@@ -694,107 +824,16 @@ def check_resolvent_properties(
     comonotonicity degree run the conical and averaged forms with their own
     constant instead.  Parameter-change identities pair every two step sizes.
     """
+    if not gammas:
+        raise ValueError("empty step-size grid")
     comonotone_only = op.rho is not None and op.rho < 0
-    reports = {
-        name: CheckReport(name)
-        for name in (
-            "defining_inclusion_unique",
-            "firmly_nonexpansive_norm_form",
-            "firmly_nonexpansive_inner_form",
-            "nonexpansive",
-            "averaged_form",
-            "conical_form",
-            "resolvent_identity",
-            "displacement_bound",
-            "yosida_membership",
-            "yosida_lipschitz",
-            "yosida_norm_minimality",
-        )
-    }
-    r_grid = (0.25, 0.5, 1.0, 2.0, 4.0)
-    for gamma in gammas:
-        alpha = _alpha_for(op, gamma)
-        points = _sample_domain_points(op, rng, samples, gamma, radius)
-        graph = op.graph_samples(rng, max(10, samples // 4), radius)
-        for z, w in graph:
-            x = z + gamma * w
-            try:
-                p = resolvent(op, gamma, x, tol=tol)
-            except OutsideDomain:
-                continue
-            reports["defining_inclusion_unique"].record(
-                tol - l2(p - z), f"gamma={gamma}, z={z}", tol
-            )
-        for i in range(0, len(points) - 1, 2):
-            x, y = points[i], points[i + 1]
-            jx = resolvent(op, gamma, x, tol=tol)
-            jy = resolvent(op, gamma, y, tol=tol)
-            dj = jx - jy
-            dxy = x - y
-            dres = (x - jx) - (y - jy)
-            ctx = f"gamma={gamma}, x={x}, y={y}"
-            if not comonotone_only:
-                norm_slack = min(l2(r * dxy + (1 - r) * dj) - l2(dj) for r in r_grid)
-                reports["firmly_nonexpansive_norm_form"].record(norm_slack, ctx, tol)
-                reports["firmly_nonexpansive_inner_form"].record(
-                    float(dxy @ dj) - l2(dj) ** 2, ctx, tol
-                )
-                reports["nonexpansive"].record(l2(dxy) - l2(dj), ctx, tol)
-            reports["averaged_form"].record(
-                alpha * (l2(dxy) ** 2 - l2(dj) ** 2) - (1 - alpha) * l2(dres) ** 2,
-                ctx,
-                tol * max(1.0, l2(dxy) ** 2),
-            )
-            reports["conical_form"].record(
-                2 * alpha * float(dj @ dres) - (1 - 2 * alpha) * l2(dres) ** 2,
-                ctx,
-                tol * max(1.0, l2(dxy) ** 2),
-            )
-            u = (x - jx) / gamma
-            member = op.membership(jx, u, tol * max(1.0, l2(u)))
-            reports["yosida_membership"].record(1.0 if member else -1.0, ctx, tol)
-            if not comonotone_only:
-                ygap = l2(u - (y - jy) / gamma)
-                reports["yosida_lipschitz"].record(
-                    (2 / gamma) * l2(dxy) - ygap, ctx, tol * max(1.0, l2(dxy))
-                )
-                if op.in_domain(x):
-                    sel = op.minimal_norm(x)
-                    reports["yosida_norm_minimality"].record(
-                        l2(sel) - l2(u), f"gamma={gamma}, x={x}", tol * max(1.0, l2(sel))
-                    )
-    for gamma in gammas:
-        for lam in gammas:
-            points = _sample_domain_points(
-                op, rng, max(10, samples // 5), max(gamma, lam), radius
-            )
-            for x in points:
-                jl = resolvent(op, lam, x, tol=tol)
-                inner = (gamma / lam) * x + (1 - gamma / lam) * jl
-                try:
-                    jg = resolvent(op, gamma, inner, tol=tol)
-                except OutsideDomain:
-                    continue
-                ctx = f"gamma={gamma}, lambda={lam}, x={x}"
-                scale = max(1.0, l2(x))
-                reports["resolvent_identity"].record(
-                    tol * scale - l2(jl - jg), ctx, tol * scale
-                )
-                if not comonotone_only:
-                    jgx = resolvent(op, gamma, x, tol=tol)
-                    reports["displacement_bound"].record(
-                        (2 + gamma / lam) * l2(x - jl) - l2(x - jgx), ctx, tol * scale
-                    )
-    if comonotone_only:
-        for name in (
-            "firmly_nonexpansive_norm_form",
-            "firmly_nonexpansive_inner_form",
-            "nonexpansive",
-            "displacement_bound",
-            "yosida_lipschitz",
-            "yosida_norm_minimality",
-        ):
-            reports.pop(name)
+    props = {n: p for n, p in _RESOLVENT_PROPERTIES.items() if p[3] or not comonotone_only}
+    sets = _suite_samples(op, rng, gammas, samples, radius, tol, {p[0] for p in props.values()})
+    reports = {}
+    for name, (kind, slack, scale, _) in props.items():
+        rows = sets[kind]
+        tols = tol * scale(rows)
+        reports[name] = CheckReport.from_slacks(name, slack(rows, tols), tols, rows.where)
     return reports
 
 
@@ -855,9 +894,7 @@ def check_minimal_norm_selection(
 ) -> dict[str, CheckReport]:
     """The minimal-norm value is a value, variationally characterised and
     unique: any value of (nearly) minimal norm is (nearly) the selection."""
-    member = CheckReport("min_selection_membership")
-    variational = CheckReport("min_selection_variational")
-    unique = CheckReport("min_selection_uniqueness")
+    member, variational, unique = [], [], []
     found = 0
     tries = 0
     while found < samples and tries < 50 * samples:
@@ -868,14 +905,18 @@ def check_minimal_norm_selection(
         found += 1
         sel = op.minimal_norm(x)
         vals = op.values(x)
-        ctx = f"x={x}"
-        member.record(1.0 if vals.contains(sel, tol) else -1.0, ctx, tol)
+        member.append((1.0 if vals.contains(sel, tol) else -1.0, x))
         for y in vals.sample(rng, per_point):
-            variational.record(-float((y - sel) @ (-sel)), f"{ctx}, y={y}", tol)
+            variational.append((-float((y - sel) @ (-sel)), x, y))
             if l2(y) <= l2(sel) + tol:
                 gap = math.sqrt(max(0.0, 2 * l2(sel) * tol + tol**2))
-                unique.record(gap + tol - l2(y - sel), f"{ctx}, y={y}", tol)
-    return {r.name: r for r in (member, variational, unique)}
+                unique.append((gap + tol - l2(y - sel), x, y))
+    reports = (
+        _report_rows("min_selection_membership", member, tol, "x={}"),
+        _report_rows("min_selection_variational", variational, tol, "x={}, y={}"),
+        _report_rows("min_selection_uniqueness", unique, tol, "x={}, y={}"),
+    )
+    return {r.name: r for r in reports}
 
 
 def uc_modulus_check(
@@ -889,7 +930,7 @@ def uc_modulus_check(
 ) -> CheckReport:
     """Uniform graph-continuity: arguments closer than the modulus threshold
     have one-sidedly close value sets at the requested resolution."""
-    report = CheckReport("uniform_continuity_modulus")
+    rows = []
     for k in k_grid:
         eps = 1.0 / (k + 1)
         delta = 1.0 / (modulus(k) + 1)
@@ -901,8 +942,8 @@ def uc_modulus_check(
             if not (op.in_domain(x) and op.in_domain(y)):
                 continue
             excess = one_sided_excess(op.values(x), op.values(y))
-            report.record(eps - excess, f"k={k}, x={x}, y={y}", tol)
-    return report
+            rows.append((eps - excess, k, x, y))
+    return _report_rows("uniform_continuity_modulus", rows, tol, "k={}, x={}, y={}")
 
 
 def range_condition_check(
@@ -924,9 +965,7 @@ def range_condition_check(
     ``bound * 2**(alpha_n + 1)``.
     """
     center = as_vector(center, op.dim)
-    split = CheckReport("range_split_membership")
-    ball = CheckReport("range_split_in_ball")
-    wbound = CheckReport("range_split_w_bound")
+    split, ball, wbound = [], [], []
     at_origin = l2(center) == 0.0
     for n in n_grid:
         gamma = gamma_fn(n)
@@ -941,19 +980,18 @@ def range_condition_check(
             try:
                 z = resolvent(op, gamma, x, tol=tol)
             except (OutsideDomain, NotAvailable):
-                split.record(-1.0, f"n={n}, x={x}: no split", tol)
+                split.append((-1.0, n, x, ": no split"))
                 continue
             w = (x - z) / gamma
-            ctx = f"n={n}, x={x}"
             ok = op.membership(z, w, tol * max(1.0, l2(w)))
-            split.record(1.0 if ok else -1.0, ctx, tol)
-            ball.record(bound + tol - l2(z - center), ctx, tol)
+            split.append((1.0 if ok else -1.0, n, x, ""))
+            ball.append((bound + tol - l2(z - center), n, x, ""))
             if at_origin:
-                wbound.record(bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), ctx, tol)
-    out = {r.name: r for r in (split, ball, wbound)}
-    if not at_origin:
-        out.pop("range_split_w_bound")
-    return out
+                wbound.append((bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), n, x, ""))
+    named = {"range_split_membership": split, "range_split_in_ball": ball}
+    if at_origin:
+        named["range_split_w_bound"] = wbound
+    return {name: _report_rows(name, rows, tol, "n={}, x={}{}") for name, rows in named.items()}
 
 
 def graph_closedness_check(
@@ -964,7 +1002,7 @@ def graph_closedness_check(
     tol: float = 1e-6,
 ) -> CheckReport:
     """Limits of convergent graph sequences stay in the graph (sampled)."""
-    report = CheckReport("graph_closedness")
+    rows = []
     pairs = op.graph_samples(rng, sequences, 3.0)
     for x_limit, _ in pairs:
         x_start = x_limit + rng.normal(size=op.dim)
@@ -978,5 +1016,5 @@ def graph_closedness_check(
         if u_last is None or not op.in_domain(x_limit):
             continue
         ok = op.membership(x_limit, u_last, max(tol, 1e-4) * max(1.0, l2(u_last)))
-        report.record(1.0 if ok else -1.0, f"x={x_limit}", tol)
-    return report
+        rows.append((1.0 if ok else -1.0, x_limit))
+    return _report_rows("graph_closedness", rows, tol, "x={}")

@@ -176,6 +176,59 @@ def test_oplab_deterministic_across_jobs(capsys):
     assert payload_serial["checks"] == payload_threaded["checks"]
 
 
+# Exact per-check sample counts.  yosida_norm_minimality runs at the graph
+# points of the defining-inclusion check (75 = 15 points x 5 step sizes).
+PINNED_CHECK_COUNTS = {
+    "soft_threshold --samples 60 --seed 7": {
+        "class.monotone": 59,
+        "closedness.graph_closedness": 25,
+        "min_selection.min_selection_membership": 20,
+        "min_selection.min_selection_uniqueness": 400,
+        "min_selection.min_selection_variational": 400,
+        "resolvent.averaged_form": 150,
+        "resolvent.conical_form": 150,
+        "resolvent.defining_inclusion_unique": 75,
+        "resolvent.displacement_bound": 300,
+        "resolvent.firmly_nonexpansive_inner_form": 150,
+        "resolvent.firmly_nonexpansive_norm_form": 150,
+        "resolvent.nonexpansive": 150,
+        "resolvent.resolvent_identity": 300,
+        "resolvent.yosida_lipschitz": 150,
+        "resolvent.yosida_membership": 150,
+        "resolvent.yosida_norm_minimality": 75,
+    },
+    "neg_half --samples 40 --seed 5": {
+        "class.comonotone(rho=-2.0)": 39,
+        "closedness.graph_closedness": 25,
+        "min_selection.min_selection_membership": 20,
+        "min_selection.min_selection_uniqueness": 400,
+        "min_selection.min_selection_variational": 400,
+        "resolvent.averaged_form": 40,
+        "resolvent.conical_form": 40,
+        "resolvent.defining_inclusion_unique": 20,
+        "resolvent.resolvent_identity": 40,
+        "resolvent.yosida_membership": 40,
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_CHECK_COUNTS))
+def test_oplab_check_counts_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, ["oplab", "verify", *args.split()])
+    assert code == 0
+    counts = {name: rep["checks"] for name, rep in json.loads(out)["checks"].items()}
+    assert counts == PINNED_CHECK_COUNTS[args]
+
+
+@pytest.mark.parametrize("seed", ["1", "5"])
+def test_oplab_box_covers_yosida_norm_minimality(capsys, seed):
+    # pair points rarely fall inside the box; the graph points always do
+    code, out, _ = run_cli(capsys, ["oplab", "verify", "box", "--samples", "60", "--seed", seed])
+    assert code == 0
+    rep = json.loads(out)["checks"]["resolvent.yosida_norm_minimality"]
+    assert rep["checks"] > 0 and rep["passed"] is True
+
+
 def test_oplab_gamma_grid_override(capsys):
     code, out, _ = run_cli(
         capsys,

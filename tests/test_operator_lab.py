@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from prooflab.operator_lab import (
     CATALOG,
     COMONOTONE_GAMMAS,
+    CheckReport,
     ComonotoneStepError,
     FinitePoints,
     IntervalBox,
@@ -210,6 +212,31 @@ def test_class_checks():
         check_operator_class(neg, "comonotone", rng)
     with pytest.raises(ValueError):
         check_operator_class(neg, "convex", rng)
+
+
+def test_failing_report_names_its_worst_pair():
+    op = build_catalog(0)["neg_half_identity"]
+    rho = -1.9
+    rep = check_operator_class(op, "comonotone", np.random.default_rng(11), samples=50, rho=rho)
+    pairs = op.graph_samples(np.random.default_rng(11), 50, 5.0)
+    slacks = [
+        float((x - y) @ (u - v)) - rho * l2(u - v) ** 2
+        for (x, u), (y, v) in zip(pairs, pairs[1:])
+    ]
+    worst = int(np.argmin(slacks))
+    assert not rep.passed and rep.checks == 49
+    assert rep.worst_slack == pytest.approx(slacks[worst], rel=1e-12)
+    assert rep.witness == f"x={pairs[worst][0]}, y={pairs[worst + 1][0]}"
+
+
+def test_report_fails_closed_on_nan():
+    rep = CheckReport.from_slacks("probe", [0.5, math.nan], 1e-8, lambda i: f"sample {i}")
+    assert rep.checks == 2 and rep.violations == 1
+    assert rep.passed is False
+    assert rep.witness == "sample 1"
+    d = rep.as_dict()
+    assert d["worst_slack"] is None
+    json.dumps(d, allow_nan=False)
 
 
 def test_inner_vs_norm_bridge():
