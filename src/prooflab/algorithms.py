@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .operator_lab import (
+    DimensionMismatch,
     OutsideDomain,
     SetValuedOperator,
     l2,
@@ -31,6 +32,10 @@ DIVERGENCE_GUARD = 1e12
 
 class ScheduleSyntaxError(ValueError):
     """Malformed step-size schedule string."""
+
+
+class TraceFormatError(ValueError):
+    """Text that is not a trace as :meth:`IterationTrace.to_json` writes it."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,8 @@ def parse_gamma_schedule(spec: str) -> GammaSchedule:
         parts = [float(p) for p in args.split(",")] if args else []
     except ValueError:
         raise ScheduleSyntaxError(f"bad schedule arguments in {spec!r}") from None
+    if not all(map(math.isfinite, parts)):
+        raise ScheduleSyntaxError(f"non-finite schedule argument in {spec!r}")
     if kind == "const" and len(parts) == 1:
         c = parts[0]
         if c <= 0:
@@ -141,19 +148,28 @@ class IterationTrace:
             "outside_domain_at": self.outside_domain_at,
             "reached_zero_at": self.reached_zero_at,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "IterationTrace":
-        data = json.loads(text)
-        trace = cls(algorithm=data["algorithm"], params=data["params"])
-        trace.points = [np.asarray(p, dtype=float) for p in data["points"]]
-        trace.gammas = list(data["gammas"])
-        trace.step_residuals = list(data["step_residuals"])
-        trace.value_residuals = list(data["value_residuals"])
-        trace.diverged = data["diverged"]
-        trace.outside_domain_at = data["outside_domain_at"]
-        trace.reached_zero_at = data["reached_zero_at"]
+        def non_finite(name: str):
+            raise ValueError(f"non-finite number {name}")
+
+        try:
+            data = json.loads(text, parse_constant=non_finite)
+            points = np.asarray(data["points"], dtype=float)
+            if points.ndim != 2 or not len(points):
+                raise ValueError("points are not a non-empty list of equal-length vectors")
+            trace = cls(algorithm=data["algorithm"], params=data["params"])
+            trace.points = list(points)
+            trace.gammas = [float(g) for g in data["gammas"]]
+            trace.step_residuals = [float(r) for r in data["step_residuals"]]
+            trace.value_residuals = [float(r) for r in data["value_residuals"]]
+            trace.diverged = data["diverged"]
+            trace.outside_domain_at = data["outside_domain_at"]
+            trace.reached_zero_at = data["reached_zero_at"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"malformed trace: {exc!r}") from None
         return trace
 
     def to_csv(self) -> str:
@@ -207,7 +223,8 @@ def proximal_point(
 
     Stops early at a certified zero (minimal-norm value below ``zero_tol``),
     on leaving the resolvent domain (index recorded) or when the iterate
-    norm passes the divergence guard.
+    norm (the start point's included) passes the divergence guard or a
+    residual leaves the float range.
     """
     sched = _as_schedule(schedule)
     x = as_vector(x0, op.dim)
@@ -216,6 +233,9 @@ def proximal_point(
         params={"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol},
     )
     trace.push(x)
+    trace.diverged = l2(x) > divergence_guard
+    if trace.diverged:
+        return trace
     if _value_residual(op, x) <= zero_tol:
         trace.reached_zero_at = 0
         return trace
@@ -226,8 +246,11 @@ def proximal_point(
         except OutsideDomain:
             trace.outside_domain_at = n
             break
-        vres = l2((x - nxt) / gamma)
-        trace.push(nxt, gamma=gamma, step_res=l2(nxt - x), value_res=vres)
+        step, vres = l2(nxt - x), l2((x - nxt) / gamma)
+        if not math.isfinite(step + vres):  # past the float range: the run has blown up
+            trace.diverged = True
+            break
+        trace.push(nxt, gamma=gamma, step_res=step, value_res=vres)
         x = nxt
         if l2(x) > divergence_guard:
             trace.diverged = True
@@ -256,13 +279,16 @@ def moudafi_iteration(
     displacement divided by ``mu``.
     """
     if op_t.dim != op_s.dim:
-        raise ValueError("operator dimensions differ")
+        raise DimensionMismatch("operator dimensions differ")
     x = as_vector(x0, op_t.dim)
     trace = IterationTrace(
         algorithm="moudafi",
         params={"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol},
     )
     trace.push(x)
+    trace.diverged = l2(x) > divergence_guard
+    if trace.diverged:
+        return trace
     for n in range(steps):
         try:
             drift = yosida(op_t, lam, x)
@@ -271,6 +297,9 @@ def moudafi_iteration(
             trace.outside_domain_at = n
             break
         step = l2(nxt - x)
+        if not math.isfinite(step / mu):  # past the float range: the run has blown up
+            trace.diverged = True
+            break
         trace.push(nxt, gamma=mu, step_res=step, value_res=step / mu)
         x = nxt
         if l2(x) > divergence_guard:
@@ -300,7 +329,7 @@ def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
         "reached_zero_at": trace.reached_zero_at,
     }
     if zero is not None:
-        zero = np.asarray(zero, dtype=float)
+        zero = as_vector(zero, len(trace.final))
         dists = [l2(p - zero) for p in trace.points]
         report["distance_to_zero"] = dists[-1]
         report["fejer_monotone"] = all(

@@ -3,7 +3,8 @@
 All sampling is driven by one seed per invocation; reports are JSON with
 sorted keys on stdout so identical configs produce byte-identical output.
 Human-oriented one-liners go to stderr.  Exit status: 0 all checks in scope
-pass, 1 a check failed (names on stderr), 2 usage error.
+pass, 1 a check failed (names on stderr), 2 bad input (nothing on stdout): a
+flag value its argparse converter refuses, or an ``INPUT_ERRORS`` exception.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import algorithms, formula_engine, majorization, operator_lab, real_codes
-from .finite_types import classify, format_type, hat, parse_type, pure_index
+from .finite_types import TypeSyntaxError, classify, format_type, hat, parse_type, pure_index
+from .term_calculus import IllTypedApplication
 
 DEFAULT_TOL = float(os.environ.get("PROOFLAB_TOL", "1e-8"))
 
@@ -27,10 +29,48 @@ INSTANCE_ALIASES = {
     "neg_half": "neg_half_identity",
     "box": "box_normal_cone",
 }
+INSTANCES = sorted([*operator_lab.CATALOG, *INSTANCE_ALIASES])
+INPUT_ERRORS = (
+    OSError, UnicodeDecodeError, TypeSyntaxError, IllTypedApplication, operator_lab.NoConvergence,
+    formula_engine.FormulaSyntaxError, algorithms.ScheduleSyntaxError, algorithms.TraceFormatError,
+    operator_lab.ComonotoneStepError, operator_lab.NonPositiveGamma, operator_lab.DimensionMismatch,
+)
+
+
+# argparse converters: a ValueError becomes argparse's "invalid <name> value: ..."
+def _nonnegative(value, text: str):
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want a value >= 0, got {text!r}")
+    return value
+
+
+def natural(text: str) -> int:
+    return _nonnegative(int(text), text)
+
+
+def finite(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"want a finite number, got {text!r}")
+    return float(text)
+
+
+def tolerance(text: str) -> float:
+    return _nonnegative(finite(text), text)
+
+
+def float_list(text: str) -> list[float]:
+    return [finite(v) for v in text.split(",")]
+
+
+def rational(text: str) -> Fraction:
+    try:
+        return _nonnegative(Fraction(text), text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _fail(names: list[str]) -> int:
@@ -38,22 +78,13 @@ def _fail(names: list[str]) -> int:
     return 1
 
 
+def _catalog_entry(name: str) -> operator_lab.OperatorCatalogEntry:
+    return operator_lab.CATALOG[INSTANCE_ALIASES.get(name, name)]
+
+
 def _resolve_instance(name: str, seed: int) -> operator_lab.SetValuedOperator:
-    key = INSTANCE_ALIASES.get(name, name)
-    catalog = operator_lab.build_catalog(seed)
-    if key not in catalog:
-        raise SystemExit(f"unknown instance {name!r}; known: {', '.join(sorted(catalog))}")
-    return catalog[key]
-
-
-def _gamma_grid(op: operator_lab.SetValuedOperator, override: str | None) -> tuple[float, ...]:
-    if override:
-        try:
-            return tuple(float(g) for g in override.split(","))
-        except ValueError:
-            raise SystemExit(f"bad gamma grid {override!r}") from None
-    return operator_lab.COMONOTONE_GAMMAS if (op.rho is not None and op.rho < 0) \
-        else operator_lab.STANDARD_GAMMAS
+    # psd_skew is the only entry that draws, so this equals build_catalog(seed)[key]
+    return _catalog_entry(name).build(np.random.default_rng(seed))
 
 
 def cmd_types(args) -> int:
@@ -117,20 +148,12 @@ def cmd_delta(args) -> int:
 
 
 def cmd_real(args) -> int:
-    if args.verb != "canon":
-        raise SystemExit(f"unknown real verb {args.verb!r}")
-    try:
-        r = Fraction(args.rational)
-    except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"bad rational {args.rational!r}") from None
-    if r < 0:
-        raise SystemExit("canonical representation wants r >= 0")
-    rep = real_codes.canonical_rep(r)
+    rep = real_codes.canonical_rep(args.rational)
     rows = []
     for n in range(args.prec + 1):
         code = rep(n)
         rows.append({"n": n, "code": code.code, "decoded": str(real_codes.rat_value(code))})
-    _emit({"rational": str(r), "prec": args.prec, "values": rows})
+    _emit({"rational": str(args.rational), "prec": args.prec, "values": rows})
     return 0
 
 
@@ -150,52 +173,49 @@ def cmd_majorant(args) -> int:
             }
         )
         return 0
-    if args.verb == "bobs":
-        op = _resolve_instance(args.instance, args.seed)
-        result = majorization.bobs_uniform_majorant(op)
-        if result is majorization.NOT_BOUNDED:
-            _emit({"instance": args.instance, "seed": args.seed, "bounded": False})
-            sys.stderr.write(f"{op.name}: no uniform majorant\n")
-            return 0
-        table = [result(n) for n in range(9)]
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(200):
-            x = rng.uniform(-8, 8, size=op.dim)
-            if not op.in_domain(x):
+    op = _resolve_instance(args.instance, args.seed)
+    result = majorization.bobs_uniform_majorant(op)
+    if result is majorization.NOT_BOUNDED:
+        _emit({"instance": args.instance, "seed": args.seed, "bounded": False})
+        sys.stderr.write(f"{op.name}: no uniform majorant\n")
+        return 0
+    table = [result(n) for n in range(9)]
+    rng = np.random.default_rng(args.seed)
+    worst = 0.0
+    for _ in range(200):
+        x = rng.uniform(-8, 8, size=op.dim)
+        if not op.in_domain(x):
+            continue
+        n = math.ceil(operator_lab.l2(x))
+        worst = max(worst, operator_lab.l2(op.selection(x)) - result(n))
+    _emit(
+        {
+            "instance": args.instance,
+            "seed": args.seed,
+            "bounded": True,
+            "table": table,
+            "worst_slack": -worst + 0.0,
+        }
+    )
+    return 0 if worst <= 0 else _fail(["bobs_majorant"])
+
+
+def _config_flags(path: str, parser: argparse.ArgumentParser):
+    """``key = value`` lines as ``--key=value`` flags, parsed by each flag's converter."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = (part.strip() for part in line.partition("="))
+            if not key or key.startswith("#"):
                 continue
-            n = math.ceil(operator_lab.l2(x))
-            worst = max(worst, operator_lab.l2(op.selection(x)) - result(n))
-        _emit(
-            {
-                "instance": args.instance,
-                "seed": args.seed,
-                "bounded": True,
-                "table": table,
-                "worst_slack": -worst + 0.0,
-            }
-        )
-        return 0 if worst <= 0 else _fail(["bobs_majorant"])
-    raise SystemExit(f"unknown majorant verb {args.verb!r}")
+            if key not in ("samples", "tol", "jobs"):
+                parser.error(f"{path}: unknown config key {key!r}")
+            yield f"--{key}={value}"
 
 
 def cmd_oplab(args) -> int:
-    if args.verb != "verify":
-        raise SystemExit(f"unknown oplab verb {args.verb!r}")
-    cfg = {"samples": args.samples, "tol": args.tol, "jobs": args.jobs}
-    if args.config:
-        for line in open(args.config, encoding="utf-8"):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in cfg:
-                raise SystemExit(f"unknown config key {key!r}")
-            cfg[key] = type(cfg[key])(value.strip())
     op = _resolve_instance(args.instance, args.seed)
-    gammas = _gamma_grid(op, args.gamma_grid)
-    samples, tol = cfg["samples"], cfg["tol"]
+    gammas = args.gamma_grid or _catalog_entry(args.instance).gamma_grid
+    samples, tol = args.samples, args.tol
     # one child generator per check group, so no group's draws shift another's
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(args.seed).spawn(4)]
     kind, rho = ("comonotone", op.rho) if (op.rho or 0) < 0 else ("monotone", None)
@@ -219,8 +239,8 @@ def cmd_oplab(args) -> int:
             "operator": op.name,
             "seed": args.seed,
             "gamma_grid": list(gammas),
-            "samples": cfg["samples"],
-            "tol": cfg["tol"],
+            "samples": samples,
+            "tol": tol,
             "checks": checks,
             "passed": not failed,
         }
@@ -228,58 +248,42 @@ def cmd_oplab(args) -> int:
     return _fail(failed) if failed else 0
 
 
-def _parse_point(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise SystemExit(f"bad point {text!r}: want comma-separated floats") from None
-
-
 def cmd_run(args) -> int:
     op = _resolve_instance(args.instance, args.seed)
-    x0 = _parse_point(args.x0)
-    try:
-        if args.algorithm == "ppa":
-            trace = algorithms.proximal_point(op, x0, args.gamma, steps=args.steps)
-        else:
-            other = _resolve_instance(args.instance_s or args.instance, args.seed)
-            trace = algorithms.moudafi_iteration(
-                op, other, x0, mu=args.mu, lam=args.lam, steps=args.steps
-            )
-    except ValueError as exc:
-        # schedule syntax, refused step sizes, dimension mismatches
-        raise SystemExit(str(exc)) from None
+    if args.algorithm == "ppa":
+        trace = algorithms.proximal_point(op, args.x0, args.gamma, steps=args.steps)
+    else:
+        other = _resolve_instance(args.instance_s or args.instance, args.seed)
+        trace = algorithms.moudafi_iteration(
+            op, other, args.x0, mu=args.mu, lam=args.lam, steps=args.steps
+        )
+    summary = algorithms.trace_report(trace, zero=args.zero)
     text = trace.to_csv() if args.format == "csv" else trace.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    zero = _parse_point(args.zero) if args.zero else None
-    summary = algorithms.trace_report(trace, zero=zero)
     sys.stderr.write(
         f"{trace.algorithm}: {summary['iterations']} steps, "
         f"final residual {summary['final_step_residual']}\n"
     )
-    if trace.diverged:
-        return _fail(["divergence_guard"])
-    return 0
+    return _fail(["divergence_guard"]) if trace.diverged else 0
 
 
 def cmd_report(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         trace = algorithms.IterationTrace.from_json(fh.read())
-    zero = _parse_point(args.zero) if args.zero else None
-    report = algorithms.trace_report(trace, zero=zero)
+    report = algorithms.trace_report(trace, zero=args.zero)
     _emit(report)
-    if zero is not None and not report["fejer_monotone"]:
+    if args.zero is not None and not report["fejer_monotone"]:
         return _fail(["fejer_monotone"])
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+    common.add_argument("--seed", type=natural, default=0, help="seed for all sampling")
     parser = argparse.ArgumentParser(prog="prooflab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -302,55 +306,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("real", parents=[common], help="rational and real code utilities")
     p.add_argument("verb", choices=["canon"])
-    p.add_argument("rational")
-    p.add_argument("--prec", type=int, default=4)
+    p.add_argument("rational", type=rational)
+    p.add_argument("--prec", type=natural, default=4)
     p.set_defaults(fn=cmd_real)
 
     p = sub.add_parser("majorant", parents=[common], help="majorant constructions")
     p.add_argument("verb", choices=["resolvent", "bobs"])
-    p.add_argument("instance", nargs="?")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("instance", nargs="?", choices=INSTANCES, metavar="instance")
+    p.add_argument("--n", type=natural, default=0)
+    p.add_argument("--m", type=natural, default=0)
+    p.add_argument("--l", type=natural, default=0)
+    p.add_argument("--k", type=natural, default=0)
     p.set_defaults(fn=cmd_majorant)
 
     p = sub.add_parser("oplab", parents=[common], help="operator property verification")
     p.add_argument("verb", choices=["verify"])
-    p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--gamma-grid", default=None)
+    p.add_argument("instance", choices=INSTANCES, metavar="instance")
+    p.add_argument("--samples", type=natural, default=300)
+    p.add_argument("--tol", type=tolerance, default=repr(DEFAULT_TOL), help="also PROOFLAB_TOL")
+    p.add_argument("--gamma-grid", type=float_list, default=None)
     p.add_argument("--config", default=None, help="flat key=value overrides")
     p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect on the output")
     p.set_defaults(fn=cmd_oplab)
 
     p = sub.add_parser("run", parents=[common], help="run an iteration and dump its trace")
     p.add_argument("algorithm", choices=["ppa", "moudafi"])
-    p.add_argument("--instance", required=True)
-    p.add_argument("--instance-s", default=None, help="second operator for moudafi")
-    p.add_argument("--x0", required=True, help="comma-separated start point")
+    p.add_argument("--instance", required=True, choices=INSTANCES, metavar="NAME")
+    p.add_argument("--instance-s", choices=INSTANCES, metavar="NAME", help="moudafi's S operator")
+    p.add_argument("--x0", type=float_list, required=True, help="comma-separated start point")
     p.add_argument("--gamma", default="const:1.0")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--zero", default=None, help="known zero for the stderr summary")
+    p.add_argument("--mu", type=finite, default=1.0)
+    p.add_argument("--lam", type=finite, default=1.0)
+    p.add_argument("--steps", type=natural, default=100)
+    p.add_argument("--zero", type=float_list, help="known zero for the stderr summary")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("report", parents=[common], help="summarize a stored trace")
     p.add_argument("file")
-    p.add_argument("--zero", default=None)
+    p.add_argument("--zero", type=float_list)
     p.set_defaults(fn=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(argv)
     if args.command == "majorant" and args.verb == "bobs" and not args.instance:
-        build_parser().error("majorant bobs needs an instance name")
-    return args.fn(args)
+        parser.error("majorant bobs needs an instance name")
+    try:
+        if getattr(args, "config", None):
+            args = parser.parse_args([*argv, *_config_flags(args.config, parser)])
+        return args.fn(args)
+    except INPUT_ERRORS as exc:
+        sys.stderr.write(f"prooflab: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -954,7 +954,7 @@ def parse_formula(text: str) -> Formula:
         return _parse_formula_node(node, {})
     except FormulaSyntaxError:
         raise
-    except (IndexError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormulaSyntaxError(str(exc)) from exc
 
 
@@ -967,5 +967,5 @@ def parse_term(text: str) -> Term:
         return _parse_term_node(node, {})
     except FormulaSyntaxError:
         raise
-    except (IndexError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormulaSyntaxError(str(exc)) from exc

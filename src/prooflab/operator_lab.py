@@ -47,6 +47,10 @@ class ComonotoneStepError(ValueError):
     """The step size is incompatible with the declared comonotonicity degree."""
 
 
+class DimensionMismatch(ValueError):
+    """A point or operator does not have the dimension the call needs."""
+
+
 def l2(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
@@ -54,7 +58,7 @@ def l2(v: np.ndarray) -> float:
 def as_vector(x, dim: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (dim,):
-        raise ValueError(f"expected a vector of dimension {dim}, got shape {v.shape}")
+        raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
     return v
 
 
@@ -246,7 +250,7 @@ def resolvent(
     negative comonotonicity degree ``rho`` the call refuses step sizes with
     ``rho <= -gamma/2``, where single-valuedness is no longer guaranteed.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # also refuses NaN
         raise NonPositiveGamma(f"gamma = {gamma}")
     if op.rho is not None and op.rho < 0 and op.rho <= -gamma / 2:
         raise ComonotoneStepError(
@@ -494,6 +498,8 @@ def tan_subgradient() -> SetValuedOperator:
         a, b = 1e-15, hi - 1e-15
         for _ in range(200):
             mid = (a + b) / 2
+            if mid in (a, b):  # the bracket is one ulp wide: later steps change nothing
+                return np.array([mid])
             if mid + gamma * deriv(mid) <= target:
                 a = mid
             else:
@@ -712,7 +718,8 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
     x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
     jx, jy = resolve(pg, x), resolve(pg, y)
     u, dres = (x - jx) / pg[:, None], (x - jx) - (y - jy)
-    member = [op.membership(p, v, tol * max(1.0, l2(v))) for p, v in zip(jx, u)]
+    defined = ~np.isnan(jx).any(axis=1)  # a NaN row (x outside the resolvent domain) is no member
+    member = [ok and op.membership(p, v, tol * max(1.0, l2(v))) for ok, p, v in zip(defined, jx, u)]
     sets["pairs"] = SimpleNamespace(
         gamma=pg,
         alpha=_alpha_for(op, pg),
@@ -909,7 +916,8 @@ def check_minimal_norm_selection(
         for y in vals.sample(rng, per_point):
             variational.append((-float((y - sel) @ (-sel)), x, y))
             if l2(y) <= l2(sel) + tol:
-                gap = math.sqrt(max(0.0, 2 * l2(sel) * tol + tol**2))
+                # tol * tol, not tol**2, which raises OverflowError for a tolerance past 1e154
+                gap = math.sqrt(max(0.0, 2 * l2(sel) * tol + tol * tol))
                 unique.append((gap + tol - l2(y - sel), x, y))
     reports = (
         _report_rows("min_selection_membership", member, tol, "x={}"),

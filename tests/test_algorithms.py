@@ -9,13 +9,16 @@ from prooflab.algorithms import (
     GammaSchedule,
     IterationTrace,
     ScheduleSyntaxError,
+    TraceFormatError,
     moudafi_iteration,
     parse_gamma_schedule,
     proximal_point,
     trace_report,
 )
 from prooflab.operator_lab import (
+    DimensionMismatch,
     abs_subdifferential,
+    box_indicator,
     identity_operator,
     matrix_operator,
     scaled_identity,
@@ -181,3 +184,41 @@ def test_trace_report_without_zero():
     report = trace_report(trace)
     assert "fejer_monotone" not in report
     assert report["algorithm"] == "proximal_point"
+
+
+@pytest.mark.parametrize("spec", ["const:nan", "const:inf", "harmonic:inf", "geom:inf,0.5", "nan"])
+def test_schedule_rejects_non_finite_arguments(spec):
+    with pytest.raises(ScheduleSyntaxError):
+        parse_gamma_schedule(spec)
+
+
+def test_trace_json_refuses_non_finite_numbers():
+    trace = IterationTrace(algorithm="synthetic", params={})
+    trace.push(np.array([math.inf]))
+    with pytest.raises(ValueError):
+        trace.to_json()
+    good = json.loads(proximal_point(abs_subdifferential(), 3.5, steps=5).to_json())
+    broken = [{"points": [[1.0], [1.0, 2.0]]}, {"points": []}, {"gammas": ["x"]}]
+    for bad in ['{"points": [[NaN]]}', "[]", "{", *(json.dumps({**good, **b}) for b in broken)]:
+        with pytest.raises(TraceFormatError):
+            IterationTrace.from_json(bad)
+
+
+def test_trace_report_zero_must_match_the_dimension():
+    trace = proximal_point(identity_operator(2), [1.0, 1.0], steps=2)
+    assert trace_report(trace, zero=[0.0, 0.0])["fejer_monotone"] is True
+    with pytest.raises(DimensionMismatch):
+        trace_report(trace, zero=[0.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+def test_runs_stop_when_numbers_leave_the_float_range():
+    box = box_indicator([-1.0], [1.0])
+    runs = [
+        proximal_point(identity_operator(1), 1e308, steps=3),  # starts beyond the guard
+        proximal_point(box, 1.2, "const:1e-300", steps=3),  # value residual overflows
+        moudafi_iteration(box, box, 8.0, mu=1e-310, steps=3),
+    ]
+    for trace in runs:
+        assert trace.diverged and len(trace.points) == 1
+        assert IterationTrace.from_json(trace.to_json()).diverged

@@ -1,10 +1,15 @@
+import contextlib
 import importlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab.algorithms import IterationTrace
 from prooflab.cli import main
+from prooflab.operator_lab import CATALOG
 
 
 def run_cli(capsys, argv):
@@ -258,9 +263,10 @@ def test_oplab_config_rejects_unknown_key(capsys, tmp_path):
 
 
 def test_oplab_unknown_instance(capsys):
-    code, _, _ = run_cli(capsys, ["oplab", "verify", "mystery"])
-    assert code not in (0, None)
-    assert isinstance(code, str) and "known:" in code
+    code, _, err = run_cli(capsys, ["oplab", "verify", "mystery"])
+    assert code == 2
+    assert "'mystery'" in err
+    assert all(f"'{name}'" in err for name in CATALOG)
 
 
 def test_run_ppa_json(capsys):
@@ -304,25 +310,25 @@ def test_run_dimension_mismatch_is_usage_error(capsys):
 
 
 def test_run_rejects_malformed_x0(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, ["run", "ppa", "--instance", "box", "--x0", "oops"]
     )
-    assert code not in (0, None)
-    assert "bad point" in str(code)
+    assert code == 2
+    assert "--x0" in err and "'oops'" in err
 
 
 def test_real_canon_rejects_malformed_rational(capsys):
-    code, _, _ = run_cli(capsys, ["real", "canon", "x/y"])
-    assert code not in (0, None)
-    assert "bad rational" in str(code)
+    code, _, err = run_cli(capsys, ["real", "canon", "x/y"])
+    assert code == 2
+    assert "'x/y'" in err
 
 
 def test_oplab_rejects_malformed_gamma_grid(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, ["oplab", "verify", "identity", "--gamma-grid", "1.0,junk"]
     )
-    assert code not in (0, None)
-    assert "bad gamma grid" in str(code)
+    assert code == 2
+    assert "--gamma-grid" in err and "'1.0,junk'" in err
 
 
 def test_run_rejects_bad_step_configuration(capsys):
@@ -379,3 +385,143 @@ def test_tol_env_override(monkeypatch):
     monkeypatch.delenv("PROOFLAB_TOL")
     importlib.reload(cli_mod)
     assert cli_mod.DEFAULT_TOL == 1e-8
+
+
+# Bad input: each exits 2 with nothing on stdout, and stderr names what was
+# refused.  "{d}" stands for a directory holding the files below.
+BAD_INPUT_FILES = {
+    "malformed.sexp": "(forall (x 0) (= x",
+    "ill_typed.sexp": "(forall (a 0) (existsleq (b 0) (a a) (= b b)))",
+    "samples.cfg": "samples = abc\n",
+    "tol.cfg": "tol = inf\n",
+    "keys.json": '{"algorithm": "ppa"}',
+    "text.json": "not json",
+    "nan.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[NaN]], "gammas": [],'
+        ' "step_residuals": [], "value_residuals": [], "diverged": false,'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
+}
+PPA = ["run", "ppa", "--instance", "soft_threshold", "--x0", "1"]
+BAD_INPUTS = [
+    (["oplab", "verify", "mystery"], "'mystery'"),
+    (["oplab", "verify", "neg_half", "--gamma-grid", "0.5"], "gamma = 0.5"),
+    (["run", "ppa", "--instance", "soft_threshold", "--x0", "nan"], "'nan'"),
+    (["run", "ppa", "--instance", "identity", "--x0", "8"], "dimension 2"),
+    (PPA + ["--gamma", "junk"], "'junk'"),
+    (PPA + ["--gamma", "const:nan"], "'const:nan'"),
+    (PPA + ["--gamma", "const:inf"], "'const:inf'"),
+    (["run", "moudafi", "--instance", "identity", "--x0", "8,0", "--mu", "0"], "gamma = 0.0"),
+    (["oplab", "verify", "identity", "--tol", "inf"], "'inf'"),
+    (["real", "canon", "-1/2"], "rational"),
+    (["real", "canon", "--", "-1/2"], "'-1/2'"),
+    (["real", "canon", "x/y"], "'x/y'"),
+    (["real", "canon", "1/0"], "'1/0'"),
+    (["real", "canon", "1/2", "--prec", "-3"], "'-3'"),
+    (["types", "X(("], "end of type"),
+    (["oplab", "verify", "identity", "--samples", "-5"], "'-5'"),
+    (["oplab", "verify", "identity", "--config", "{d}/missing.cfg"], "missing.cfg"),
+    (["oplab", "verify", "identity", "--config", "{d}/samples.cfg"], "'abc'"),
+    (["oplab", "verify", "identity", "--config", "{d}/tol.cfg"], "'inf'"),
+    (["translate", "--nt", "{d}/missing.sexp"], "missing.sexp"),
+    (["translate", "--nt", "{d}/malformed.sexp"], "unbalanced parenthesis"),
+    (["delta", "{d}/ill_typed.sexp"], "non-arrow type"),
+    (["report", "{d}/missing.json"], "missing.json"),
+    (["report", "{d}/keys.json"], "malformed trace"),
+    (["report", "{d}/text.json"], "malformed trace"),
+    (["report", "{d}/nan.json"], "non-finite"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_exits_2(capsys, tmp_path, argv, named):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, [a.format(d=tmp_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+    if err.startswith("prooflab: error:"):  # raised by the library, not argparse
+        assert err.count("\n") == 1
+
+
+def test_tol_env_must_be_finite(monkeypatch, capsys):
+    from prooflab import cli as cli_mod
+
+    monkeypatch.setenv("PROOFLAB_TOL", "inf")
+    importlib.reload(cli_mod)
+    try:
+        code, out, err = run_cli(capsys, ["oplab", "verify", "identity", "--samples", "5"])
+    finally:
+        monkeypatch.delenv("PROOFLAB_TOL")
+        importlib.reload(cli_mod)
+    assert (code, out) == (2, "")
+    assert "'inf'" in err
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG))
+def test_oplab_default_grid_is_the_catalog_grid(capsys, key):
+    code, out, _ = run_cli(capsys, ["oplab", "verify", key, "--samples", "5"])
+    assert code in (0, 1)
+    assert json.loads(out)["gamma_grid"] == list(CATALOG[key].gamma_grid)
+
+
+def test_single_entry_build_matches_the_catalog():
+    from prooflab import cli as cli_mod
+    from prooflab.operator_lab import build_catalog, resolvent
+
+    for seed in range(10):
+        catalog = build_catalog(seed)
+        for key, entry in CATALOG.items():
+            op, ref = cli_mod._resolve_instance(key, seed), catalog[key]
+            assert (op.name, op.dim, op.rho) == (ref.name, ref.dim, ref.rho)
+            gamma = entry.gamma_grid[0]
+            for x in (0.3, 1.2, 2.5):
+                point = np.full(op.dim, x)
+                assert np.array_equal(resolvent(op, gamma, point), resolvent(ref, gamma, point))
+
+
+# Random argv for the cheap verbs: main returns 0, 1 or 2, or argparse exits 2,
+# and nothing else escapes.  --steps and --samples come last (the last
+# occurrence wins) so every run stays small.
+NAMES = [*sorted(CATALOG), "box", "soft_threshold", "neg_half", "mystery"]
+NUMBERS = ["0", "1", "-1", "0.5", "2.5", "1e308", "1e-300", "nan", "inf", "abc", "", "1,2",
+           "8,0", "1,1,1", "0.5,1.0"]
+OTHER = ["1/2", "x/y", "1/0", "-1/2", "X(X)(0)", "X((", "0(0)", "2", "const:1.0", "const:0",
+         "const:nan", "harmonic:2", "geom:1,0.5", "geom:1,2", "json", "csv"]
+name, number = st.sampled_from(NAMES), st.sampled_from(NUMBERS)
+value = st.sampled_from(NAMES + NUMBERS + OTHER)
+
+
+def flags(*names):
+    pairs = st.lists(st.tuples(st.sampled_from(names), value), max_size=2)
+    return pairs.map(lambda chosen: [f"{flag}={v}" for flag, v in chosen])
+
+
+CHEAP_ARGV = st.one_of(
+    st.tuples(st.just(["types"]), value.map(lambda v: [v]), flags("--seed")),
+    st.tuples(st.just(["real", "canon"]), flags("--seed", "--prec"),
+              value.map(lambda v: ["--", v])),
+    st.tuples(st.sampled_from([["run", "ppa"], ["run", "moudafi"]]),
+              st.tuples(name, number).map(lambda v: [f"--instance={v[0]}", f"--x0={v[1]}"]),
+              flags("--seed", "--instance-s", "--gamma", "--mu", "--lam", "--zero", "--format"),
+              st.sampled_from(["0", "1", "3"]).map(lambda n: ["--steps", n])),
+    st.tuples(st.just(["oplab", "verify"]), name.map(lambda v: [v]),
+              flags("--seed", "--tol", "--gamma-grid", "--jobs"),
+              st.sampled_from(["0", "1", "5"]).map(lambda n: ["--samples", n])),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CHEAP_ARGV)
+def test_cli_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""

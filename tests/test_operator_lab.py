@@ -162,6 +162,32 @@ def test_tan_resolvent_solves_inclusion():
         assert p + gamma / math.cos(p) ** 2 == pytest.approx(x, abs=1e-7)
 
 
+def test_resolvent_refuses_nan_step():
+    with pytest.raises(NonPositiveGamma):
+        resolvent(abs_subdifferential(), math.nan, 1.0)
+
+
+def _tan_resolvent_200_steps(gamma: float, target: float) -> float:
+    """The fixed-length bisection that the early stop must reproduce bit for bit."""
+    a, b = 1e-15, math.pi / 2 - 1e-15
+    for _ in range(200):
+        mid = (a + b) / 2
+        if mid + gamma * (1.0 / math.cos(mid) ** 2) <= target:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
+
+
+def test_tan_resolvent_early_stop_is_bit_identical():
+    rng = np.random.default_rng(11)
+    solve = tan_subgradient().resolvent_fn
+    for gamma in [*STANDARD_GAMMAS, *rng.uniform(1e-3, 5.0, 30).tolist()]:
+        above = [math.nextafter(gamma, math.inf), gamma + 1e-12, gamma + 1e-6]
+        for x in [*above, *(gamma + rng.uniform(1e-3, 10.0, 30)).tolist()]:
+            assert solve(gamma, np.array([x]))[0] == _tan_resolvent_200_steps(gamma, x)
+
+
 def test_iterative_fallback_matches_closed_form():
     ref = matrix_operator(np.array([[0.5]]))
     blind = matrix_operator(np.array([[0.5]]))
