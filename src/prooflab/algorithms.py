@@ -315,7 +315,9 @@ def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
     """Summary statistics of a run, JSON-compatible.
 
     With a reference zero the report includes a Fejér monotonicity verdict:
-    distances to the zero never increase beyond the tolerance.
+    distances to the zero never increase beyond the tolerance.  A distance that
+    overflows the floats fails the verdict, and a non-finite final distance is
+    written as ``None``.
     """
     report = {
         "algorithm": trace.algorithm,
@@ -331,8 +333,8 @@ def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
     if zero is not None:
         zero = as_vector(zero, len(trace.final))
         dists = [l2(p - zero) for p in trace.points]
-        report["distance_to_zero"] = dists[-1]
-        report["fejer_monotone"] = all(
+        report["distance_to_zero"] = dists[-1] if math.isfinite(dists[-1]) else None
+        report["fejer_monotone"] = all(map(math.isfinite, dists)) and all(
             b <= a + tol * max(1.0, a) for a, b in zip(dists, dists[1:])
         )
     return report

@@ -22,8 +22,6 @@ from . import algorithms, formula_engine, majorization, operator_lab, real_codes
 from .finite_types import TypeSyntaxError, classify, format_type, hat, parse_type, pure_index
 from .term_calculus import IllTypedApplication
 
-DEFAULT_TOL = float(os.environ.get("PROOFLAB_TOL", "1e-8"))
-
 INSTANCE_ALIASES = {
     "soft_threshold": "abs_subdiff",
     "neg_half": "neg_half_identity",
@@ -106,7 +104,9 @@ def cmd_types(args) -> int:
 
 def _read_formula(path: str) -> "formula_engine.Formula":
     with open(path, encoding="utf-8") as fh:
-        return formula_engine.parse_formula(fh.read())
+        f = formula_engine.parse_formula(fh.read())
+    formula_engine.typecheck_formula(f)
+    return f
 
 
 def cmd_translate(args) -> int:
@@ -116,12 +116,13 @@ def cmd_translate(args) -> int:
         _emit({"mode": "nt", "output": formula_engine.format_formula(out)})
     else:
         form = formula_engine.dialectica(f)
+        declared = dict(form.ex_vars + form.univ_vars)  # so the matrix prints them bare
         _emit(
             {
                 "mode": "dialectica",
                 "ex": [[n, str(t)] for n, t in form.ex_vars],
                 "univ": [[n, str(t)] for n, t in form.univ_vars],
-                "matrix": formula_engine.format_formula(form.matrix),
+                "matrix": formula_engine.format_formula(form.matrix, declared),
             }
         )
     return 0
@@ -134,13 +135,15 @@ def cmd_delta(args) -> int:
         _emit({"recognized": False})
         return _fail(["delta_shape"])
     skolem = formula_engine.skolemize_delta(shape)
+    outer = dict(shape.a_vars)  # the listed variables print bare in the bounds and the matrix
+    inner = {**outer, **{n: t for n, t, _ in shape.b_vars}, **dict(shape.c_vars)}
     _emit(
         {
             "recognized": True,
             "a": [[n, str(t)] for n, t in shape.a_vars],
-            "b": [[n, str(t), formula_engine.format_term(b)] for n, t, b in shape.b_vars],
+            "b": [[n, str(t), formula_engine.format_term(b, outer)] for n, t, b in shape.b_vars],
             "c": [[n, str(t)] for n, t in shape.c_vars],
-            "matrix": formula_engine.format_formula(shape.matrix),
+            "matrix": formula_engine.format_formula(shape.matrix, inner),
             "skolemized": formula_engine.format_formula(skolem),
         }
     )
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=["verify"])
     p.add_argument("instance", choices=INSTANCES, metavar="instance")
     p.add_argument("--samples", type=natural, default=300)
-    p.add_argument("--tol", type=tolerance, default=repr(DEFAULT_TOL), help="also PROOFLAB_TOL")
+    tol = os.environ.get("PROOFLAB_TOL", "1e-8")  # argparse converts it like a --tol value
+    p.add_argument("--tol", type=tolerance, default=tol, help="also PROOFLAB_TOL")
     p.add_argument("--gamma-grid", type=float_list, default=None)
     p.add_argument("--config", default=None, help="flat key=value overrides")
     p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect on the output")

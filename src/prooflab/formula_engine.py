@@ -24,14 +24,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .finite_types import Arrow, BaseType, FinType, ZERO, X, arrow_chain, is_admissible
+from .finite_types import Arrow, BaseType, FinType, ZERO, X, arrow_chain, is_admissible, pure_type
 from .term_calculus import (
     App,
     CHI_A,
     Const,
     FiniteModel,
+    IllTypedApplication,
     NAMED_CONSTS,
     NEG_X,
     NORM_X,
@@ -41,6 +45,7 @@ from .term_calculus import (
     REAL_PLUS,
     SCALE_X,
     SUCC,
+    TYPE_ONE,
     Term,
     UC_MODULUS,
     UnsupportedType,
@@ -56,6 +61,8 @@ from .term_calculus import (
     numeral_value,
     rat_real,
     substitute as term_substitute,
+    typecheck,
+    uncurry,
 )
 
 
@@ -170,6 +177,7 @@ def exists_leq(var: str, vtype: FinType, bound: Term, body: Formula) -> Formula:
 
 ATOMS = (Prime, Leq0, RealCmp)
 DEFINED = (EqAt, Preceq, MemberA)
+_UNDECLARED: Mapping[str, FinType] = MappingProxyType({})  # no variable in scope
 
 
 def is_atom(f: Formula) -> bool:
@@ -184,28 +192,16 @@ def is_quantifier_free(f: Formula) -> bool:
     return False
 
 
-def _atom_terms(f: Formula) -> list[Term]:
-    if isinstance(f, (Prime, Leq0, RealCmp, EqAt, Preceq)):
-        return [f.lhs, f.rhs]
-    if isinstance(f, MemberA):
-        return [f.element, f.point]
-    raise TypeError(f"not an atom: {f}")
+def _atom_terms(f: Formula) -> tuple[Term, ...]:
+    return _SHAPES[type(f)][2](f)
 
 
 def _map_atom_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
-    if isinstance(f, Prime):
-        return Prime(fn(f.lhs), fn(f.rhs))
-    if isinstance(f, Leq0):
-        return Leq0(fn(f.lhs), fn(f.rhs))
-    if isinstance(f, RealCmp):
-        return RealCmp(f.op, fn(f.lhs), fn(f.rhs))
-    if isinstance(f, EqAt):
-        return EqAt(f.vtype, fn(f.lhs), fn(f.rhs))
-    if isinstance(f, Preceq):
-        return Preceq(f.vtype, fn(f.lhs), fn(f.rhs))
-    if isinstance(f, MemberA):
-        return MemberA(fn(f.element), fn(f.point))
-    raise TypeError(f"not an atom: {f}")
+    values, _, _, at = _SHAPES[type(f)]
+    fields = list(values(f))
+    for i in at:
+        fields[i] = fn(fields[i])
+    return type(f)(*fields)
 
 
 def all_names(f: Formula) -> set[str]:
@@ -240,6 +236,23 @@ def free_formula_vars(f: Formula) -> dict[str, FinType]:
     for t in _atom_terms(f):
         out.update(term_free_vars(t))
     return out
+
+
+def typecheck_formula(f: Formula, ctx: Mapping[str, FinType] = _UNDECLARED) -> None:
+    """Raise :class:`IllTypedApplication` unless every term of ``f`` type checks at the
+    type its argument kind in :data:`SYNTAX` wants (``t``: the row's type, its first field)."""
+    values, kinds, _, _ = _SHAPES[type(f)]
+    fields = values(f)
+    if kinds[0] == "b":  # a binder declares its variable in the body
+        ctx = {**ctx, fields[0]: fields[1]}
+    for kind, value in zip(kinds, fields):
+        if kind == "f":
+            typecheck_formula(value, ctx)
+        elif kind in _TERM_TYPES or kind == "t":
+            got, want = typecheck(value, ctx), _TERM_TYPES.get(kind, fields[0])
+            if got != want:
+                term = format_term(value, ctx)
+                raise IllTypedApplication(f"{term} has type {got}, expected {want}")
 
 
 class NameGen:
@@ -766,124 +779,73 @@ def generate_corpus(seed: int, count: int = 30, budget: int = 500_000) -> list[F
     return corpus
 
 
-_CONST_NAMES = {c: name for name, c in NAMED_CONSTS.items()}
+class FormulaSyntaxError(ValueError):
+    pass
 
-_CMP_TAGS = {"=": "=R", "<=": "<=R", "<": "<R"}
-_TAG_CMPS = {v: k for k, v in _CMP_TAGS.items()}
+
+# The formula text format: each head, the node it builds and the kinds of its arguments.
+# A kind is ``f`` a formula, ``y`` a type, ``b`` a binder ``(name TYPE)`` whose name is
+# bound in the last argument, or a term: of type ``0``, ``1`` (``0(0)``) or ``X``, or ``t``,
+# of the type the row declares.  A row built by a node class, or by a partial fixing its
+# first field, also prints the class and gives its fields' kinds; ``not`` prints from
+# ``Implies`` and ``existsleq`` is parse-only.
+SYNTAX = {
+    "=": (Prime, "00"),
+    "<=": (Leq0, "00"),
+    "=R": (partial(RealCmp, "="), "11"),
+    "<=R": (partial(RealCmp, "<="), "11"),
+    "<R": (partial(RealCmp, "<"), "11"),
+    "and": (And, "ff"),
+    "or": (Or, "ff"),
+    "->": (Implies, "ff"),
+    "not": (neg, "f"),
+    "forall": (Forall, "bf"),
+    "exists": (Exists, "bf"),
+    "existsleq": (exists_leq, "btf"),
+    "eqat": (EqAt, "ytt"),
+    "preceq": (Preceq, "ytt"),
+    "member": (MemberA, "XX"),
+}
+_TERM_TYPES = {"0": ZERO, "1": TYPE_ONE, "X": X}
 
 
 def format_type_sexpr(t: FinType) -> str:
     if isinstance(t, BaseType):
         return t.name
-    assert isinstance(t, Arrow)
     return f"({format_type_sexpr(t.result)} {format_type_sexpr(t.argument)})"
 
 
-def format_term(t: Term) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return str(n)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        if t in _CONST_NAMES:
-            return _CONST_NAMES[t]
-        if t.kind == "ratreal":
-            return f"(rat {t.payload[0]})"
-        if t.kind == "defined":
-            return str(t.payload[0])
-        return t.kind
-    head, args = _spine(t)
-    return "(" + " ".join([format_term(head)] + [format_term(a) for a in args]) + ")"
-
-
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
-
-
-def format_formula(f: Formula) -> str:
-    """Deterministic textual form; inverse of :func:`parse_formula` on the
-    constant and variable subset of the language."""
-    if f == FALSE:
-        return "false"
-    if isinstance(f, Prime):
-        return f"(= {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, Leq0):
-        return f"(<= {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, RealCmp):
-        return f"({_CMP_TAGS[f.op]} {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, And):
-        return f"(and {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Implies):
-        if f.right == FALSE:
-            return f"(not {format_formula(f.left)})"
-        return f"(-> {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Forall):
-        return f"(forall ({f.var} {format_type_sexpr(f.vtype)}) {format_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists ({f.var} {format_type_sexpr(f.vtype)}) {format_formula(f.body)})"
-    if isinstance(f, EqAt):
-        return f"(eqat {format_type_sexpr(f.vtype)} {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, Preceq):
-        return f"(preceq {format_type_sexpr(f.vtype)} {format_term(f.lhs)} {format_term(f.rhs)})"
-    if isinstance(f, MemberA):
-        return f"(member {format_term(f.element)} {format_term(f.point)})"
-    raise TypeError(f"unknown formula node {f}")
-
-
-class FormulaSyntaxError(ValueError):
-    pass
-
-
-def _sexpr_tokens(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _read_sexpr(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise FormulaSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _read_sexpr(tokens, pos)
-            out.append(node)
-        if pos >= len(tokens):
-            raise FormulaSyntaxError("unbalanced parenthesis")
-        return out, pos + 1
-    if tok == ")":
-        raise FormulaSyntaxError("unexpected ')'")
-    return tok, pos + 1
-
-
-def _parse_type_node(node) -> FinType:
-    if node == "0":
-        return ZERO
+def _read_type(node) -> FinType:
+    if isinstance(node, list) and len(node) == 2:
+        return Arrow(_read_type(node[0]), _read_type(node[1]))
     if node == "X":
         return X
     if isinstance(node, str) and node.isdigit():
-        from .finite_types import pure_type
-
         return pure_type(int(node))
-    if isinstance(node, list) and len(node) == 2:
-        return Arrow(_parse_type_node(node[0]), _parse_type_node(node[1]))
     raise FormulaSyntaxError(f"bad type {node!r}")
 
 
-def _parse_term_node(node, ctx: dict[str, FinType]) -> Term:
+def format_term(t: Term, scope: Mapping[str, FinType] = _UNDECLARED) -> str:
+    """Text of ``t``; a variable ``scope`` does not declare at its type is ``(: name TYPE)``."""
+    if isinstance(t, Var):
+        if scope.get(t.name) == t.type:
+            return t.name
+        return f"(: {t.name} {format_type_sexpr(t.type)})"
+    n = numeral_value(t)
+    if n is not None:
+        return str(n)
+    if isinstance(t, Const):  # a named constant's text is its name
+        return f"(rat {t.payload[0]})" if t.kind == "ratreal" else str(t)
+    head, args = uncurry(t)
+    return "(" + " ".join([format_term(head, scope)] + [format_term(a, scope) for a in args]) + ")"
+
+
+def _read_term(node, ctx: Mapping[str, Var]) -> Term:
     if isinstance(node, str):
         if node.isdigit():
             return numeral(int(node))
         if node in ctx:
-            return Var(node, ctx[node])
+            return ctx[node]
         if node in NAMED_CONSTS:
             return NAMED_CONSTS[node]
         raise FormulaSyntaxError(f"unknown symbol {node!r}")
@@ -892,80 +854,123 @@ def _parse_term_node(node, ctx: dict[str, FinType]) -> Term:
     if node[0] == "rat":
         return rat_real(Fraction(node[1]))
     if node[0] == ":":
-        return Var(node[1], _parse_type_node(node[2]))
-    t = _parse_term_node(node[0], ctx)
-    for arg in node[1:]:
-        t = App(t, _parse_term_node(arg, ctx))
-    return t
+        return Var(node[1], _read_type(node[2]))
+    return app(_read_term(node[0], ctx), *[_read_term(arg, ctx) for arg in node[1:]])
 
 
-def _parse_formula_node(node, ctx: dict[str, FinType]) -> Formula:
-    if node == "false":
-        return FALSE
+def format_formula(f: Formula, scope: Mapping[str, FinType] = _UNDECLARED) -> str:
+    """Deterministic text, read back by :func:`parse_formula`; a variable declared at its
+    type by neither ``scope`` nor a binder around it prints as ``(: name TYPE)``."""
+    if type(f) is Prime and f == FALSE:
+        return "false"
+    if type(f) is Implies and f.right == FALSE:
+        return f"(not {format_formula(f.left, scope)})"
+    return _PRINTERS[f.op if type(f) is RealCmp else type(f)](f, scope)
+
+
+def _read_formula(node, ctx: Mapping[str, Var]) -> Formula:
     if not isinstance(node, list) or not node:
+        if node == "false":
+            return FALSE
         raise FormulaSyntaxError(f"bad formula {node!r}")
-    head = node[0]
-    if head == "=":
-        return Prime(_parse_term_node(node[1], ctx), _parse_term_node(node[2], ctx))
-    if head == "<=":
-        return Leq0(_parse_term_node(node[1], ctx), _parse_term_node(node[2], ctx))
-    if head in _TAG_CMPS:
-        return RealCmp(
-            _TAG_CMPS[head], _parse_term_node(node[1], ctx), _parse_term_node(node[2], ctx)
-        )
-    if head in ("and", "or", "->"):
-        cls = {"and": And, "or": Or, "->": Implies}[head]
-        return cls(_parse_formula_node(node[1], ctx), _parse_formula_node(node[2], ctx))
-    if head == "not":
-        return neg(_parse_formula_node(node[1], ctx))
-    if head in ("forall", "exists"):
-        name, tnode = node[1]
-        vtype = _parse_type_node(tnode)
-        cls = Forall if head == "forall" else Exists
-        return cls(name, vtype, _parse_formula_node(node[2], {**ctx, name: vtype}))
-    if head == "existsleq":
-        name, tnode = node[1]
-        vtype = _parse_type_node(tnode)
-        inner_ctx = {**ctx, name: vtype}
-        bound = _parse_term_node(node[2], ctx)
-        return exists_leq(name, vtype, bound, _parse_formula_node(node[3], inner_ctx))
-    if head == "eqat":
-        vtype = _parse_type_node(node[1])
-        return EqAt(vtype, _parse_term_node(node[2], ctx), _parse_term_node(node[3], ctx))
-    if head == "preceq":
-        vtype = _parse_type_node(node[1])
-        return Preceq(vtype, _parse_term_node(node[2], ctx), _parse_term_node(node[3], ctx))
-    if head == "member":
-        return MemberA(_parse_term_node(node[1], ctx), _parse_term_node(node[2], ctx))
-    raise FormulaSyntaxError(f"unknown connective {head!r}")
+    read = _READERS.get(node[0])
+    if read is None:
+        raise FormulaSyntaxError(f"unknown connective {node[0]!r}")
+    return read(node, ctx)
+
+
+def _parse(text: str, read):
+    """Read ``text`` as one s-expression of nested token lists and build it with ``read``."""
+    stack = [[]]
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            stack[-2].append(stack.pop())
+        else:
+            raise FormulaSyntaxError("unexpected ')'")
+    if len(stack) > 1:
+        raise FormulaSyntaxError("unbalanced parenthesis")
+    if len(stack[0]) != 1:
+        raise FormulaSyntaxError("trailing tokens" if stack[0] else "unexpected end of input")
+    try:
+        return read(stack[0][0], {})
+    except FormulaSyntaxError:
+        raise
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FormulaSyntaxError(str(exc)) from exc
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the textual form produced by :func:`format_formula`.
-
-    Bound variables take their type from the binder; free variables use the
-    escape ``(: name TYPE)``.
-    """
-    tokens = _sexpr_tokens(text)
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing tokens")
-    try:
-        return _parse_formula_node(node, {})
-    except FormulaSyntaxError:
-        raise
-    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FormulaSyntaxError(str(exc)) from exc
+    """Parse the text of :func:`format_formula`: a bound variable takes its binder's type,
+    a free one is written ``(: name TYPE)``."""
+    return _parse(text, _read_formula)
 
 
 def parse_term(text: str) -> Term:
-    tokens = _sexpr_tokens(text)
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing tokens")
-    try:
-        return _parse_term_node(node, {})
-    except FormulaSyntaxError:
-        raise
-    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FormulaSyntaxError(str(exc)) from exc
+    return _parse(text, _read_term)
+
+
+# Each row compiles to a reader and, when a class builds it, a printer that call the reader
+# or printer of each argument's kind (a term's unless listed here) directly: one table
+# lookup per node, none per argument.
+_READ = {"f": _read_formula, "y": lambda node, _ctx: _read_type(node)}
+_SHOW = {"f": format_formula, "y": lambda t, _scope: format_type_sexpr(t)}
+
+
+def _reader(build, kinds: str):
+    if kinds[0] == "b":  # (name TYPE), at most one argument in the enclosing scope, the body
+        between = [_READ.get(kind, _read_term) for kind in kinds[1:-1]]
+
+        def read(node, ctx):
+            name, tnode = node[1]
+            vtype = _read_type(tnode)
+            args = [name, vtype] + [r(node[2], ctx) for r in between]
+            return build(*args, _read_formula(node[len(kinds)], {**ctx, name: Var(name, vtype)}))
+
+        return read
+    a, b, c = [_READ.get(kind, _read_term) for kind in kinds] + [None] * (3 - len(kinds))
+    if c:
+        return lambda node, ctx: build(a(node[1], ctx), b(node[2], ctx), c(node[3], ctx))
+    if b:
+        return lambda node, ctx: build(a(node[1], ctx), b(node[2], ctx))
+    return lambda node, ctx: build(a(node[1], ctx))
+
+
+def _printer(head: str, kinds: str, names: Sequence[str]):
+    x, y, *z = map(attrgetter, names)
+    if kinds[0] == "b":  # (name TYPE) body
+
+        def show(f, scope):
+            name, vtype = x(f), y(f)
+            inner = {**scope, name: vtype}
+            return f"({head} ({name} {format_type_sexpr(vtype)}) {format_formula(z[0](f), inner)})"
+
+        return show
+    a, b, *c = [_SHOW.get(kind, format_term) for kind in kinds]
+    if c:
+        return lambda f, scope: f"({head} {a(x(f), scope)} {b(y(f), scope)} {c[0](z[0](f), scope)})"
+    return lambda f, scope: f"({head} {a(x(f), scope)} {b(y(f), scope)})"
+
+
+def _compile():
+    """Readers by head, printers by node class (by operator for comparison atoms), and per
+    class a getter of its fields, their kinds (``-`` a partial's fixed field, a binder its
+    name ``b`` then its type ``y``), a getter of its terms and their positions."""
+    readers, printers, shapes = {}, {}, {}
+    for head, (build, kinds) in SYNTAX.items():
+        readers[head] = _reader(build, kinds)
+        fixed = build.args if isinstance(build, partial) else ()
+        cls = build.func if fixed else build
+        if isinstance(cls, type):
+            names, field_kinds = cls.__match_args__, "-" * len(fixed) + kinds.replace("b", "by")
+            printers[fixed[0] if fixed else cls] = _printer(head, kinds, names[len(fixed):])
+            at = [i for i, kind in enumerate(field_kinds) if kind in _TERM_TYPES or kind == "t"]
+            terms = attrgetter(*[names[i] for i in at]) if at else None
+            shapes[cls] = (attrgetter(*names), field_kinds, terms, at)
+    return readers, printers, shapes
+
+
+_READERS, _PRINTERS, _SHAPES = _compile()

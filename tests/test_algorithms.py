@@ -179,6 +179,14 @@ def test_trace_report_flags_moving_away():
     assert report["fejer_monotone"] is False
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+def test_trace_report_fails_a_distance_beyond_the_float_range():
+    trace = proximal_point(abs_subdifferential(), 3.5, "const:1.0", steps=50)
+    report = trace_report(trace, zero=[1e308])
+    assert (report["distance_to_zero"], report["fejer_monotone"]) == (None, False)
+    json.dumps(report, allow_nan=False)
+
+
 def test_trace_report_without_zero():
     trace = proximal_point(abs_subdifferential(), 1.0, "const:1.0", steps=2)
     report = trace_report(trace)

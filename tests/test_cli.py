@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import json
 
@@ -50,6 +49,9 @@ def test_translate_nt(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["mode"] == "nt"
     assert payload["output"] == "(not (not (forall (x 0) (not (not (= x x))))))"
+    src.write_text("(= (: y 0) 0)")  # a free variable keeps its escape
+    payload = json.loads(run_cli(capsys, ["translate", "--nt", str(src)])[1])
+    assert payload["output"] == "(not (not (= (: y 0) 0)))"
 
 
 def test_translate_dialectica(capsys, tmp_path):
@@ -358,6 +360,7 @@ def test_report_roundtrip(capsys, tmp_path):
     assert payload["distance_to_zero"] == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
 def test_report_flags_non_fejer(capsys, tmp_path):
     trace = IterationTrace(algorithm="synthetic", params={})
     import numpy as np
@@ -369,6 +372,9 @@ def test_report_flags_non_fejer(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["report", str(bad), "--zero", "0"])
     assert code == 1
     assert "fejer_monotone" in err
+    code, out, err = run_cli(capsys, ["report", str(bad), "--zero", "1e308"])  # distances overflow
+    assert (code, json.loads(out)["distance_to_zero"]) == (1, None)
+    assert "fejer_monotone" in err
 
 
 def test_unknown_command_usage_error(capsys):
@@ -376,15 +382,12 @@ def test_unknown_command_usage_error(capsys):
     assert code == 2
 
 
-def test_tol_env_override(monkeypatch):
-    from prooflab import cli as cli_mod
-
+def test_tol_env_override(monkeypatch, capsys):
+    argv = ["oplab", "verify", "identity", "--samples", "5"]
     monkeypatch.setenv("PROOFLAB_TOL", "1e-5")
-    importlib.reload(cli_mod)
-    assert cli_mod.DEFAULT_TOL == 1e-5
+    assert json.loads(run_cli(capsys, argv)[1])["tol"] == 1e-5
     monkeypatch.delenv("PROOFLAB_TOL")
-    importlib.reload(cli_mod)
-    assert cli_mod.DEFAULT_TOL == 1e-8
+    assert json.loads(run_cli(capsys, argv)[1])["tol"] == 1e-8
 
 
 # Bad input: each exits 2 with nothing on stdout, and stderr names what was
@@ -392,6 +395,7 @@ def test_tol_env_override(monkeypatch):
 BAD_INPUT_FILES = {
     "malformed.sexp": "(forall (x 0) (= x",
     "ill_typed.sexp": "(forall (a 0) (existsleq (b 0) (a a) (= b b)))",
+    "ill_typed_bound.sexp": "(forall (a 0) (existsleq (b 0) succ (= b b)))",
     "samples.cfg": "samples = abc\n",
     "tol.cfg": "tol = inf\n",
     "keys.json": '{"algorithm": "ppa"}',
@@ -426,6 +430,8 @@ BAD_INPUTS = [
     (["translate", "--nt", "{d}/missing.sexp"], "missing.sexp"),
     (["translate", "--nt", "{d}/malformed.sexp"], "unbalanced parenthesis"),
     (["delta", "{d}/ill_typed.sexp"], "non-arrow type"),
+    (["translate", "--nt", "{d}/ill_typed_bound.sexp"], "succ has type 0(0), expected 0"),
+    (["delta", "{d}/ill_typed_bound.sexp"], "succ has type 0(0), expected 0"),
     (["report", "{d}/missing.json"], "missing.json"),
     (["report", "{d}/keys.json"], "malformed trace"),
     (["report", "{d}/text.json"], "malformed trace"),
@@ -447,17 +453,12 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, named):
 
 
 def test_tol_env_must_be_finite(monkeypatch, capsys):
-    from prooflab import cli as cli_mod
-
-    monkeypatch.setenv("PROOFLAB_TOL", "inf")
-    importlib.reload(cli_mod)
-    try:
+    for value in ("inf", "abc"):
+        monkeypatch.setenv("PROOFLAB_TOL", value)
         code, out, err = run_cli(capsys, ["oplab", "verify", "identity", "--samples", "5"])
-    finally:
-        monkeypatch.delenv("PROOFLAB_TOL")
-        importlib.reload(cli_mod)
-    assert (code, out) == (2, "")
-    assert "'inf'" in err
+        assert (code, out) == (2, "")
+        assert f"'{value}'" in err
+        assert run_cli(capsys, ["types", "0"])[0] == 0  # only verbs that take --tol read it
 
 
 @pytest.mark.parametrize("key", sorted(CATALOG))

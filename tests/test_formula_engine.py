@@ -1,6 +1,9 @@
-import pytest
+from fractions import Fraction
 
-from prooflab.finite_types import X, ZERO, parse_type
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prooflab.finite_types import Arrow, X, ZERO, parse_type
 from prooflab.formula_engine import (
     And,
     EqAt,
@@ -32,9 +35,20 @@ from prooflab.formula_engine import (
     negative_translation,
     parse_formula,
     skolemize_delta,
+    typecheck_formula,
     uc_star_formula,
 )
-from prooflab.term_calculus import App, FiniteModel, SUCC, Var, ZERO_CONST, numeral
+from prooflab.term_calculus import (
+    App,
+    FiniteModel,
+    IllTypedApplication,
+    NAMED_CONSTS,
+    SUCC,
+    Var,
+    ZERO_CONST,
+    numeral,
+    rat_real,
+)
 
 TYPE_ONE = parse_type("0(0)")
 
@@ -235,6 +249,86 @@ def test_parse_format_roundtrip_on_corpus():
     f = parse_formula(spec)
     assert delta_recognize(f) is not None
     assert parse_formula(format_formula(f)) == f
+
+
+# Random formulas over every head of the text format: terms mix bound variables, free
+# ones (printed as ``(: name TYPE)`` escapes), numerals, named constants and ``rat``.
+NAMES = ["x", "y", "f"]
+TYPES = st.sampled_from([ZERO, X, TYPE_ONE, Arrow(X, TYPE_ONE)])
+
+
+@st.composite
+def terms(draw, ctx, depth=2):
+    roll = draw(st.integers(0, 5 if depth else 4))
+    if roll == 0 and ctx:
+        name = draw(st.sampled_from(sorted(ctx)))
+        return Var(name, ctx[name])
+    if roll <= 1:
+        return Var(draw(st.sampled_from(NAMES)), draw(TYPES))
+    if roll == 2:
+        return numeral(draw(st.integers(0, 3)))
+    if roll == 3:
+        return draw(st.sampled_from(list(NAMED_CONSTS.values())))
+    if roll == 4:
+        return rat_real(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))))
+    return App(draw(terms(ctx, depth - 1)), draw(terms(ctx, depth - 1)))
+
+
+@st.composite
+def formulas(draw, ctx=None, depth=3):
+    ctx = ctx or {}
+    roll = draw(st.integers(0, 9 if depth else 5))
+    t = terms(ctx)
+    if roll == 0:
+        return draw(st.sampled_from([Prime, Leq0, MemberA]))(draw(t), draw(t))
+    if roll == 1:
+        return RealCmp(draw(st.sampled_from(["=", "<=", "<"])), draw(t), draw(t))
+    if roll == 2:
+        return draw(st.sampled_from([EqAt, Preceq]))(draw(TYPES), draw(t), draw(t))
+    if roll == 3:
+        return FALSE
+    if roll <= 5:
+        return Prime(draw(t), draw(t))
+    if roll == 6:
+        return neg(draw(formulas(ctx, depth - 1)))
+    if roll == 7:
+        name, vtype = draw(st.sampled_from(NAMES)), draw(TYPES)
+        body = draw(formulas({**ctx, name: vtype}, depth - 1))
+        return draw(st.sampled_from([Forall, Exists]))(name, vtype, body)
+    left, right = draw(formulas(ctx, depth - 1)), draw(formulas(ctx, depth - 1))
+    return draw(st.sampled_from([And, Or, Implies]))(left, right)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(formulas())
+def test_parse_format_roundtrip_over_the_grammar(f):
+    assert parse_formula(format_formula(f)) == f
+
+
+def test_typecheck_formula_accepts_the_generated_formulas():
+    readme = [
+        "(forall (x 0) (exists (y 0) (= y (succ x))))",
+        "(forall (a 0) (existsleq (b 0) a (forall (c 0) (<= b a))))",
+    ]
+    accepted = [uc_star_formula(), expand_defined(uc_star_formula())]
+    accepted += [parse_formula(text) for text in readme]
+    for f in generate_corpus(2, count=20):
+        accepted += [f, negative_translation(f), dialectica(f).to_formula()]
+    for f in accepted:
+        typecheck_formula(f)
+
+
+@pytest.mark.parametrize("text", [
+    "(forall (a 0) (existsleq (b 0) succ (= b b)))",
+    "(forall (a 0) (existsleq (b 0) (a a) (= b b)))",
+    "(forall (x 0) (member x (: y X)))",
+    "(<R (: r 0) (rat 1/2))",
+    "(eqat X zeroX 0)",
+    "(forall (x 0) (= (: x X) 0))",
+])
+def test_typecheck_formula_refuses_ill_typed_atoms(text):
+    with pytest.raises(IllTypedApplication):
+        typecheck_formula(parse_formula(text))
 
 
 def test_parse_rejects_garbage():
