@@ -21,11 +21,13 @@ instances supplies the soundness oracle for the translations.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, eq, itemgetter, le
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,6 +55,7 @@ from .term_calculus import (
     ZERO_CONST,
     app,
     bracket_abstract_chain,
+    const_value,
     enumerate_values,
     enumeration_size,
     evaluate,
@@ -206,21 +209,11 @@ def _map_atom_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
 
 def all_names(f: Formula) -> set[str]:
     """Every variable name occurring in ``f``, free or bound."""
-    out: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            out.add(g.var)
-            walk(g.body)
-        else:
-            for t in _atom_terms(g):
-                out.update(term_free_vars(t))
-
-    walk(f)
-    return out
+    if isinstance(f, (And, Or, Implies)):
+        return all_names(f.left) | all_names(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return all_names(f.body) | {f.var}
+    return {name for t in _atom_terms(f) for name in term_free_vars(t)}
 
 
 def free_formula_vars(f: Formula) -> dict[str, FinType]:
@@ -337,24 +330,17 @@ def expand_defined(f: Formula, gen: NameGen | None = None) -> Formula:
             return type(g)(walk(g.left), walk(g.right))
         if isinstance(g, (Forall, Exists)):
             return type(g)(g.var, g.vtype, walk(g.body))
-        if isinstance(g, EqAt):
-            t = g.vtype
+        if isinstance(g, (EqAt, Preceq)):
+            t, is_eq = g.vtype, isinstance(g, EqAt)
             if t == ZERO:
-                return Prime(g.lhs, g.rhs)
-            if t == X:
+                return (Prime if is_eq else Leq0)(g.lhs, g.rhs)
+            if t == X and is_eq:
                 return RealCmp("=", App(NORM_X, _minus_x(g.lhs, g.rhs)), rat_real(0))
-            assert isinstance(t, Arrow)
-            v = Var(gen.fresh("e"), t.argument)
-            return Forall(v.name, t.argument, walk(EqAt(t.result, App(g.lhs, v), App(g.rhs, v))))
-        if isinstance(g, Preceq):
-            t = g.vtype
-            if t == ZERO:
-                return Leq0(g.lhs, g.rhs)
             if t == X:
                 return RealCmp("<=", App(NORM_X, g.lhs), App(NORM_X, g.rhs))
             assert isinstance(t, Arrow)
-            v = Var(gen.fresh("p"), t.argument)
-            return Forall(v.name, t.argument, walk(Preceq(t.result, App(g.lhs, v), App(g.rhs, v))))
+            v = Var(gen.fresh("e" if is_eq else "p"), t.argument)
+            return Forall(v.name, t.argument, walk(type(g)(t.result, App(g.lhs, v), App(g.rhs, v))))
         if isinstance(g, MemberA):
             return Prime(app(CHI_A, g.point, g.element), ZERO_CONST)
         return g
@@ -388,6 +374,10 @@ class DialecticaForm:
     ex_vars: tuple[tuple[str, FinType], ...]
     univ_vars: tuple[tuple[str, FinType], ...]
     matrix: Formula
+
+    def search_size(self, model: FiniteModel) -> int:
+        """Witness tuples times counterexample tuples (:class:`UnsupportedType` if unbounded)."""
+        return math.prod(enumeration_size(t, model) for _, t in self.ex_vars + self.univ_vars)
 
     def to_formula(self) -> Formula:
         f = self.matrix
@@ -433,40 +423,29 @@ def _dialectica(f: Formula, gen: NameGen) -> DialecticaForm:
     if isinstance(f, Implies):
         a = _dialectica(f.left, gen)
         b = _dialectica(f.right, gen)
-        a_ex_terms = [Var(n, t) for n, t in a.ex_vars]
-        a_ex_types = [t for _, t in a.ex_vars]
-        b_univ_terms = [Var(n, t) for n, t in b.univ_vars]
-        b_univ_types = [t for _, t in b.univ_vars]
-        wit_sub: dict[str, Term] = {}
-        witnesses: list[tuple[str, FinType]] = []
-        for name, t in b.ex_vars:
-            w = gen.fresh("W")
-            wt = arrow_chain(a_ex_types, t)
-            witnesses.append((w, wt))
-            wit_sub[name] = app(Var(w, wt), *a_ex_terms)
-        counter_sub: dict[str, Term] = {}
-        for name, t in a.univ_vars:
-            y = gen.fresh("Y")
-            yt = arrow_chain(a_ex_types + b_univ_types, t)
-            witnesses.append((y, yt))
-            counter_sub[name] = app(Var(y, yt), *a_ex_terms, *b_univ_terms)
+        witnesses, wit_sub = _functionals(gen, "W", b.ex_vars, a.ex_vars)
+        counters, counter_sub = _functionals(gen, "Y", a.univ_vars, a.ex_vars + b.univ_vars)
         matrix = Implies(_subst_terms(a.matrix, counter_sub), _subst_terms(b.matrix, wit_sub))
-        return DialecticaForm(tuple(witnesses), a.ex_vars + b.univ_vars, matrix)
+        return DialecticaForm(witnesses + counters, a.ex_vars + b.univ_vars, matrix)
     if isinstance(f, Exists):
         d = _dialectica(f.body, gen)
         return DialecticaForm(((f.var, f.vtype),) + d.ex_vars, d.univ_vars, d.matrix)
     if isinstance(f, Forall):
         d = _dialectica(f.body, gen)
-        sub: dict[str, Term] = {}
-        witnesses: list[tuple[str, FinType]] = []
-        for name, t in d.ex_vars:
-            w = gen.fresh("F")
-            wt = arrow_chain([f.vtype], t)
-            witnesses.append((w, wt))
-            sub[name] = App(Var(w, wt), Var(f.var, f.vtype))
-        matrix = _subst_terms(d.matrix, sub)
-        return DialecticaForm(tuple(witnesses), ((f.var, f.vtype),) + d.univ_vars, matrix)
+        bound = ((f.var, f.vtype),)
+        witnesses, sub = _functionals(gen, "F", d.ex_vars, bound)
+        return DialecticaForm(witnesses, bound + d.univ_vars, _subst_terms(d.matrix, sub))
     raise TypeError(f"unknown formula node {f}")
+
+
+def _functionals(gen: NameGen, hint: str, targets, over) -> tuple[tuple, dict[str, Term]]:
+    """A fresh function of ``over`` for each of ``targets``, and a substitution applying it."""
+    args, names, sub = [Var(n, t) for n, t in over], [], {}
+    for name, t in targets:
+        fn = Var(gen.fresh(hint), arrow_chain([a.type for a in args], t))
+        names.append((fn.name, fn.type))
+        sub[name] = app(fn, *args)
+    return tuple(names), sub
 
 
 def classify_quantifier_class(f: Formula) -> str:
@@ -475,21 +454,19 @@ def classify_quantifier_class(f: Formula) -> str:
 
     A quantifier-free input counts as a (degenerate) ``forall_formula``.
     """
-    g = f
-    forall_ok = True
-    while isinstance(g, Forall):
-        forall_ok = forall_ok and is_admissible(g.vtype)
-        g = g.body
-    if is_quantifier_free(g) and forall_ok:
-        return "forall_formula"
-    g = f
-    exists_ok = True
-    while isinstance(g, Exists):
-        exists_ok = exists_ok and is_admissible(g.vtype)
-        g = g.body
-    if is_quantifier_free(g) and exists_ok:
-        return "exists_formula"
+    for quantifier, name in ((Forall, "forall_formula"), (Exists, "exists_formula")):
+        block, g = _leading(f, quantifier)
+        if is_quantifier_free(g) and all(is_admissible(t) for _, t in block):
+            return name
     return "neither"
+
+
+def _leading(g: Formula, quantifier: type) -> tuple[list[tuple[str, FinType]], Formula]:
+    """The variables of the block of ``quantifier`` nodes that ``g`` opens with, and its body."""
+    block = []
+    while isinstance(g, quantifier):
+        block, g = block + [(g.var, g.vtype)], g.body
+    return block, g
 
 
 @dataclass(frozen=True)
@@ -509,37 +486,19 @@ def delta_recognize(f: Formula) -> DeltaForm | None:
     Bound terms may mention only the outer universal variables; every
     quantified type must be admissible.
     """
-    g = f
-    a_vars: list[tuple[str, FinType]] = []
-    while isinstance(g, Forall):
-        if not is_admissible(g.vtype):
-            return None
-        a_vars.append((g.var, g.vtype))
-        g = g.body
+    a_vars, g = _leading(f, Forall)
     a_names = {n for n, _ in a_vars}
     b_vars: list[tuple[str, FinType, Term]] = []
     while isinstance(g, Exists):
-        body = g.body
-        if not isinstance(body, And):
-            return None
-        head = body.left
-        if not isinstance(head, Preceq) or head.lhs != Var(g.var, g.vtype):
-            return None
-        if head.vtype != g.vtype or not is_admissible(g.vtype):
-            return None
-        if not set(term_free_vars(head.rhs)) <= a_names:
+        head = g.body.left if isinstance(g.body, And) else None
+        if not (isinstance(head, Preceq) and head.lhs == Var(g.var, g.vtype)
+                and head.vtype == g.vtype and set(term_free_vars(head.rhs)) <= a_names):
             return None
         b_vars.append((g.var, g.vtype, head.rhs))
-        g = body.right
-    if not b_vars:
-        return None
-    c_vars: list[tuple[str, FinType]] = []
-    while isinstance(g, Forall):
-        if not is_admissible(g.vtype):
-            return None
-        c_vars.append((g.var, g.vtype))
-        g = g.body
-    if not is_quantifier_free(g):
+        g = g.body.right
+    c_vars, g = _leading(g, Forall)
+    types = [t for _, t, *_ in a_vars + b_vars + c_vars]
+    if not b_vars or not is_quantifier_free(g) or not all(map(is_admissible, types)):
         return None
     return DeltaForm(tuple(a_vars), tuple(b_vars), tuple(c_vars), g)
 
@@ -566,9 +525,7 @@ def skolemize_delta(d: DeltaForm, gen: NameGen | None = None) -> Formula:
         skolems.append((sk, sk_t, bracket_abstract_chain(a_terms, bound)))
         sub[name] = app(Var(sk, sk_t), *a_terms)
     body = _subst_terms(d.matrix, sub)
-    for name, t in reversed(d.c_vars):
-        body = Forall(name, t, body)
-    for name, t in reversed(d.a_vars):
+    for name, t in reversed(d.a_vars + d.c_vars):
         body = Forall(name, t, body)
     for sk, sk_t, bound in reversed(skolems):
         body = exists_leq(sk, sk_t, bound, body)
@@ -581,34 +538,103 @@ def eval_formula(
     env: Mapping[str, object] | None = None,
     budget: int = 200_000,
 ) -> bool:
-    """Classical truth in the finite model by exhaustive quantification."""
-    env = dict(env or {})
+    """Classical truth in the finite model by exhaustive quantification.
 
-    def ev(g: Formula, env: dict) -> bool:
-        if isinstance(g, DEFINED):
-            g = expand_defined(g)
-        if isinstance(g, Prime):
-            return evaluate(g.lhs, model, env) == evaluate(g.rhs, model, env)
-        if isinstance(g, Leq0):
-            return evaluate(g.lhs, model, env) <= evaluate(g.rhs, model, env)
-        if isinstance(g, RealCmp):
-            raise UnsupportedType("real comparison atoms have no finite-model value")
-        if isinstance(g, And):
-            return ev(g.left, env) and ev(g.right, env)
-        if isinstance(g, Or):
-            return ev(g.left, env) or ev(g.right, env)
-        if isinstance(g, Implies):
-            return (not ev(g.left, env)) or ev(g.right, env)
-        if isinstance(g, (Forall, Exists)):
+    ``f`` is compiled once per call, in one pass, to closures over a frame of slots (Feeley
+    and Lapalme, "Using closures for code generation", 1987): a bound variable becomes its
+    binder's slot index, and a node free of bound variables is folded to its value.  A node
+    outside every quantifier runs at most once, so it is evaluated as it is built; there, a
+    quantifier tries its first value so and compiles its body for the rest.  Nothing is
+    evaluated out of order: connectives stop at a deciding left operand, and an unbound
+    variable, a real atom or a type past the budget raises only when reached.
+    """
+    slots = 0  # frame positions handed out to binders so far
+
+    def build(g: Formula, scope: dict, hot: bool) -> tuple[bool, object]:
+        """``(True, truth)`` for a folded node, else ``(False, test of a frame)``."""
+        nonlocal slots
+        if isinstance(g, (Prime, Leq0)):
+            lc, lhs = _term(g.lhs, scope, model)
+            rc, rhs = _term(g.rhs, scope, model)
+            cmp = eq if isinstance(g, Prime) else le
+            if lc and rc:
+                try:
+                    return True, cmp(lhs, rhs)
+                except Exception:  # a closed atom that fails, fails when reached
+                    code = lambda s: cmp(lhs, rhs)
+            elif lc or rc:
+                code = (lambda s: cmp(lhs, rhs(s))) if lc else (lambda s: cmp(lhs(s), rhs))
+            else:
+                code = lambda s: cmp(lhs(s), rhs(s))
+        elif isinstance(g, (And, Or, Implies)):
+            lc, left = build(g.left, scope, hot)
+            if lc:  # a known left operand decides, or hands the value on to the right one
+                if isinstance(g, Or) == bool(left):
+                    return True, bool(left) or isinstance(g, Implies)
+                return build(g.right, scope, hot)
+            rc, right = build(g.right, scope, hot)
+            right = (lambda s, v=right: v) if rc else right
+            if isinstance(g, And):
+                return False, lambda s: left(s) and right(s)
+            if isinstance(g, Or):
+                return False, lambda s: left(s) or right(s)
+            return False, lambda s: not left(s) or right(s)
+        elif isinstance(g, (Forall, Exists)):
+            i, slots, want = slots, slots + 1, isinstance(g, Exists)
+            domain = None if hot else _domain(g.vtype, model, budget)  # enumerated when reached
+            if domain:  # reached now: the first value is tried as the body is built for it
+                if (not build(g.body, {**scope, g.var: (True, domain[0])}, False)[1]) is not want:
+                    return True, want
+            bc, body = build(g.body, {**scope, g.var: (False, itemgetter(i))}, True)
+            body, start = (lambda s, v=body: v) if bc else body, 0 if hot else 1
+
+            def code(s):  # stops at the first value that decides, as any() and all() do
+                nonlocal domain
+                domain = domain or _domain(g.vtype, model, budget)
+                for s[i] in islice(domain, start, None):
+                    if (not body(s)) is not want:
+                        return want
+                return not want
+        elif isinstance(g, DEFINED):
+            return build(expand_defined(g), scope, hot)
+        else:  # a real atom, or not a formula: raises when reached
+
+            def code(s):
+                raise (UnsupportedType("real comparison atoms have no finite-model value")
+                       if isinstance(g, RealCmp) else TypeError(f"unknown formula node {g}"))
+
+        return (False, code) if hot else (True, code([None] * slots))
+
+    scope = {name: (True, value) for name, value in env.items()} if env else {}
+    return build(f, scope, False)[1]
+
+
+def _term(t: Term, scope: dict, model: FiniteModel) -> tuple[bool, object]:
+    """``(True, value)`` for a folded term, else ``(False, fn of a frame)``."""
+    if isinstance(t, App):
+        fc, fn = _term(t.fun, scope, model)
+        ac, arg = _term(t.arg, scope, model)
+        if fc and ac:
             try:
-                values = enumerate_values(g.vtype, model, budget)
-            except UnsupportedType as exc:
-                raise EnumerationBudgetExceeded(str(exc)) from exc
-            results = (ev(g.body, {**env, g.var: v}) for v in values)
-            return all(results) if isinstance(g, Forall) else any(results)
-        raise TypeError(f"unknown formula node {g}")
+                return True, fn(arg)
+            except Exception:  # a closed term that fails, fails when reached
+                return False, lambda s: fn(arg)
+        if fc or ac:
+            return False, (lambda s: fn(arg(s))) if fc else (lambda s: fn(s)(arg))
+        return False, lambda s: fn(s)(arg(s))
+    if isinstance(t, Const):
+        try:
+            return True, const_value(t, model)
+        except UnsupportedType:
+            return False, lambda s: const_value(t, model)
+    return scope.get(t.name) or (False, lambda s: evaluate(t, model))  # unbound: KeyError
 
-    return ev(f, env)
+
+def _domain(vtype: FinType, model: FiniteModel, budget: int) -> list:
+    try:
+        return enumerate_values(vtype, model, budget)
+    except UnsupportedType as exc:
+        raise EnumerationBudgetExceeded(str(exc)) from exc
 
 
 def eval_dialectica(
@@ -617,36 +643,14 @@ def eval_dialectica(
     env: Mapping[str, object] | None = None,
     budget: int = 2_000_000,
 ) -> bool:
-    """Brute-force the exists/forall normal form: search witness tuples,
-    check the matrix against every counterexample tuple."""
-    import itertools
-
-    env = dict(env or {})
-    work = 1
-    for _, t in d.ex_vars + d.univ_vars:
-        try:
-            work *= enumeration_size(t, model)
-        except UnsupportedType as exc:
-            raise EnumerationBudgetExceeded(str(exc)) from exc
-        if work > budget:
-            raise EnumerationBudgetExceeded(
-                f"witness search space exceeds budget {budget}"
-            )
+    """Truth of ``d.to_formula()``, after checking that its witness search fits ``budget``."""
     try:
-        ex_domains = [enumerate_values(t, model, budget) for _, t in d.ex_vars]
-        univ_domains = [enumerate_values(t, model, budget) for _, t in d.univ_vars]
+        work = d.search_size(model)
     except UnsupportedType as exc:
         raise EnumerationBudgetExceeded(str(exc)) from exc
-    ex_names = [n for n, _ in d.ex_vars]
-    univ_names = [n for n, _ in d.univ_vars]
-    for ex_combo in itertools.product(*ex_domains):
-        scope = {**env, **dict(zip(ex_names, ex_combo))}
-        if all(
-            eval_formula(d.matrix, model, {**scope, **dict(zip(univ_names, univ_combo))}, budget)
-            for univ_combo in itertools.product(*univ_domains)
-        ):
-            return True
-    return False
+    if work > budget:
+        raise EnumerationBudgetExceeded(f"witness search space exceeds budget {budget}")
+    return eval_formula(d.to_formula(), model, env, budget)
 
 
 @dataclass(frozen=True)
@@ -679,19 +683,17 @@ def check_interpretation_soundness(
     Without an explicit model the largest feasible carrier ``{0..n}`` with
     ``n <= 3`` is chosen so the witness search stays inside the budget.
     """
-    d = dialectica(f)
-    if model is None:
-        last: Exception | None = None
-        for size in (3, 2, 1):
-            try:
-                return check_interpretation_soundness(f, FiniteModel(size), budget)
-            except EnumerationBudgetExceeded as exc:
-                last = exc
-        raise EnumerationBudgetExceeded(str(last))
-    direct = eval_formula(f, model, budget=budget)
-    nt = eval_formula(negative_translation(f), model, budget=budget)
-    dia = eval_dialectica(d, model, budget=budget)
-    return SoundnessReport(model.size, direct, nt, dia)
+    d, nt = dialectica(f), negative_translation(f)  # translated once, for every carrier
+    for m in [model] if model is not None else [FiniteModel(n) for n in (3, 2, 1)]:
+        try:
+            return SoundnessReport(m.size, eval_formula(f, m, budget=budget),
+                                   eval_formula(nt, m, budget=budget),
+                                   eval_dialectica(d, m, budget=budget))
+        except EnumerationBudgetExceeded as exc:
+            if model is not None:
+                raise
+            last = exc
+    raise EnumerationBudgetExceeded(str(last))
 
 
 def uc_star_formula() -> Formula:
@@ -765,17 +767,13 @@ def generate_corpus(seed: int, count: int = 30, budget: int = 500_000) -> list[F
         cand = gen([], 3, 2)
         if cand in seen or free_formula_vars(cand):
             continue
-        d = dialectica(cand)
-        model = FiniteModel(3)
         try:
-            work = 1
-            for _, t in d.ex_vars + d.univ_vars:
-                work *= enumeration_size(t, model)
-            if work <= budget:
-                corpus.append(cand)
-                seen.add(cand)
+            work = dialectica(cand).search_size(FiniteModel(3))
         except UnsupportedType:
-            pass
+            continue
+        if work <= budget:
+            corpus.append(cand)
+            seen.add(cand)
     return corpus
 
 
@@ -852,8 +850,10 @@ def _read_term(node, ctx: Mapping[str, Var]) -> Term:
     if not node:
         raise FormulaSyntaxError("empty term")
     if node[0] == "rat":
-        return rat_real(Fraction(node[1]))
+        return rat_real(Fraction(node[1])) if len(node) == 2 else _refuse(node, 2)
     if node[0] == ":":
+        if len(node) != 3 or not isinstance(node[1], str):
+            _refuse(node, 3)
         return Var(node[1], _read_type(node[2]))
     return app(_read_term(node[0], ctx), *[_read_term(arg, ctx) for arg in node[1:]])
 
@@ -920,23 +920,35 @@ _READ = {"f": _read_formula, "y": lambda node, _ctx: _read_type(node)}
 _SHOW = {"f": format_formula, "y": lambda t, _scope: format_type_sexpr(t)}
 
 
+def _refuse(node, n: int):
+    """Raise for a node that is not its head and ``n - 1`` arguments, or a bad name."""
+    if len(node) != n:
+        raise FormulaSyntaxError(f"{node[0]} has arity {n - 1}, not {len(node) - 1}")
+    raise FormulaSyntaxError(f"{node[0]} wants a name and a type, got {node[1]!r}")
+
+
 def _reader(build, kinds: str):
+    n = len(kinds) + 1  # the head and one node per argument
     if kinds[0] == "b":  # (name TYPE), at most one argument in the enclosing scope, the body
         between = [_READ.get(kind, _read_term) for kind in kinds[1:-1]]
 
         def read(node, ctx):
+            if len(node) != n or not isinstance(node[1], list) or len(node[1]) != 2:
+                _refuse(node, n)
             name, tnode = node[1]
             vtype = _read_type(tnode)
             args = [name, vtype] + [r(node[2], ctx) for r in between]
-            return build(*args, _read_formula(node[len(kinds)], {**ctx, name: Var(name, vtype)}))
+            return build(*args, _read_formula(node[n - 1], {**ctx, name: Var(name, vtype)}))
 
         return read
     a, b, c = [_READ.get(kind, _read_term) for kind in kinds] + [None] * (3 - len(kinds))
     if c:
-        return lambda node, ctx: build(a(node[1], ctx), b(node[2], ctx), c(node[3], ctx))
+        return lambda node, ctx: (build(a(node[1], ctx), b(node[2], ctx), c(node[3], ctx))
+                                  if len(node) == n else _refuse(node, n))
     if b:
-        return lambda node, ctx: build(a(node[1], ctx), b(node[2], ctx))
-    return lambda node, ctx: build(a(node[1], ctx))
+        return lambda node, ctx: (build(a(node[1], ctx), b(node[2], ctx))
+                                  if len(node) == n else _refuse(node, n))
+    return lambda node, ctx: build(a(node[1], ctx)) if len(node) == n else _refuse(node, n)
 
 
 def _printer(head: str, kinds: str, names: Sequence[str]):

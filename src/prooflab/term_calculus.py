@@ -340,7 +340,7 @@ class FiniteModel:
         return min(n + 1, self.size)
 
 
-def _const_value(c: Const, model: FiniteModel):
+def const_value(c: Const, model: FiniteModel):
     kind = c.kind
     if kind == "zero":
         return 0
@@ -378,7 +378,7 @@ def evaluate(t: Term, model: FiniteModel, env: Mapping[str, object] | None = Non
             raise KeyError(f"unbound variable {t.name}")
         return env[t.name]
     if isinstance(t, Const):
-        return _const_value(t, model)
+        return const_value(t, model)
     assert isinstance(t, App)
     f = evaluate(t.fun, model, env)
     a = evaluate(t.arg, model, env)
@@ -416,14 +416,8 @@ def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> l
         raise UnsupportedType(
             f"{len(results)}^{len(arg_dom)} tables of type {t} exceed budget {budget}"
         )
-
-    def make(table: tuple) -> Callable:
-        mapping = dict(zip(arg_dom, table))
-        fn = lambda v: mapping[v]
-        fn._table = table  # noqa: SLF001 (kept for debug printing)
-        return fn
-
-    return [make(tbl) for tbl in itertools.product(results, repeat=len(arg_dom))]
+    tables = itertools.product(results, repeat=len(arg_dom))
+    return [dict(zip(arg_dom, table)).__getitem__ for table in tables]
 
 
 def enumeration_size(t: FinType, model: FiniteModel) -> int:

@@ -396,6 +396,8 @@ BAD_INPUT_FILES = {
     "malformed.sexp": "(forall (x 0) (= x",
     "ill_typed.sexp": "(forall (a 0) (existsleq (b 0) (a a) (= b b)))",
     "ill_typed_bound.sexp": "(forall (a 0) (existsleq (b 0) succ (= b b)))",
+    "extra_argument.sexp": "(forall (x 0) (= x 0 5))",
+    "bare_binder.sexp": "(forall x0 (= x x))",
     "samples.cfg": "samples = abc\n",
     "tol.cfg": "tol = inf\n",
     "keys.json": '{"algorithm": "ppa"}',
@@ -432,6 +434,8 @@ BAD_INPUTS = [
     (["delta", "{d}/ill_typed.sexp"], "non-arrow type"),
     (["translate", "--nt", "{d}/ill_typed_bound.sexp"], "succ has type 0(0), expected 0"),
     (["delta", "{d}/ill_typed_bound.sexp"], "succ has type 0(0), expected 0"),
+    (["translate", "--nt", "{d}/extra_argument.sexp"], "= has arity 2, not 3"),
+    (["delta", "{d}/bare_binder.sexp"], "forall wants a name and a type, got 'x0'"),
     (["report", "{d}/missing.json"], "missing.json"),
     (["report", "{d}/keys.json"], "malformed trace"),
     (["report", "{d}/text.json"], "malformed trace"),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from prooflab.finite_types import Arrow, X, ZERO, parse_type
 from prooflab.formula_engine import (
     And,
+    EnumerationBudgetExceeded,
     EqAt,
     Exists,
     FALSE,
@@ -24,6 +26,7 @@ from prooflab.formula_engine import (
     classify_quantifier_class,
     delta_recognize,
     dialectica,
+    eval_dialectica,
     eval_formula,
     exists_leq,
     expand_defined,
@@ -44,8 +47,12 @@ from prooflab.term_calculus import (
     IllTypedApplication,
     NAMED_CONSTS,
     SUCC,
+    UnsupportedType,
     Var,
     ZERO_CONST,
+    enumerate_values,
+    enumeration_size,
+    evaluate,
     numeral,
     rat_real,
 )
@@ -224,6 +231,88 @@ def test_eval_formula_examples():
     assert not eval_formula(FALSE, m)
 
 
+def reference_truth(f, model, env, budget):
+    """Tree-walking truth: evaluates terms and enumerates a domain at every visit."""
+    if isinstance(f, (Prime, Leq0)):
+        lhs, rhs = evaluate(f.lhs, model, env), evaluate(f.rhs, model, env)
+        return lhs == rhs if isinstance(f, Prime) else lhs <= rhs
+    if isinstance(f, (And, Or, Implies)):
+        left = reference_truth(f.left, model, env, budget)
+        if isinstance(f, And):
+            return left and reference_truth(f.right, model, env, budget)
+        if isinstance(f, Or):
+            return left or reference_truth(f.right, model, env, budget)
+        return not left or reference_truth(f.right, model, env, budget)
+    try:
+        values = enumerate_values(f.vtype, model, budget)
+    except UnsupportedType as exc:
+        raise EnumerationBudgetExceeded(str(exc)) from exc
+    results = (reference_truth(f.body, model, {**env, f.var: v}, budget) for v in values)
+    return any(results) if isinstance(f, Exists) else all(results)
+
+
+def reference_dialectica(d, model, budget):
+    """Check the work budget, then search witness tuples against counterexample tuples."""
+    work = 1
+    for _, t in d.ex_vars + d.univ_vars:
+        work *= enumeration_size(t, model)
+    if work > budget:
+        raise EnumerationBudgetExceeded(f"witness search space exceeds budget {budget}")
+    ex = [[(n, v) for v in enumerate_values(t, model, budget)] for n, t in d.ex_vars]
+    univ = [[(n, v) for v in enumerate_values(t, model, budget)] for n, t in d.univ_vars]
+    return any(
+        all(reference_truth(d.matrix, model, dict(a + b), budget) for b in itertools.product(*univ))
+        for a in itertools.product(*ex)
+    )
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except (EnumerationBudgetExceeded, UnsupportedType, KeyError) as exc:
+        return type(exc)
+
+
+def test_compiled_oracle_matches_the_reference_evaluator():
+    budget, refused = 20_000, 0
+    for seed in range(4):
+        for f in generate_corpus(seed):
+            nt, d = negative_translation(f), dialectica(f)
+            for size in (1, 2, 3, 4):
+                m = FiniteModel(size)
+                got = [outcome(lambda: eval_formula(f, m, budget=budget)),
+                       outcome(lambda: eval_formula(nt, m, budget=budget)),
+                       outcome(lambda: eval_dialectica(d, m, budget=budget))]
+                want = [outcome(lambda: reference_truth(f, m, {}, budget)),
+                        outcome(lambda: reference_truth(nt, m, {}, budget)),
+                        outcome(lambda: reference_dialectica(d, m, budget))]
+                assert got == want, (format_formula(f), size)
+                refused += got[2] is EnumerationBudgetExceeded
+    assert refused  # the budget refuses some witness searches at the larger carriers
+
+
+REAL_ATOM = RealCmp("<", rat_real(0), rat_real(1))
+OVER_BUDGET = Forall("g", TYPE_ONE, Prime(App(Var("g", TYPE_ONE), ZERO_CONST), ZERO_CONST))
+TRUE = Prime(ZERO_CONST, ZERO_CONST)
+
+
+def test_oracle_raises_only_on_what_it_reaches():
+    m = FiniteModel(3)  # 4^4 = 256 tables of type 0(0), past a budget of 100
+    assert eval_formula(Or(TRUE, REAL_ATOM), m) is True
+    with pytest.raises(UnsupportedType):
+        eval_formula(Or(FALSE, REAL_ATOM), m)
+    assert eval_formula(And(FALSE, OVER_BUDGET), m, budget=100) is False
+    with pytest.raises(EnumerationBudgetExceeded):
+        eval_formula(And(TRUE, OVER_BUDGET), m, budget=100)
+    unbound = Prime(v0("a"), v0("b"))
+    assert eval_formula(Implies(FALSE, unbound), m) is True
+    assert eval_formula(Forall("x", ZERO, Or(Prime(v0("x"), v0("x")), unbound)), m) is True
+    for reached in (unbound, Forall("x", ZERO, And(Prime(v0("x"), v0("x")), unbound))):
+        with pytest.raises(KeyError, match="unbound variable a"):  # the left term first
+            eval_formula(reached, m)
+    assert eval_formula(unbound, m, {"a": 2, "b": 2}) is True
+
+
 def test_corpus_soundness():
     corpus = generate_corpus(0, count=30)
     assert len(corpus) == 30
@@ -332,7 +421,11 @@ def test_typecheck_formula_refuses_ill_typed_atoms(text):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "(forall x)", "(= 1", "(unknownop 1 2)", "(forall (x Q) (= x x))"):
+    extra = ("(= 0 0 5)", "(not false junk)", "(= (rat 1/2 7) 0)", "(= (: x 0 junk) 0)")
+    binders = ("(forall x0 (= x x))", "(forall ab (= a a))", "(exists (x 0 1) (= x x))",
+               "(= (: (a b) 0) 0)")
+    for bad in ("", "(forall x)", "(= 1", "(unknownop 1 2)", "(forall (x Q) (= x x))",
+                *extra, *binders):
         with pytest.raises(FormulaSyntaxError):
             parse_formula(bad)
 

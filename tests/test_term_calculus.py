@@ -205,6 +205,12 @@ def test_enumerate_values():
         enumerate_values(parse_type("0(0(0))"), FiniteModel(3), budget=1000)
 
 
+def test_enumerated_table_refuses_arguments_outside_its_domain():
+    for f in enumerate_values(TYPE_ONE, FiniteModel(2)):
+        with pytest.raises(KeyError):
+            f(3)
+
+
 def test_identity_term_is_combinator():
     ident = identity_term(TYPE_ONE)
     assert typecheck(ident) == Arrow(TYPE_ONE, TYPE_ONE)
