@@ -221,10 +221,11 @@ def proximal_point(
 ) -> IterationTrace:
     """Iterate the resolvent: ``x_{n+1} = J_{gamma_n}(x_n)``.
 
-    Stops early at a certified zero (minimal-norm value below ``zero_tol``),
-    on leaving the resolvent domain (index recorded) or when the iterate
-    norm (the start point's included) passes the divergence guard or a
-    residual leaves the float range.
+    Stops early at a certified zero (minimal-norm value below ``zero_tol``), on leaving
+    the resolvent domain (index recorded) or when the iterate norm (the start point's
+    included) passes the divergence guard or a residual leaves the float range.  A step's
+    value residual is ``|u|`` for ``u = (x_n - x_{n+1}) / gamma_n``, or, where ``x_{n+1}``
+    rounds to ``x_n`` and leaves ``u`` noise, the least norm of a value at ``x_{n+1}``.
     """
     sched = _as_schedule(schedule)
     x = as_vector(x0, op.dim)
@@ -242,11 +243,13 @@ def proximal_point(
     for n in range(steps):
         gamma = sched(n)
         try:
-            nxt = resolvent(op, gamma, x)
+            nxt, u = resolvent(op, gamma, x, with_value=True)
         except OutsideDomain:
             trace.outside_domain_at = n
             break
-        step, vres = l2(nxt - x), l2((x - nxt) / gamma)
+        step, vres = l2(nxt - x), l2(u)
+        if math.isnan(vres):  # nxt rounds to x: the values at nxt stand in for the noise u
+            vres = _value_residual(op, nxt)
         if not math.isfinite(step + vres):  # past the float range: the run has blown up
             trace.diverged = True
             break
@@ -291,8 +294,8 @@ def moudafi_iteration(
         return trace
     for n in range(steps):
         try:
-            drift = yosida(op_t, lam, x)
-            nxt = resolvent(op_s, mu, x + mu * drift)
+            shifted = x + mu * yosida(op_t, lam, x)  # past the float range, it ends the run below
+            nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
         except OutsideDomain:
             trace.outside_domain_at = n
             break

@@ -32,6 +32,7 @@ INPUT_ERRORS = (
     OSError, UnicodeDecodeError, TypeSyntaxError, IllTypedApplication, operator_lab.NoConvergence,
     formula_engine.FormulaSyntaxError, algorithms.ScheduleSyntaxError, algorithms.TraceFormatError,
     operator_lab.ComonotoneStepError, operator_lab.NonPositiveGamma, operator_lab.DimensionMismatch,
+    operator_lab.NonFiniteInput,
 )
 
 

@@ -852,7 +852,7 @@ def _read_term(node, ctx: Mapping[str, Var]) -> Term:
     if node[0] == "rat":
         return rat_real(Fraction(node[1])) if len(node) == 2 else _refuse(node, 2)
     if node[0] == ":":
-        if len(node) != 3 or not isinstance(node[1], str):
+        if len(node) != 3 or not isinstance(node[1], str) or node[1].isdigit():
             _refuse(node, 3)
         return Var(node[1], _read_type(node[2]))
     return app(_read_term(node[0], ctx), *[_read_term(arg, ctx) for arg in node[1:]])
@@ -936,6 +936,8 @@ def _reader(build, kinds: str):
             if len(node) != n or not isinstance(node[1], list) or len(node[1]) != 2:
                 _refuse(node, n)
             name, tnode = node[1]
+            if not isinstance(name, str) or name.isdigit():  # a digit string is a numeral
+                _refuse(node, n)
             vtype = _read_type(tnode)
             args = [name, vtype] + [r(node[2], ctx) for r in between]
             return build(*args, _read_formula(node[n - 1], {**ctx, name: Var(name, vtype)}))

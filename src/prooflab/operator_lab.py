@@ -13,7 +13,6 @@ worst violating sample is formatted, as the witness.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -51,14 +50,31 @@ class DimensionMismatch(ValueError):
     """A point or operator does not have the dimension the call needs."""
 
 
+class NonFiniteInput(ValueError):
+    """A point with an infinite or NaN coordinate."""
+
+
 def l2(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis, through the same dot kernel as
+    ``float(a_i @ b_i)`` so each entry equals the per-vector value."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``l2`` along the last axis."""
+    return np.sqrt(_dots(a, a))
+
+
 def as_vector(x, dim: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.array(x, dtype=float, ndmin=1)
     if v.shape != (dim,):
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got shape {v.shape}")
+    if not all(map(math.isfinite, v.tolist())):
+        raise NonFiniteInput(f"expected finite coordinates, got {v}")
     return v
 
 
@@ -186,8 +202,9 @@ class SetValuedOperator:
     name: str
     dim: int
     value_fn: Callable[[np.ndarray], SetValue | None]
-    resolvent_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
-    resolvent_domain_fn: Callable[[float, np.ndarray], bool] | None = None
+    # (gammas[N], X[N, d]) -> resolvents P[N, d], and -> bool[N] for the domain
+    resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    resolvent_domain_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     rho: float | None = None
     declared_classes: tuple[str, ...] = ()
     lipschitz: float | None = None
@@ -197,6 +214,9 @@ class SetValuedOperator:
     # (rng, count, gamma, radius) -> (count, dim) points of the resolvent domain at
     # gamma; unset means the cube [-radius, radius]^dim
     domain_sampler: Callable[[np.random.Generator, int, float, float], np.ndarray] | None = None
+    # (P[N, d], U[N, d], tols) -> bool[N]: is U[i] a value at P[i] within the tolerance (a
+    # float, or one per row)?  A larger tolerance never fails a row; unset means value_fn per row.
+    member_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def in_domain(self, x) -> bool:
         return self.value_fn(as_vector(x, self.dim)) is not None
@@ -235,71 +255,104 @@ def clamp_tilde(x, bound: float) -> np.ndarray:
     return bound * v / max(l2(v), bound)
 
 
-def resolvent(
-    op: SetValuedOperator,
-    gamma: float,
-    x,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Solve ``p + gamma*u = x`` with ``u`` a value at ``p``.
+def resolvent(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8, with_value=False):
+    """Solve ``p + gamma*u = x`` with ``u`` a value at ``p``: a batch of one.  With
+    ``with_value`` the pair ``(p, u)``, ``u`` NaN where rounding left it noise."""
+    x = as_vector(x, op.dim)
+    p, u = resolve_rows(op, np.array([gamma]), x[None], tol)
+    if math.isnan(p[0, 0]):
+        raise OutsideDomain(f"{op.name}: {x} outside the resolvent domain at gamma = {gamma}")
+    return (p[0], u[0]) if with_value else p[0]
+
+
+def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: float = 1e-8):
+    """Resolvents ``P`` of the rows of ``X[N, d]`` at step sizes ``gammas[N]``, and the
+    values ``U = (X - P) / gammas`` at them; both NaN outside the resolvent domain.
 
     Closed forms are preferred; a contraction iteration covers single-valued
     instances with ``gamma * lipschitz < 1``.  On instances declaring a
     negative comonotonicity degree ``rho`` the call refuses step sizes with
     ``rho <= -gamma/2``, where single-valuedness is no longer guaranteed.
+    Every row is verified against the defining inclusion within
+    ``tol * max(1, |u|)``.  When ``gamma`` is far below ``ulp(x)``, ``p`` rounds
+    to ``x`` and ``u`` is off by about ``ulp(x) / gamma``: ``p`` is accepted
+    with that rounding added to the tolerance, and its ``U`` row, noise, is NaN.
     """
-    if not gamma > 0:  # also refuses NaN
-        raise NonPositiveGamma(f"gamma = {gamma}")
-    if op.rho is not None and op.rho < 0 and op.rho <= -gamma / 2:
-        raise ComonotoneStepError(
-            f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}"
-        )
-    x = as_vector(x, op.dim)
-    if op.resolvent_domain_fn is not None and not op.resolvent_domain_fn(gamma, x):
-        raise OutsideDomain(f"{op.name}: {x} outside the resolvent domain at gamma = {gamma}")
+    if X.shape != (len(gammas), op.dim):
+        raise DimensionMismatch(f"expected {len(gammas)} rows of dimension {op.dim}, got {X.shape}")
+    floor = -2 * op.rho if op.rho is not None and op.rho < 0 else 0
+    if len(gammas) and not gammas.min() > floor:  # also refuses NaN
+        gamma = gammas[np.argmin(gammas > floor)]
+        if not gamma > 0:
+            raise NonPositiveGamma(f"gamma = {gamma}")
+        raise ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
+    inside = None if op.resolvent_domain_fn is None else op.resolvent_domain_fn(gammas, X)
+    if inside is not None and not inside.all():
+        P, U = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
+        P[inside], U[inside] = resolve_rows(op, gammas[inside], X[inside], tol)
+        return P, U
     if op.resolvent_fn is not None:
-        p = np.asarray(op.resolvent_fn(gamma, x), dtype=float)
+        p = np.asarray(op.resolvent_fn(gammas, X), dtype=float)
     else:
-        # damped fixed point, certified contractive only when gamma*L < 1
-        single = _single_value_fn(op)
-        if single is None or op.lipschitz is None or gamma * op.lipschitz >= 1:
-            raise NotAvailable(f"no resolvent method for {op.name} at gamma = {gamma}")
-        p = x.copy()
-        for _ in range(100_000):
-            nxt = (p + x - gamma * single(p)) / 2
-            if l2(nxt - p) <= 1e-10:
-                p = nxt
-                break
-            p = nxt
-        else:
-            raise NoConvergence(f"{op.name}: resolvent iteration stalled")
-    u = (x - p) / gamma
-    if not op.membership(p, u, tol * max(1.0, l2(u))):
-        raise NoConvergence(f"{op.name}: defining inclusion fails at gamma = {gamma}, x = {x}")
-    return p
+        p = np.array([_damped_fixed_point(op, *row) for row in zip(gammas, X)]).reshape(X.shape)
+    u = (X - p) / gammas[:, None]
+    member = op.member_rows or functools.partial(_member_by_value, op)
+    if not member(p, u, tol).all():  # tol is the least row tolerance: passing it settles all
+        tols = tol * np.maximum(1.0, _norms(u))
+        plain = member(p, u, tols)
+        rounding = np.spacing(np.maximum(abs(X), abs(p))).max(axis=1) / gammas
+        good = plain | member(p, u, tols + rounding)
+        if not good.all():
+            gamma, x = gammas[~good][0], X[~good][0]
+            raise NoConvergence(f"{op.name}: defining inclusion fails at gamma = {gamma}, x = {x}")
+        u[~plain] = np.nan
+    return p, u
 
 
-def _single_value_fn(op: SetValuedOperator):
-    def single(p: np.ndarray) -> np.ndarray:
-        v = op.values(p)
-        if isinstance(v, FinitePoints) and len(v.points) == 1:
-            return v.points[0]
-        raise NotAvailable(f"{op.name} is not single-valued at {p}")
+def _member_by_value(op: SetValuedOperator, P, U, tols) -> np.ndarray:
+    """``member_rows`` of an operator without one: one value set per row."""
+    rows = zip(map(op.value_fn, P), U, np.broadcast_to(tols, len(P)))
+    return np.array([v is not None and v.contains(u, t) for v, u, t in rows], dtype=bool)
 
-    try:
-        single(np.zeros(op.dim))
-    except (NotAvailable, OutsideDomain):
-        return None
-    return single
+
+def _damped_fixed_point(op: SetValuedOperator, gamma, x: np.ndarray) -> np.ndarray:
+    """The fixed point of ``p -> (p + x - gamma*A(p)) / 2`` for ``A`` single-valued
+    along the way, certified contractive only when ``gamma * lipschitz < 1``."""
+    if op.lipschitz is None or gamma * op.lipschitz >= 1:
+        raise NotAvailable(f"no resolvent method for {op.name} at gamma = {gamma}")
+    p = x.copy()
+    for _ in range(100_000):
+        v = op.value_fn(p)
+        if not (isinstance(v, FinitePoints) and len(v.points) == 1):
+            raise NotAvailable(f"{op.name} is not single-valued at {p}")
+        nxt = (p + x - gamma * v.points[0]) / 2
+        if l2(nxt - p) <= 1e-10:
+            return nxt
+        p = nxt
+    raise NoConvergence(f"{op.name}: resolvent iteration stalled")
 
 
 def yosida(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8) -> np.ndarray:
     """Single-valued approximant ``(x - resolvent(x)) / gamma``."""
-    x = as_vector(x, op.dim)
-    return (x - resolvent(op, gamma, x, tol=tol)) / gamma
+    _, u = resolvent(op, gamma, x, tol=tol, with_value=True)
+    if math.isnan(u[0]):
+        raise NoConvergence(f"{op.name}: Yosida value lost to rounding at gamma = {gamma}, x = {x}")
+    return u
 
 
 # ---------------------------------------------------------------- catalog
+
+def _single_valued(image: Callable[[np.ndarray], np.ndarray], dim: int) -> dict:
+    """Value sets, batched membership and graph sampler of ``x -> {image(x)}`` on
+    ``R^dim``, where ``image`` maps a point or rows of points."""
+    return dict(
+        value_fn=lambda x: FinitePoints(image(x)[None]),
+        member_rows=lambda P, U, tols: _norms(image(P) - U) <= tols,
+        graph_sampler=lambda rng, count, radius: [
+            (x, image(x)) for x in (rng.uniform(-radius, radius, size=dim) for _ in range(count))
+        ],
+    )
+
 
 def identity_operator(dim: int = 1) -> SetValuedOperator:
     eye = np.eye(dim)
@@ -309,20 +362,10 @@ def identity_operator(dim: int = 1) -> SetValuedOperator:
 def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     dim = mat.shape[0]
-    op_norm = float(np.linalg.norm(mat, 2))
+    op_norm, eye = float(np.linalg.norm(mat, 2)), np.eye(dim)
 
-    def value_fn(x: np.ndarray) -> SetValue:
-        return FinitePoints(np.array([mat @ x]))
-
-    def resolvent_fn(gamma: float, x: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(np.eye(dim) + gamma * mat, x)
-
-    def sampler(rng, count, radius):
-        out = []
-        for _ in range(count):
-            x = rng.uniform(-radius, radius, size=dim)
-            out.append((x, mat @ x))
-        return out
+    def resolvent_fn(gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(eye + gammas[:, None, None] * mat, X[..., None])[..., 0]
 
     sym = (mat + mat.T) / 2
     monotone = bool(np.all(np.linalg.eigvalsh(sym) >= -1e-12))
@@ -330,13 +373,12 @@ def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
     return SetValuedOperator(
         name=name,
         dim=dim,
-        value_fn=value_fn,
+        **_single_valued(lambda X: X @ mat.T, dim),
         resolvent_fn=resolvent_fn,
         rho=None,
         declared_classes=classes,
         lipschitz=op_norm,
         norm_bound_on_ball=lambda r: op_norm * r,
-        graph_sampler=sampler,
         zero_point=np.zeros(dim),
     )
 
@@ -363,9 +405,6 @@ def abs_subdifferential() -> SetValuedOperator:
             return FinitePoints(np.array([[-1.0]]))
         return IntervalBox(np.array([-1.0]), np.array([1.0]))
 
-    def resolvent_fn(gamma: float, x: np.ndarray) -> np.ndarray:
-        return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
-
     def sampler(rng, count, radius):
         out = []
         for _ in range(count):
@@ -385,7 +424,9 @@ def abs_subdifferential() -> SetValuedOperator:
         name="abs_subdiff",
         dim=1,
         value_fn=value_fn,
-        resolvent_fn=resolvent_fn,
+        resolvent_fn=lambda gammas, X: np.sign(X) * np.maximum(np.abs(X) - gammas[:, None], 0.0),
+        # the distance to sign(p), or at p = 0 the excess |u| - 1 over [-1, 1]
+        member_rows=lambda P, U, tols: np.abs(U - np.sign(P))[:, 0] - (P[:, 0] == 0) <= tols,
         rho=None,
         declared_classes=("monotone", "accretive"),
         norm_bound_on_ball=lambda r: 1.0,
@@ -400,15 +441,20 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     dim = len(lower)
 
-    def value_fn(x: np.ndarray) -> SetValue | None:
-        if np.any(x < lower - face_tol) or np.any(x > upper + face_tol):
-            return None
-        lo = np.where(np.abs(x - lower) <= face_tol, -np.inf, 0.0)
-        hi = np.where(np.abs(x - upper) <= face_tol, np.inf, 0.0)
-        return IntervalBox(lo, hi)
+    def faces(X: np.ndarray):
+        """For a point or rows of points: inside the box, on a lower face, on an upper face."""
+        inside = (X >= lower - face_tol) & (X <= upper + face_tol)
+        return inside, np.abs(X - lower) <= face_tol, np.abs(X - upper) <= face_tol
 
-    def resolvent_fn(gamma: float, x: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(x, lower), upper)
+    def value_fn(x: np.ndarray) -> SetValue | None:
+        inside, at_lo, at_hi = faces(x)
+        if not inside.all():
+            return None
+        return IntervalBox(np.where(at_lo, -np.inf, 0.0), np.where(at_hi, np.inf, 0.0))
+
+    def member_rows(P, U, tols):
+        (inside, at_lo, at_hi), t = faces(P), np.asarray(tols)[..., None]
+        return (inside & (at_lo | (U >= -t)) & (at_hi | (U <= t))).all(axis=1)
 
     def sampler(rng, count, radius):
         out = []
@@ -431,7 +477,8 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
         name="box_normal_cone",
         dim=dim,
         value_fn=value_fn,
-        resolvent_fn=resolvent_fn,
+        resolvent_fn=lambda gammas, X: np.minimum(np.maximum(X, lower), upper),
+        member_rows=member_rows,
         rho=None,
         declared_classes=("monotone", "accretive"),
         norm_bound_on_ball=lambda r: math.inf,
@@ -442,32 +489,17 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
 
 def scaled_identity(c: float, dim: int = 2) -> SetValuedOperator:
     """Multiplication by ``c``; for negative ``c`` comonotone of degree ``1/c``."""
-
-    def value_fn(x: np.ndarray) -> SetValue:
-        return FinitePoints(np.array([c * x]))
-
-    def resolvent_fn(gamma: float, x: np.ndarray) -> np.ndarray:
-        return x / (1 + gamma * c)
-
-    def sampler(rng, count, radius):
-        out = []
-        for _ in range(count):
-            x = rng.uniform(-radius, radius, size=dim)
-            out.append((x, c * x))
-        return out
-
     rho = 1.0 / c if c != 0 else None
     classes = ("monotone", "accretive", "comonotone") if c >= 0 else ("comonotone",)
     return SetValuedOperator(
         name=f"scaled_identity_{c}",
         dim=dim,
-        value_fn=value_fn,
-        resolvent_fn=resolvent_fn,
+        **_single_valued(lambda X: c * X, dim),
+        resolvent_fn=lambda gammas, X: X / (1 + gammas[:, None] * c),
         rho=rho,
         declared_classes=classes,
         lipschitz=abs(c),
         norm_bound_on_ball=lambda r: abs(c) * r,
-        graph_sampler=sampler,
         zero_point=np.zeros(dim),
     )
 
@@ -485,35 +517,34 @@ def tan_subgradient() -> SetValuedOperator:
             return None
         return FinitePoints(np.array([[deriv(x[0])]]))
 
-    def resolvent_domain_fn(gamma: float, x: np.ndarray) -> bool:
-        return x[0] > gamma
-
-    def resolvent_fn(gamma: float, x: np.ndarray) -> np.ndarray:
-        target = x[0]
+    def bisect(gamma: float, target: float) -> float:
         a, b = 1e-15, hi - 1e-15
         for _ in range(200):
             mid = (a + b) / 2
             if mid in (a, b):  # the bracket is one ulp wide: later steps change nothing
-                return np.array([mid])
+                return mid
             if mid + gamma * deriv(mid) <= target:
                 a = mid
             else:
                 b = mid
-        return np.array([(a + b) / 2])
+        return (a + b) / 2
+
+    def member_rows(P, U, tols):
+        p = P[:, 0]
+        values = np.array([*map(deriv, p.tolist())])
+        return (lo < p) & (p < hi) & (np.abs(values - U[:, 0]) <= tols)
 
     def sampler(rng, count, radius):
-        out = []
-        for _ in range(count):
-            x = rng.uniform(lo + 1e-3, hi - 1e-3)
-            out.append((np.array([x]), np.array([deriv(x)])))
-        return out
+        xs = [rng.uniform(lo + 1e-3, hi - 1e-3) for _ in range(count)]
+        return [(np.array([x]), np.array([deriv(x)])) for x in xs]
 
     return SetValuedOperator(
         name="tan_subgradient",
         dim=1,
         value_fn=value_fn,
-        resolvent_fn=resolvent_fn,
-        resolvent_domain_fn=resolvent_domain_fn,
+        resolvent_fn=lambda g, X: np.array([*map(bisect, g.tolist(), X[:, 0].tolist())])[:, None],
+        resolvent_domain_fn=lambda gammas, X: X[:, 0] > gammas,
+        member_rows=member_rows,
         rho=None,
         declared_classes=("monotone",),
         norm_bound_on_ball=lambda r: math.inf,
@@ -615,17 +646,6 @@ def _report_rows(name: str, rows: list[tuple], tol: float, context: str) -> Chec
     return CheckReport.from_slacks(name, slacks, tol, lambda i: context.format(*rows[i][1:]))
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products along the last axis, through the same dot kernel as
-    ``float(a_i @ b_i)`` so each entry equals the per-vector value."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """``l2`` along the last axis."""
-    return np.sqrt(_dots(a, a))
-
-
 def check_operator_class(
     op: SetValuedOperator,
     kind: str,
@@ -686,15 +706,6 @@ def _alpha_for(op: SetValuedOperator, gamma):
     return 1.0 / (2.0 * (rho / gamma + 1.0))
 
 
-def _resolve_rows(op: SetValuedOperator, gammas, points: np.ndarray, tol: float) -> np.ndarray:
-    """Resolvent of each row at its step size; NaN outside the domain, so it fails."""
-    out = np.full(points.shape, np.nan)
-    for i, (gamma, x) in enumerate(zip(gammas, points)):
-        with contextlib.suppress(OutsideDomain):
-            out[i] = resolvent(op, gamma, x, tol=tol)
-    return out
-
-
 def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, SimpleNamespace]:
     """The resolvent suite's sample sets named in ``kinds``, as rows tagged
     with their step sizes.  Every point is drawn first, in a fixed order."""
@@ -705,14 +716,16 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
         graph.append(op.graph_samples(rng, max(10, samples // 4), radius))
     steps = [(gamma, lam) for gamma in gammas for lam in gammas]
     changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
-    resolve = functools.partial(_resolve_rows, op, tol=tol)
+    def resolve(g, X):
+        return resolve_rows(op, g, X, tol)[0]
+
     sets = {}
 
     # consecutive pairs of the domain points drawn at each step size
     pg = np.repeat(gammas, [len(p) // 2 for p in points])
     x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
-    jx, jy = resolve(pg, x), resolve(pg, y)
-    u, dres = (x - jx) / pg[:, None], (x - jx) - (y - jy)
+    (jx, u), jy = resolve_rows(op, pg, x, tol), resolve(pg, y)
+    dres = (x - jx) - (y - jy)
     sets["pairs"] = SimpleNamespace(
         gamma=pg,
         alpha=_alpha_for(op, pg),
@@ -723,9 +736,9 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
         nj=_norms(jx - jy),
         nres=_norms(dres),
         ygap=_norms(u - (y - jy) / pg[:, None]),
-        # resolvent verified the inclusion on every row it solved; a NaN row (x outside
-        # the resolvent domain) is no member
-        member=~np.isnan(jx).any(axis=1),
+        # the kernel verified u on every row it solved; a NaN row (x outside the resolvent
+        # domain, or u lost to rounding) is no member
+        member=~np.isnan(u).any(axis=1),
         where=lambda i: f"gamma={pg[i]}, x={x[i]}, y={y[i]}",
     )
 
@@ -736,12 +749,12 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
     jzw = resolve(gg, z + gg[:, None] * w)
     sets["inclusion"] = SimpleNamespace(z=z, p=jzw, where=lambda i: f"gamma={gg[i]}, z={z[i]}")
     if "minimality" in kinds:
-        jz = resolve(gg, z)
+        jz, uz = resolve_rows(op, gg, z, tol)
         keep = ~np.isnan(jz).any(axis=1)  # z outside the resolvent domain is skipped
         mg, mz = gg[keep], z[keep]
         sets["minimality"] = SimpleNamespace(
             nsel=_norms(np.array([op.minimal_norm(p) for p in mz]).reshape(mz.shape)),
-            nu=_norms((mz - jz[keep]) / mg[:, None]),
+            nu=_norms(uz[keep]),
             where=lambda i: f"gamma={mg[i]}, z={mz[i]}",
         )
 
@@ -981,11 +994,12 @@ def range_condition_check(
             if not op.in_domain(x):
                 continue
             try:
-                z = resolvent(op, gamma, x, tol=tol)
+                z, w = resolvent(op, gamma, x, tol=tol, with_value=True)
             except (OutsideDomain, NotAvailable):
                 split.append((-1.0, n, x, ": no split"))
                 continue
-            w = (x - z) / gamma  # resolvent verified that w is a value at z
+            if math.isnan(w[0]):  # z is the resolvent, but w = (x - z) / gamma is noise
+                raise NoConvergence(f"{op.name}: split lost to rounding at gamma_{n} = {gamma}")
             split.append((1.0, n, x, ""))
             ball.append((bound + tol - l2(z - center), n, x, ""))
             if at_origin:

@@ -17,6 +17,7 @@ from prooflab.algorithms import (
 )
 from prooflab.operator_lab import (
     DimensionMismatch,
+    NonFiniteInput,
     abs_subdifferential,
     box_indicator,
     identity_operator,
@@ -35,6 +36,13 @@ def test_ppa_soft_threshold_frozen_run():
     assert trace.reached_zero_at == 4
     assert not trace.diverged and trace.outside_domain_at is None
     assert trace.final[0] == 0.0
+
+
+def test_runs_refuse_a_non_finite_start():
+    with pytest.raises(NonFiniteInput):
+        proximal_point(abs_subdifferential(), math.nan)
+    with pytest.raises(NonFiniteInput):
+        moudafi_iteration(identity_operator(2), identity_operator(2), [math.inf, 0.0])
 
 
 def test_ppa_detects_zero_at_start():
@@ -226,6 +234,7 @@ def test_runs_stop_when_numbers_leave_the_float_range():
         proximal_point(identity_operator(1), 1e308, steps=3),  # starts beyond the guard
         proximal_point(box, 1.2, "const:1e-300", steps=3),  # value residual overflows
         moudafi_iteration(box, box, 8.0, mu=1e-310, steps=3),
+        moudafi_iteration(identity_operator(1), identity_operator(1), 100.0, mu=1e308),  # shift
     ]
     for trace in runs:
         assert trace.diverged and len(trace.points) == 1

@@ -281,6 +281,19 @@ def test_run_ppa_json(capsys):
     assert "proximal_point: 4 steps" in err
 
 
+def test_run_ppa_certifies_steps_far_below_the_iterate(capsys):
+    # gamma halves down to 2**-99 while x stays near 98: p rounds to x
+    argv = ["run", "ppa", "--instance", "soft_threshold", "--x0", "100",
+            "--gamma", "geom:1,0.5", "--steps", "100"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    trace = IterationTrace.from_json(out)
+    assert len(trace.points) == 101
+    # once p rounds to x, (x - p) / gamma is noise: the value 1 at p stands in for it
+    assert trace.value_residuals == pytest.approx([1.0] * 100, abs=1e-8)
+    assert "proximal_point: 100 steps, final residual 0.0" in err
+
+
 def test_run_ppa_csv_to_file(capsys, tmp_path):
     out_file = tmp_path / "trace.csv"
     code, out, _ = run_cli(
@@ -398,6 +411,8 @@ BAD_INPUT_FILES = {
     "ill_typed_bound.sexp": "(forall (a 0) (existsleq (b 0) succ (= b b)))",
     "extra_argument.sexp": "(forall (x 0) (= x 0 5))",
     "bare_binder.sexp": "(forall x0 (= x x))",
+    "digit_binder.sexp": "(forall (5 0) (= 5 5))",
+    "digit_free_name.sexp": "(= (: 5 0) 0)",
     "samples.cfg": "samples = abc\n",
     "tol.cfg": "tol = inf\n",
     "keys.json": '{"algorithm": "ppa"}',
@@ -436,6 +451,8 @@ BAD_INPUTS = [
     (["delta", "{d}/ill_typed_bound.sexp"], "succ has type 0(0), expected 0"),
     (["translate", "--nt", "{d}/extra_argument.sexp"], "= has arity 2, not 3"),
     (["delta", "{d}/bare_binder.sexp"], "forall wants a name and a type, got 'x0'"),
+    (["translate", "--nt", "{d}/digit_binder.sexp"], "forall wants a name and a type"),
+    (["translate", "--nt", "{d}/digit_free_name.sexp"], ": wants a name and a type, got '5'"),
     (["report", "{d}/missing.json"], "missing.json"),
     (["report", "{d}/keys.json"], "malformed trace"),
     (["report", "{d}/text.json"], "malformed trace"),

@@ -37,6 +37,7 @@ from prooflab.formula_engine import (
     neg,
     negative_translation,
     parse_formula,
+    parse_term,
     skolemize_delta,
     typecheck_formula,
     uc_star_formula,
@@ -423,11 +424,13 @@ def test_typecheck_formula_refuses_ill_typed_atoms(text):
 def test_parse_rejects_garbage():
     extra = ("(= 0 0 5)", "(not false junk)", "(= (rat 1/2 7) 0)", "(= (: x 0 junk) 0)")
     binders = ("(forall x0 (= x x))", "(forall ab (= a a))", "(exists (x 0 1) (= x x))",
-               "(= (: (a b) 0) 0)")
+               "(= (: (a b) 0) 0)", "(forall (5 0) (= 5 5))", "(= (: 5 0) 0)")
     for bad in ("", "(forall x)", "(= 1", "(unknownop 1 2)", "(forall (x Q) (= x x))",
                 *extra, *binders):
         with pytest.raises(FormulaSyntaxError):
             parse_formula(bad)
+    with pytest.raises(FormulaSyntaxError):
+        parse_term("(: 5 0)")
 
 
 def test_exists_leq_shape():

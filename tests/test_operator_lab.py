@@ -9,8 +9,11 @@ from prooflab.operator_lab import (
     COMONOTONE_GAMMAS,
     CheckReport,
     ComonotoneStepError,
+    DimensionMismatch,
     FinitePoints,
     IntervalBox,
+    NoConvergence,
+    NonFiniteInput,
     NonPositiveGamma,
     NotAvailable,
     OutsideDomain,
@@ -33,6 +36,7 @@ from prooflab.operator_lab import (
     minimal_norm_selection,
     one_sided_excess,
     range_condition_check,
+    resolve_rows,
     resolvent,
     resolvent_param_modulus,
     scaled_identity,
@@ -41,7 +45,7 @@ from prooflab.operator_lab import (
     verify_resolvent_param_modulus,
     yosida,
 )
-from prooflab.operator_lab import _alpha_for
+from prooflab.operator_lab import _alpha_for, _member_by_value
 
 
 def pts(*rows):
@@ -53,6 +57,9 @@ def test_as_vector_shapes():
     assert as_vector([1, 2], 2).tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         as_vector([1, 2], 3)
+    for bad in (math.nan, [1.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(NonFiniteInput):
+            as_vector(bad, np.size(bad))
 
 
 def test_finite_points_queries():
@@ -181,21 +188,141 @@ def _tan_resolvent_200_steps(gamma: float, target: float) -> float:
 
 def test_tan_resolvent_early_stop_is_bit_identical():
     rng = np.random.default_rng(11)
-    solve = tan_subgradient().resolvent_fn
+    pairs = []
     for gamma in [*STANDARD_GAMMAS, *rng.uniform(1e-3, 5.0, 30).tolist()]:
         above = [math.nextafter(gamma, math.inf), gamma + 1e-12, gamma + 1e-6]
-        for x in [*above, *(gamma + rng.uniform(1e-3, 10.0, 30)).tolist()]:
-            assert solve(gamma, np.array([x]))[0] == _tan_resolvent_200_steps(gamma, x)
+        pairs += [(gamma, x) for x in [*above, *(gamma + rng.uniform(1e-3, 10.0, 30)).tolist()]]
+    gammas, xs = np.array(pairs).T
+    assert len(pairs) == 35 * 33
+    got = tan_subgradient().resolvent_fn(gammas, xs[:, None])[:, 0]
+    assert got.tolist() == [_tan_resolvent_200_steps(gamma, x) for gamma, x in pairs]
+
+
+def _mixed_batch(op, grid, rng, count=120):
+    """Rows at step sizes cycling ``grid``, drawn from the cube (and so partly outside a
+    partial resolvent domain) and from the instance's own domain sampler."""
+    gammas = np.resize(np.asarray(grid, dtype=float), count)
+    cube = rng.uniform(-5.0, 5.0, size=(count, op.dim))
+    if op.domain_sampler is None:
+        return gammas, cube
+    inside = np.concatenate([op.domain_sampler(rng, 1, g, 5.0) for g in gammas])
+    return gammas, np.where((np.arange(count) % 2 == 0)[:, None], cube, inside)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_batch_resolvent_matches_scalar_bit_for_bit(name):
+    op = build_catalog(4)[name]
+    gammas, X = _mixed_batch(op, CATALOG[name].gamma_grid, np.random.default_rng(5))
+    got, values = resolve_rows(op, gammas, X)
+    for gamma, x, p, u in zip(gammas, X, got, values):
+        try:
+            want = resolvent(op, gamma, x, with_value=True)
+        except OutsideDomain:
+            assert np.isnan(p).all() and np.isnan(u).all()
+            continue
+        assert (p.tobytes(), u.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    if name == "tan_subgradient":
+        assert 0 < np.isnan(got[:, 0]).sum() < len(got)
+    else:
+        assert not np.isnan(got).any()
+
+
+def test_batch_refusals_name_the_first_bad_row():
+    op = scaled_identity(-0.5, 2)
+    X = np.ones((3, 2))
+    with pytest.raises(ComonotoneStepError, match="gamma = 1.0"):
+        resolve_rows(op, np.array([8.0, 1.0, -1.0]), X)
+    with pytest.raises(NonPositiveGamma, match="gamma = -1.0"):
+        resolve_rows(op, np.array([8.0, -1.0, 1.0]), X)
+    with pytest.raises(NonPositiveGamma, match="gamma = nan"):
+        resolve_rows(abs_subdifferential(), np.array([1.0, math.nan]), np.ones((2, 1)))
+    with pytest.raises(DimensionMismatch):
+        resolve_rows(op, np.array([8.0, 8.0]), X)
+    assert resolve_rows(op, np.array([]), np.ones((0, 2)))[0].shape == (0, 2)
+
+
+def _shrinks_too_far(op):
+    """The soft threshold with a closed form that moves 1.01 * gamma instead of gamma."""
+    op.resolvent_fn = lambda g, X: np.sign(X) * np.maximum(np.abs(X) - 1.01 * g[:, None], 0.0)
+    return op
+
+
+@pytest.mark.parametrize("by_value", [False, True])
+@pytest.mark.parametrize("gamma", [0.25, 1.0])
+def test_wrong_closed_form_fails_closed(gamma, by_value):
+    op = _shrinks_too_far(abs_subdifferential())
+    if by_value:
+        op.member_rows = None  # the per-row default membership
+    with pytest.raises(NoConvergence):
+        resolve_rows(op, np.full(3, gamma), np.array([[0.1], [3.0], [-0.2]]))
+    with pytest.raises(NoConvergence):
+        resolvent(op, gamma, 3.0)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_operator_without_member_rows_checks_each_row_by_value(name):
+    ref, plain = build_catalog(4)[name], build_catalog(4)[name]
+    plain.member_rows = None
+    gammas, X = _mixed_batch(ref, CATALOG[name].gamma_grid, np.random.default_rng(6))
+    if ref.zero_point is not None:
+        X[::7] = ref.zero_point  # the kink of abs, the centre of the box
+    got, want = resolve_rows(plain, gammas, X), resolve_rows(ref, gammas, X)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_member_rows_agrees_with_the_value_sets(name):
+    # graph pairs (faces and kinks included), their mirror images (outside the domain of
+    # tan, where tan' is even) and cube points, with values moved off by 0, 0.5, 2 or 50
+    # times the tolerance; the default by value_fn is the reference
+    op, rng, tol = build_catalog(4)[name], np.random.default_rng(7), 1e-6
+    P, U = map(np.array, zip(*op.graph_samples(rng, 200, 5.0)))
+    P = np.concatenate([P, -P, rng.uniform(-5.0, 5.0, size=P.shape)])
+    U = np.concatenate([U, U, U])
+    step = rng.normal(size=U.shape)
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    step *= rng.choice([0.0, 0.5, 2.0, 50.0], size=(len(U), 1)) * tol
+    want = _member_by_value(op, P, U + step, tol)
+    assert 0 < want.sum() < len(want)
+    assert (op.member_rows(P, U + step, tol) == want).all()
+    tols = rng.uniform(0.0, 4.0 * tol, size=len(P))
+    assert (op.member_rows(P, U + step, tols) == _member_by_value(op, P, U + step, tols)).all()
+
+
+def test_tolerance_covers_rounding_of_tiny_steps():
+    # p rounds to x when gamma is far below ulp(x), so u = (x - p) / gamma is off by
+    # about ulp(x) / gamma; that rounding must not read as a failed inclusion
+    op = abs_subdifferential()
+    gamma = 7.105427357601002e-15
+    assert resolvent(op, gamma, 98.0)[0] == 98.0
+    got, values = resolve_rows(op, np.array([gamma, 0.5]), np.array([[98.0], [-3.0]]))
+    assert got.tolist() == [[98.0], [-2.5]]
+    assert math.isnan(values[0, 0]) and values[1].tolist() == [-1.0]  # the first u is noise
+    _, u = resolvent(op, gamma, 98.0, with_value=True)
+    assert math.isnan(u[0])
+
+
+def test_values_lost_to_rounding_are_refused():
+    # p = x / (1 + 1e-300) rounds to x, so (x - p) / gamma reads 0 where the value is about x
+    with pytest.raises(NoConvergence):
+        yosida(identity_operator(2), 1e-300, [0.66, 0.96])
+    with pytest.raises(NoConvergence):
+        range_condition_check(identity_operator(1), lambda n: 1e-300, lambda n: 1000, 1.0, 0.5,
+                              np.random.default_rng(0))
 
 
 def test_iterative_fallback_matches_closed_form():
     ref = matrix_operator(np.array([[0.5]]))
     blind = matrix_operator(np.array([[0.5]]))
     blind.resolvent_fn = None
+    blind.member_rows = None  # verified by value, one row at a time
     blind.lipschitz = 0.5
     for x in (-3.0, 0.2, 7.0):
         want = resolvent(ref, 1.0, x)[0]
         assert resolvent(blind, 1.0, x)[0] == pytest.approx(want, abs=1e-8)
+    gammas, X = np.full(4, 1.0), np.array([[-3.0], [0.2], [7.0], [1.5]])
+    got, want = resolve_rows(blind, gammas, X), resolve_rows(ref, gammas, X)
+    assert np.concatenate(got) == pytest.approx(np.concatenate(want), abs=1e-8)
     blind.lipschitz = None
     with pytest.raises(NotAvailable):
         resolvent(blind, 1.0, 1.0)
