@@ -51,9 +51,9 @@ class GammaSchedule:
         return self.gamma(n)
 
 
-def _modulus_for(value_fn: Callable[[int], float]) -> Callable[[int], int]:
+def _modulus_for(gamma: Callable[[int], float]) -> Callable[[int], int]:
     def modulus(n: int) -> int:
-        g = value_fn(n)
+        g = gamma(n)
         return max(0, math.floor(math.log2(1.0 / g)) + 1)
 
     return modulus

@@ -1,9 +1,11 @@
 """Numerical laboratory for set-valued operators on R^d.
 
-Operators are given intensionally: a value map returning a set description
-(finite points or an interval box, possibly with infinite faces), optional
-closed-form resolvents, and a graph sampler.  Checks are sampled
-falsification, reported with worst slacks.
+Operators are given intensionally: a batched value box, optional closed-form
+resolvents, and a graph sampler.  Every value set is a coordinate box, so
+``value_box(P[N, d])`` returns ``(lo, hi)``: ``lo == hi`` for a single value, faces
+at -inf or inf allowed, NaN rows outside the domain.  Each value query (domain,
+membership distance, selection, least-norm point, sampling, one-sided excess) is
+derived from it once.  Checks are sampled falsification, reported with worst slacks.
 
 Slack convention: each property is one array of slacks over the samples a
 check draws.  A sample passes when ``slack >= -tol``, so a negative slack
@@ -78,121 +80,38 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-class SetValue:
-    """Description of one operator value; queries are exact per subclass."""
-
-    def contains(self, u: np.ndarray, tol: float) -> bool:
-        raise NotImplementedError
-
-    def min_norm_point(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def some_point(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, count: int, span: float = 10.0) -> list[np.ndarray]:
-        raise NotImplementedError
+def _inside(box) -> np.ndarray:
+    """The rows of a value box in the domain: those that are not NaN."""
+    return ~np.isnan(box[0]).any(axis=-1)
 
 
-@dataclass
-class FinitePoints(SetValue):
-    points: np.ndarray  # shape (k, d)
-
-    def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-
-    def contains(self, u: np.ndarray, tol: float) -> bool:
-        return bool(np.min(np.linalg.norm(self.points - u, axis=1)) <= tol)
-
-    def min_norm_point(self) -> np.ndarray:
-        norms = np.linalg.norm(self.points, axis=1)
-        return self.points[int(np.argmin(norms))].copy()
-
-    def some_point(self) -> np.ndarray:
-        return self.points[0].copy()
-
-    def sample(self, rng, count, span=10.0):
-        idx = rng.integers(0, len(self.points), size=count)
-        return [self.points[i].copy() for i in idx]
-
-    def distance_to(self, u: np.ndarray) -> float:
-        return float(np.min(np.linalg.norm(self.points - u, axis=1)))
+def _distance(lo: np.ndarray, hi: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``U`` to its value box; NaN, failing every tolerance,
+    on a NaN row.  ``fmax`` drops only the NaN of ``inf - inf``, so an infinite
+    coordinate on an infinite face is inside.  Single values (``lo is hi``) take the
+    shorter ``|U - hi|``, the same numbers."""
+    if lo is hi:
+        return _norms(np.abs(U - hi))
+    return _norms(np.maximum(np.fmax(U - hi, lo - U), 0.0))
 
 
-@dataclass
-class IntervalBox(SetValue):
-    """Componentwise interval, faces at ``-inf``/``inf`` allowed."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if np.any(self.lower > self.upper):
-            raise ValueError("empty box")
-
-    def contains(self, u: np.ndarray, tol: float) -> bool:
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
-
-    def clamp(self, u: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(u, self.lower), self.upper)
-
-    def min_norm_point(self) -> np.ndarray:
-        return self.clamp(np.zeros_like(self.lower))
-
-    def some_point(self) -> np.ndarray:
-        finite_low = np.where(np.isfinite(self.lower), self.lower, self.upper)
-        out = np.where(np.isfinite(finite_low), finite_low, 0.0)
-        return self.clamp(out)
-
-    def sample(self, rng, count, span=10.0):
-        lo = np.where(np.isfinite(self.lower), self.lower, -span)
-        hi = np.where(np.isfinite(self.upper), self.upper, span)
-        lo = np.minimum(lo, hi)
-        return [lo + (hi - lo) * rng.random(len(lo)) for _ in range(count)]
-
-    def distance_to(self, u: np.ndarray) -> float:
-        return l2(u - self.clamp(u))
+def _min_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The origin clamped to each box: its point of least norm (``v`` itself for ``{v}``)."""
+    return np.maximum(lo, np.minimum(hi, 0.0))
 
 
-def one_sided_excess(source: SetValue, target: SetValue) -> float:
-    """Supremum over the source of the distance to the target set."""
-    if isinstance(source, FinitePoints):
-        if isinstance(target, (FinitePoints, IntervalBox)):
-            return max(target.distance_to(p) for p in source.points)
-        raise NotAvailable(f"unsupported target {type(target).__name__}")
-    if isinstance(source, IntervalBox):
-        if isinstance(target, IntervalBox):
-            total = 0.0
-            for a, b, c, d in zip(source.lower, source.upper, target.lower, target.upper):
-                worst = 0.0
-                if b > d:
-                    worst = math.inf if math.isinf(b) else b - d
-                if a < c:
-                    gap = math.inf if math.isinf(a) else c - a
-                    worst = max(worst, gap)
-                total += worst**2
-                if math.isinf(total):
-                    return math.inf
-            return math.sqrt(total)
-        if isinstance(target, FinitePoints) and source.lower.shape == (1,):
-            # one-dimensional interval against points: extrema lie at the
-            # interval ends or between consecutive points
-            if math.isinf(source.lower[0]) or math.isinf(source.upper[0]):
-                return math.inf
-            pts = np.sort(target.points[:, 0])
-            candidates = [source.lower[0], source.upper[0]]
-            mids = (pts[:-1] + pts[1:]) / 2
-            candidates.extend(m for m in mids if source.lower[0] <= m <= source.upper[0])
-            return max(target.distance_to(np.array([c])) for c in candidates)
-        raise NotAvailable(f"unsupported pair {type(source).__name__}/{type(target).__name__}")
-    raise NotAvailable(f"unsupported source {type(source).__name__}")
+def _selection(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A point of each box: the lower face where finite, else the upper face, else 0."""
+    return np.where(np.isinf(lo), np.where(np.isinf(hi), 0.0, hi), lo)
 
 
-def hstar_check(source: SetValue, target: SetValue, eps: float, tol: float = 1e-9) -> bool:
-    """Every source point has a target point within ``eps`` (one-sided)."""
-    return one_sided_excess(source, target) <= eps + tol
+def one_sided_excess(source, target) -> np.ndarray:
+    """Supremum over each source box row of the distance to the target box row, given
+    as ``(lo, hi)`` pairs; NaN where either row is NaN."""
+    (a, b), (c, d) = source, target
+    with np.errstate(invalid="ignore"):  # inf - inf: the two share an infinite face
+        gaps = np.fmax(np.fmax(b - d, c - a), 0.0)
+    return np.where(_inside(source) & _inside(target), _norms(gaps), np.nan)
 
 
 @dataclass
@@ -201,7 +120,9 @@ class SetValuedOperator:
 
     name: str
     dim: int
-    value_fn: Callable[[np.ndarray], SetValue | None]
+    # P[N, d] -> (lo, hi): the value at P[i] is the box [lo[i], hi[i]], faces at -inf/inf
+    # allowed, lo == hi for a single value; a row outside the domain holds NaN
+    value_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # (gammas[N], X[N, d]) -> resolvents P[N, d], and -> bool[N] for the domain
     resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     resolvent_domain_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -214,27 +135,21 @@ class SetValuedOperator:
     # (rng, count, gamma, radius) -> (count, dim) points of the resolvent domain at
     # gamma; unset means the cube [-radius, radius]^dim
     domain_sampler: Callable[[np.random.Generator, int, float, float], np.ndarray] | None = None
-    # (P[N, d], U[N, d], tols) -> bool[N]: is U[i] a value at P[i] within the tolerance (a
-    # float, or one per row)?  A larger tolerance never fails a row; unset means value_fn per row.
-    member_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def in_domain(self, x) -> bool:
-        return self.value_fn(as_vector(x, self.dim)) is not None
+        return bool(_inside(self.value_box(as_vector(x, self.dim)[None]))[0])
 
-    def values(self, x) -> SetValue:
-        v = self.value_fn(as_vector(x, self.dim))
-        if v is None:
+    def _box(self, x) -> tuple[np.ndarray, np.ndarray]:
+        box = self.value_box(as_vector(x, self.dim)[None])
+        if not _inside(box)[0]:
             raise OutsideDomain(f"{self.name}: {x} outside the domain")
-        return v
-
-    def membership(self, x, u, tol: float = 1e-8) -> bool:
-        return self.values(x).contains(as_vector(u, self.dim), tol)
+        return box[0][0], box[1][0]
 
     def selection(self, x) -> np.ndarray:
-        return self.values(x).some_point()
+        return _selection(*self._box(x))
 
     def minimal_norm(self, x) -> np.ndarray:
-        return self.values(x).min_norm_point()
+        return _min_norm(*self._box(x))
 
     def graph_samples(self, rng: np.random.Generator, count: int, radius: float = 5.0) -> list:
         if self.graph_sampler is None:
@@ -273,10 +188,11 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     instances with ``gamma * lipschitz < 1``.  On instances declaring a
     negative comonotonicity degree ``rho`` the call refuses step sizes with
     ``rho <= -gamma/2``, where single-valuedness is no longer guaranteed.
-    Every row is verified against the defining inclusion within
-    ``tol * max(1, |u|)``.  When ``gamma`` is far below ``ulp(x)``, ``p`` rounds
-    to ``x`` and ``u`` is off by about ``ulp(x) / gamma``: ``p`` is accepted
-    with that rounding added to the tolerance, and its ``U`` row, noise, is NaN.
+    Every row is verified against the defining inclusion: the distance from ``u`` to the
+    value box at ``p`` is at most ``tol * max(1, |u|)``.  When ``gamma`` is far below
+    ``ulp(x)``, ``p`` rounds to ``x`` and ``u`` is off by about ``ulp(x) / gamma``: ``p``
+    is accepted with that rounding, the L2 norm of the coordinate spacings over
+    ``gamma``, added to the tolerance, and its ``U`` row, noise, is NaN.
     """
     if X.shape != (len(gammas), op.dim):
         raise DimensionMismatch(f"expected {len(gammas)} rows of dimension {op.dim}, got {X.shape}")
@@ -296,23 +212,16 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     else:
         p = np.array([_damped_fixed_point(op, *row) for row in zip(gammas, X)]).reshape(X.shape)
     u = (X - p) / gammas[:, None]
-    member = op.member_rows or functools.partial(_member_by_value, op)
-    if not member(p, u, tol).all():  # tol is the least row tolerance: passing it settles all
+    miss = _distance(*op.value_box(p), u)
+    if not miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
         tols = tol * np.maximum(1.0, _norms(u))
-        plain = member(p, u, tols)
-        rounding = np.spacing(np.maximum(abs(X), abs(p))).max(axis=1) / gammas
-        good = plain | member(p, u, tols + rounding)
+        rounding = _norms(np.spacing(np.maximum(abs(X), abs(p)))) / gammas
+        good = miss <= tols + rounding
         if not good.all():
             gamma, x = gammas[~good][0], X[~good][0]
             raise NoConvergence(f"{op.name}: defining inclusion fails at gamma = {gamma}, x = {x}")
-        u[~plain] = np.nan
+        u[~(miss <= tols)] = np.nan
     return p, u
-
-
-def _member_by_value(op: SetValuedOperator, P, U, tols) -> np.ndarray:
-    """``member_rows`` of an operator without one: one value set per row."""
-    rows = zip(map(op.value_fn, P), U, np.broadcast_to(tols, len(P)))
-    return np.array([v is not None and v.contains(u, t) for v, u, t in rows], dtype=bool)
 
 
 def _damped_fixed_point(op: SetValuedOperator, gamma, x: np.ndarray) -> np.ndarray:
@@ -322,10 +231,10 @@ def _damped_fixed_point(op: SetValuedOperator, gamma, x: np.ndarray) -> np.ndarr
         raise NotAvailable(f"no resolvent method for {op.name} at gamma = {gamma}")
     p = x.copy()
     for _ in range(100_000):
-        v = op.value_fn(p)
-        if not (isinstance(v, FinitePoints) and len(v.points) == 1):
+        lo, hi = op.value_box(p[None])
+        if not (lo == hi).all():  # also a NaN row
             raise NotAvailable(f"{op.name} is not single-valued at {p}")
-        nxt = (p + x - gamma * v.points[0]) / 2
+        nxt = (p + x - gamma * lo[0]) / 2
         if l2(nxt - p) <= 1e-10:
             return nxt
         p = nxt
@@ -343,15 +252,14 @@ def yosida(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8) -> np.ndar
 # ---------------------------------------------------------------- catalog
 
 def _single_valued(image: Callable[[np.ndarray], np.ndarray], dim: int) -> dict:
-    """Value sets, batched membership and graph sampler of ``x -> {image(x)}`` on
-    ``R^dim``, where ``image`` maps a point or rows of points."""
-    return dict(
-        value_fn=lambda x: FinitePoints(image(x)[None]),
-        member_rows=lambda P, U, tols: _norms(image(P) - U) <= tols,
-        graph_sampler=lambda rng, count, radius: [
-            (x, image(x)) for x in (rng.uniform(-radius, radius, size=dim) for _ in range(count))
-        ],
-    )
+    """Value box and graph sampler of ``x -> {image(x)}`` on ``R^dim``, where ``image``
+    maps rows of points."""
+
+    def graph_sampler(rng, count, radius):
+        X = rng.uniform(-radius, radius, size=(count, dim))
+        return list(zip(X, image(X)))
+
+    return dict(value_box=lambda P: (image(P),) * 2, graph_sampler=graph_sampler)
 
 
 def identity_operator(dim: int = 1) -> SetValuedOperator:
@@ -373,7 +281,8 @@ def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
     return SetValuedOperator(
         name=name,
         dim=dim,
-        **_single_valued(lambda X: X @ mat.T, dim),
+        # bit for bit the one-row x @ mat.T, which the plain X @ mat.T is not
+        **_single_valued(lambda X: (X[:, None] @ mat.T)[:, 0], dim),
         resolvent_fn=resolvent_fn,
         rho=None,
         declared_classes=classes,
@@ -398,12 +307,9 @@ def random_monotone_matrix(rng: np.random.Generator, dim: int) -> SetValuedOpera
 def abs_subdifferential() -> SetValuedOperator:
     """Sign at nonzero points, the full interval [-1, 1] at zero."""
 
-    def value_fn(x: np.ndarray) -> SetValue:
-        if x[0] > 0:
-            return FinitePoints(np.array([[1.0]]))
-        if x[0] < 0:
-            return FinitePoints(np.array([[-1.0]]))
-        return IntervalBox(np.array([-1.0]), np.array([1.0]))
+    def value_box(P):
+        sign, kink = np.sign(P), P == 0
+        return (sign - kink, sign + kink) if kink.any() else (sign, sign)
 
     def sampler(rng, count, radius):
         out = []
@@ -423,10 +329,8 @@ def abs_subdifferential() -> SetValuedOperator:
     return SetValuedOperator(
         name="abs_subdiff",
         dim=1,
-        value_fn=value_fn,
+        value_box=value_box,
         resolvent_fn=lambda gammas, X: np.sign(X) * np.maximum(np.abs(X) - gammas[:, None], 0.0),
-        # the distance to sign(p), or at p = 0 the excess |u| - 1 over [-1, 1]
-        member_rows=lambda P, U, tols: np.abs(U - np.sign(P))[:, 0] - (P[:, 0] == 0) <= tols,
         rho=None,
         declared_classes=("monotone", "accretive"),
         norm_bound_on_ball=lambda r: 1.0,
@@ -441,20 +345,12 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     dim = len(lower)
 
-    def faces(X: np.ndarray):
-        """For a point or rows of points: inside the box, on a lower face, on an upper face."""
-        inside = (X >= lower - face_tol) & (X <= upper + face_tol)
-        return inside, np.abs(X - lower) <= face_tol, np.abs(X - upper) <= face_tol
+    out_lo, out_hi = lower - face_tol, upper + face_tol  # beyond these, outside the box
+    on_lo, on_hi = lower + face_tol, upper - face_tol  # up to these, on a face
 
-    def value_fn(x: np.ndarray) -> SetValue | None:
-        inside, at_lo, at_hi = faces(x)
-        if not inside.all():
-            return None
-        return IntervalBox(np.where(at_lo, -np.inf, 0.0), np.where(at_hi, np.inf, 0.0))
-
-    def member_rows(P, U, tols):
-        (inside, at_lo, at_hi), t = faces(P), np.asarray(tols)[..., None]
-        return (inside & (at_lo | (U >= -t)) & (at_hi | (U <= t))).all(axis=1)
+    def value_box(P):
+        nan = np.where((P >= out_lo) & (P <= out_hi), 0.0, np.nan)
+        return np.where(P <= on_lo, -np.inf, 0.0) + nan, np.where(P >= on_hi, np.inf, 0.0) + nan
 
     def sampler(rng, count, radius):
         out = []
@@ -476,9 +372,8 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
     return SetValuedOperator(
         name="box_normal_cone",
         dim=dim,
-        value_fn=value_fn,
+        value_box=value_box,
         resolvent_fn=lambda gammas, X: np.minimum(np.maximum(X, lower), upper),
-        member_rows=member_rows,
         rho=None,
         declared_classes=("monotone", "accretive"),
         norm_bound_on_ball=lambda r: math.inf,
@@ -512,10 +407,10 @@ def tan_subgradient() -> SetValuedOperator:
     def deriv(x: float) -> float:
         return 1.0 / math.cos(x) ** 2
 
-    def value_fn(x: np.ndarray) -> SetValue | None:
-        if not lo < x[0] < hi:
-            return None
-        return FinitePoints(np.array([[deriv(x[0])]]))
+    def value_box(P):
+        p = P[:, 0]
+        v = np.where((lo < p) & (p < hi), [*map(deriv, p.tolist())], np.nan)[:, None]
+        return v, v
 
     def bisect(gamma: float, target: float) -> float:
         a, b = 1e-15, hi - 1e-15
@@ -529,11 +424,6 @@ def tan_subgradient() -> SetValuedOperator:
                 b = mid
         return (a + b) / 2
 
-    def member_rows(P, U, tols):
-        p = P[:, 0]
-        values = np.array([*map(deriv, p.tolist())])
-        return (lo < p) & (p < hi) & (np.abs(values - U[:, 0]) <= tols)
-
     def sampler(rng, count, radius):
         xs = [rng.uniform(lo + 1e-3, hi - 1e-3) for _ in range(count)]
         return [(np.array([x]), np.array([deriv(x)])) for x in xs]
@@ -541,10 +431,9 @@ def tan_subgradient() -> SetValuedOperator:
     return SetValuedOperator(
         name="tan_subgradient",
         dim=1,
-        value_fn=value_fn,
+        value_box=value_box,
         resolvent_fn=lambda g, X: np.array([*map(bisect, g.tolist(), X[:, 0].tolist())])[:, None],
         resolvent_domain_fn=lambda gammas, X: X[:, 0] > gammas,
-        member_rows=member_rows,
         rho=None,
         declared_classes=("monotone",),
         norm_bound_on_ball=lambda r: math.inf,
@@ -640,12 +529,6 @@ class CheckReport:
         }
 
 
-def _report_rows(name: str, rows: list[tuple], tol: float, context: str) -> CheckReport:
-    """Report over ``(slack, *values)`` rows; ``context`` formats the values."""
-    slacks = [row[0] for row in rows]
-    return CheckReport.from_slacks(name, slacks, tol, lambda i: context.format(*rows[i][1:]))
-
-
 def check_operator_class(
     op: SetValuedOperator,
     kind: str,
@@ -688,17 +571,17 @@ def inner_vs_norm_check(
     """Duality bridge: a nonpositive inner product against one vector is the
     same as the vector's norm never shrinking when subtracting any scaled
     copy of the other; checked both ways on a scale grid."""
-    rows = []
-    for _ in range(samples):
-        x = rng.normal(size=dim)
-        y = rng.normal(size=dim)
-        inner = float(x @ y)
-        grid = [0.0, 0.25, 1.0, 4.0]
-        if l2(y) > 1e-12:
-            grid.append(max(0.0, inner) / l2(y) ** 2)
-        holds_norm = all(l2(x) <= l2(x - abs(a) * y) + tol for a in grid)
-        rows.append((1.0 if holds_norm == (inner <= 0) else -1.0, x, y))
-    return _report_rows("inner_product_vs_norm_bridge", rows, tol, "x={}, y={}")
+    x, y = rng.normal(size=(samples, 2, dim)).transpose(1, 0, 2)
+    inner, ny = _dots(x, y), _norms(y)
+    # a scale grid, and where y is not 0 the scale that projects x onto y's line
+    proj = np.where(ny > 1e-12, np.maximum(0.0, inner) / np.maximum(ny, 1e-12) ** 2, 0.0)
+    grid = np.column_stack([np.broadcast_to([0.0, 0.25, 1.0, 4.0], (samples, 4)), proj])
+    shifted = _norms(x[:, None] - grid[..., None] * y[:, None])
+    holds_norm = (_norms(x)[:, None] <= shifted + tol).all(axis=1)
+    slacks = np.where(holds_norm == (inner <= 0), 1.0, -1.0)
+    return CheckReport.from_slacks(
+        "inner_product_vs_norm_bridge", slacks, tol, lambda i: f"x={x[i]}, y={y[i]}"
+    )
 
 
 def _alpha_for(op: SetValuedOperator, gamma):
@@ -753,7 +636,7 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
         keep = ~np.isnan(jz).any(axis=1)  # z outside the resolvent domain is skipped
         mg, mz = gg[keep], z[keep]
         sets["minimality"] = SimpleNamespace(
-            nsel=_norms(np.array([op.minimal_norm(p) for p in mz]).reshape(mz.shape)),
+            nsel=_norms(_min_norm(*op.value_box(mz))),
             nu=_norms(uz[keep]),
             where=lambda i: f"gamma={mg[i]}, z={mz[i]}",
         )
@@ -908,31 +791,31 @@ def check_minimal_norm_selection(
     tol: float = 1e-8,
 ) -> dict[str, CheckReport]:
     """The minimal-norm value is a value, variationally characterised and
-    unique: any value of (nearly) minimal norm is (nearly) the selection."""
-    member, variational, unique = [], [], []
-    found = 0
-    tries = 0
-    while found < samples and tries < 50 * samples:
-        tries += 1
-        x = rng.uniform(-radius, radius, size=op.dim)
-        if not op.in_domain(x):
-            continue
-        found += 1
-        sel = op.minimal_norm(x)
-        vals = op.values(x)
-        member.append((1.0 if vals.contains(sel, tol) else -1.0, x))
-        for y in vals.sample(rng, per_point):
-            variational.append((-float((y - sel) @ (-sel)), x, y))
-            if l2(y) <= l2(sel) + tol:
-                # tol * tol, not tol**2, which raises OverflowError for a tolerance past 1e154
-                gap = math.sqrt(max(0.0, 2 * l2(sel) * tol + tol * tol))
-                unique.append((gap + tol - l2(y - sel), x, y))
-    reports = (
-        _report_rows("min_selection_membership", member, tol, "x={}"),
-        _report_rows("min_selection_variational", variational, tol, "x={}, y={}"),
-        _report_rows("min_selection_uniqueness", unique, tol, "x={}, y={}"),
-    )
-    return {r.name: r for r in reports}
+    unique: any value of (nearly) minimal norm is (nearly) the selection.  The first
+    ``samples`` domain points among ``50 * samples`` candidates each get ``per_point``
+    values drawn from their box, infinite faces cut at distance 10."""
+    X = rng.uniform(-radius, radius, size=(50 * samples, op.dim))
+    box = op.value_box(X)
+    keep = np.flatnonzero(_inside(box))[:samples]
+    x, lo, hi = X[keep], box[0][keep], box[1][keep]
+    sel = _min_norm(lo, hi)
+    member = np.where(_distance(lo, hi, sel) <= tol, 1.0, -1.0)
+    top = np.where(np.isinf(hi), 10.0, hi)
+    bottom = np.minimum(np.where(np.isinf(lo), -10.0, lo), top)
+    y = bottom[:, None] + (top - bottom)[:, None] * rng.random((len(x), per_point, op.dim))
+    nsel = _norms(sel)
+    variational = -_dots(y - sel[:, None], -sel[:, None])
+    # tol * tol, not tol**2, which overflows for a tolerance past 1e154
+    gap = np.sqrt(np.maximum(0.0, 2 * nsel * tol + tol * tol))
+    near = (_norms(y) <= nsel[:, None] + tol).ravel()
+    unique = (gap[:, None] + tol - _norms(y - sel[:, None])).ravel()[near]
+    xs, ys = np.repeat(x, per_point, axis=0), y.reshape(-1, op.dim)
+    slacks = {
+        "min_selection_membership": (member, lambda i: f"x={x[i]}"),
+        "min_selection_variational": (variational, lambda i: f"x={xs[i]}, y={ys[i]}"),
+        "min_selection_uniqueness": (unique, lambda i: f"x={xs[near][i]}, y={ys[near][i]}"),
+    }
+    return {name: CheckReport.from_slacks(name, s, tol, w) for name, (s, w) in slacks.items()}
 
 
 def uc_modulus_check(
@@ -946,20 +829,18 @@ def uc_modulus_check(
 ) -> CheckReport:
     """Uniform graph-continuity: arguments closer than the modulus threshold
     have one-sidedly close value sets at the requested resolution."""
-    rows = []
-    for k in k_grid:
-        eps = 1.0 / (k + 1)
-        delta = 1.0 / (modulus(k) + 1)
-        for _ in range(samples):
-            x = rng.uniform(-radius, radius, size=op.dim)
-            step = rng.normal(size=op.dim)
-            step = step / max(l2(step), 1e-12) * rng.random() * delta * 0.999
-            y = x + step
-            if not (op.in_domain(x) and op.in_domain(y)):
-                continue
-            excess = one_sided_excess(op.values(x), op.values(y))
-            rows.append((eps - excess, k, x, y))
-    return _report_rows("uniform_continuity_modulus", rows, tol, "k={}, x={}, y={}")
+    k = np.repeat(k_grid, samples)
+    delta = np.repeat([1.0 / (modulus(j) + 1) for j in k_grid], samples)
+    x = rng.uniform(-radius, radius, size=(len(k), op.dim))
+    step = rng.normal(size=x.shape)
+    y = x + step * (rng.random(len(k)) * delta * 0.999 / np.maximum(_norms(step), 1e-12))[:, None]
+    excess = one_sided_excess(op.value_box(x), op.value_box(y))
+    keep = ~np.isnan(excess)  # pairs with an end outside the domain are skipped
+    k, x, y = k[keep], x[keep], y[keep]
+    return CheckReport.from_slacks(
+        "uniform_continuity_modulus", 1.0 / (k + 1) - excess[keep], tol,
+        lambda i: f"k={k[i]}, x={x[i]}, y={y[i]}",
+    )
 
 
 def range_condition_check(
@@ -981,33 +862,38 @@ def range_condition_check(
     ``bound * 2**(alpha_n + 1)``.
     """
     center = as_vector(center, op.dim)
-    split, ball, wbound = [], [], []
-    at_origin = l2(center) == 0.0
-    for n in n_grid:
-        gamma = gamma_fn(n)
+    gammas = [gamma_fn(n) for n in n_grid]
+    for n, gamma in zip(n_grid, gammas):
         if gamma <= 0:
             raise NonPositiveGamma(f"gamma_{n} = {gamma}")
         if 2.0 ** -alpha_fn(n) >= gamma:
             raise PreconditionViolated(f"alpha_{n} fails to witness gamma_{n} > 0")
-        for _ in range(samples):
-            x = center + rng.uniform(-1, 1, size=op.dim) * bound / math.sqrt(op.dim)
-            if not op.in_domain(x):
-                continue
-            try:
-                z, w = resolvent(op, gamma, x, tol=tol, with_value=True)
-            except (OutsideDomain, NotAvailable):
-                split.append((-1.0, n, x, ": no split"))
-                continue
-            if math.isnan(w[0]):  # z is the resolvent, but w = (x - z) / gamma is noise
-                raise NoConvergence(f"{op.name}: split lost to rounding at gamma_{n} = {gamma}")
-            split.append((1.0, n, x, ""))
-            ball.append((bound + tol - l2(z - center), n, x, ""))
-            if at_origin:
-                wbound.append((bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), n, x, ""))
-    named = {"range_split_membership": split, "range_split_in_ball": ball}
-    if at_origin:
-        named["range_split_w_bound"] = wbound
-    return {name: _report_rows(name, rows, tol, "n={}, x={}{}") for name, rows in named.items()}
+    ns = np.repeat(n_grid, samples)
+    x = center + rng.uniform(-1, 1, size=(len(ns), op.dim)) * bound / math.sqrt(op.dim)
+    inside = _inside(op.value_box(x))
+    ns, x = ns[inside], x[inside]
+    try:
+        z, w = resolve_rows(op, np.repeat(gammas, samples)[inside], x, tol)
+    except NotAvailable:
+        z = w = np.full(x.shape, np.nan)
+    split = ~np.isnan(z).any(axis=1)
+    lost = split & np.isnan(w).any(axis=1)  # z is the resolvent, but w = (x - z) / gamma is noise
+    if lost.any():
+        n = ns[lost][0]
+        raise NoConvergence(f"{op.name}: split lost to rounding at gamma_{n} = {gamma_fn(n)}")
+    tag = np.where(split, "", ": no split")
+
+    def where(rows):
+        return lambda i: f"n={ns[rows][i]}, x={x[rows][i]}{tag[rows][i]}"
+
+    slacks = {
+        "range_split_membership": (np.where(split, 1.0, -1.0), slice(None)),
+        "range_split_in_ball": (bound + tol - _norms(z[split] - center), split),
+    }
+    if l2(center) == 0.0:
+        wmax = np.repeat([bound * 2.0 ** (alpha_fn(n) + 1) for n in n_grid], samples)[inside]
+        slacks["range_split_w_bound"] = (wmax[split] - _norms(w[split]), split)
+    return {k: CheckReport.from_slacks(k, s, tol, where(r)) for k, (s, r) in slacks.items()}
 
 
 def graph_closedness_check(
@@ -1018,19 +904,18 @@ def graph_closedness_check(
     tol: float = 1e-6,
 ) -> CheckReport:
     """Limits of convergent graph sequences stay in the graph (sampled)."""
-    rows = []
     pairs = op.graph_samples(rng, sequences, 3.0)
-    for x_limit, _ in pairs:
-        x_start = x_limit + rng.normal(size=op.dim)
-        u_last = None
-        for i in range(1, length + 1):
-            x_i = x_limit + (x_start - x_limit) / 2.0**i
-            if not op.in_domain(x_i):
-                u_last = None
-                break
-            u_last = op.selection(x_i)
-        if u_last is None or not op.in_domain(x_limit):
-            continue
-        ok = op.membership(x_limit, u_last, max(tol, 1e-4) * max(1.0, l2(u_last)))
-        rows.append((1.0 if ok else -1.0, x_limit))
-    return _report_rows("graph_closedness", rows, tol, "x={}")
+    limit = np.array([x for x, _ in pairs], dtype=float).reshape(-1, op.dim)
+    start = limit + rng.normal(size=limit.shape)
+    # x_i = limit + (start - limit) / 2**i for i = 1..length, one sequence per row
+    seq = limit[:, None] + (start - limit)[:, None] / 2.0 ** np.arange(1, length + 1)[:, None]
+    seq_box = [b.reshape(seq.shape) for b in op.value_box(seq.reshape(-1, op.dim))]
+    lo, hi = op.value_box(limit)
+    # sequences that leave the domain, or whose limit lies outside it, are skipped
+    keep = _inside(seq_box).all(axis=1) & _inside((lo, hi))
+    u_last = _selection(seq_box[0][:, -1], seq_box[1][:, -1])
+    ok = _distance(lo, hi, u_last) <= max(tol, 1e-4) * np.maximum(1.0, _norms(u_last))
+    x = limit[keep]
+    return CheckReport.from_slacks(
+        "graph_closedness", np.where(ok, 1.0, -1.0)[keep], tol, lambda i: f"x={x[i]}"
+    )

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -227,6 +228,32 @@ def test_oplab_check_counts_pinned(capsys, args):
     assert counts == PINNED_CHECK_COUNTS[args]
 
 
+# sha256 of the whole stdout of `oplab verify INSTANCE --seed 0 --samples N`: every
+# report, worst slack and witness stays byte for byte what it was
+FROZEN_VERIFY_SHA256 = {
+    ("abs_subdiff", "30"): "ddc67505b6a460cdaaa6845e2504f0a3fdf2977f4a913fc1bd1f096fdc2caf25",
+    ("abs_subdiff", "60"): "72fc7b4b19c02e66934d6bf36bee52bc88c4dce33fde4bb0b3225bbe06de8a0e",
+    ("box_normal_cone", "30"): "b59def1d0f5598cef686f63d201dd9772b9b5329d9bf77ddccd36e031bf5c26c",
+    ("box_normal_cone", "60"): "14441b89d0906f4bc32fcdf0a1506a8cb92be6f07be08cbc6d00952176693100",
+    ("identity", "30"): "bcbe9ba7fa06757f139bedc54204372bec8c6031a286a4a10c530de476fbe0a4",
+    ("identity", "60"): "3cd0a7953d18a4bcdfb12759aefeab65bf495850f55ed2c318a02bad199f1601",
+    ("neg_half_identity", "30"): "050d5bfa72a7c3048528e9270a63ffaaf38df31fc8048a508258d23e4205d460",
+    ("neg_half_identity", "60"): "601064da6bdf8ec0f0cc882daf7b7bcb4a6f10a09736c29fdc5a8f52723b03ff",
+    ("psd_skew", "30"): "1351870108407ae2885d703a8adce1265ab0ef658d63eaf3528efe990d7e63cb",
+    ("psd_skew", "60"): "b79b5bada6fc93b5245c594ef58f585ce837b05acef3402e7391f97813ab852b",
+    ("tan_subgradient", "30"): "b6b206e1b86a2b24c605360b326dc09505b86e259a071b0c57ab7e5b2f4ad203",
+    ("tan_subgradient", "60"): "377f181796f3e6af0b97809d63cc07d4805953a93b61d87fced628a6d898ebf4",
+}
+
+
+@pytest.mark.parametrize("instance, samples", sorted(FROZEN_VERIFY_SHA256))
+def test_oplab_verify_output_is_frozen(capsys, instance, samples):
+    argv = ["oplab", "verify", instance, "--seed", "0", "--samples", samples]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY_SHA256[instance, samples]
+
+
 @pytest.mark.parametrize("seed", ["1", "5"])
 def test_oplab_box_covers_yosida_norm_minimality(capsys, seed):
     # pair points rarely fall inside the box; the graph points always do
@@ -292,6 +319,20 @@ def test_run_ppa_certifies_steps_far_below_the_iterate(capsys):
     # once p rounds to x, (x - p) / gamma is noise: the value 1 at p stands in for it
     assert trace.value_residuals == pytest.approx([1.0] * 100, abs=1e-8)
     assert "proximal_point: 100 steps, final residual 0.0" in err
+
+
+def test_run_ppa_certifies_identity_steps_near_ulp(capsys):
+    # gamma halves down to 2**-59 on R^2: the rounding allowance is the L2 norm of the
+    # coordinate spacings, so the miss 0.593 at gamma = 2**-53 stays inside its 0.707
+    argv = ["run", "ppa", "--instance", "identity", "--x0", "2,2",
+            "--gamma", "geom:1,0.5", "--steps", "60"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    trace = IterationTrace.from_json(out)
+    assert len(trace.points) == 61
+    # where p rounds to x, u is noise: the value x at p stands in for it
+    last = trace.points[-1]
+    assert trace.value_residuals[-1] == pytest.approx(float(np.linalg.norm(last)), rel=1e-12)
 
 
 def test_run_ppa_csv_to_file(capsys, tmp_path):

@@ -10,8 +10,6 @@ from prooflab.operator_lab import (
     CheckReport,
     ComonotoneStepError,
     DimensionMismatch,
-    FinitePoints,
-    IntervalBox,
     NoConvergence,
     NonFiniteInput,
     NonPositiveGamma,
@@ -28,7 +26,6 @@ from prooflab.operator_lab import (
     check_resolvent_properties,
     clamp_tilde,
     graph_closedness_check,
-    hstar_check,
     identity_operator,
     inner_vs_norm_check,
     l2,
@@ -45,11 +42,12 @@ from prooflab.operator_lab import (
     verify_resolvent_param_modulus,
     yosida,
 )
-from prooflab.operator_lab import _alpha_for, _member_by_value
+from prooflab.operator_lab import _alpha_for, _distance, _min_norm, _norms, _selection
 
 
-def pts(*rows):
-    return FinitePoints(np.array(rows, dtype=float))
+def box(lo, hi):
+    """One value box row per pair of rows."""
+    return np.array(lo, dtype=float, ndmin=2), np.array(hi, dtype=float, ndmin=2)
 
 
 def test_as_vector_shapes():
@@ -63,54 +61,78 @@ def test_as_vector_shapes():
 
 
 def test_finite_points_queries():
-    v = pts([3.0, 4.0], [0.0, 1.0])
-    assert v.contains(np.array([0.0, 1.0]), 1e-9)
-    assert not v.contains(np.array([0.0, 0.0]), 1e-9)
-    assert v.min_norm_point().tolist() == [0.0, 1.0]
-    assert v.distance_to(np.array([3.0, 0.0])) == pytest.approx(math.sqrt(10.0))
+    # a single value v is the box [v, v]: its distance is _norms(v - U) bit for bit, and
+    # its least-norm point and its selection are v itself
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+    U = v + rng.normal(size=v.shape) * 10.0 ** rng.integers(-12, 2, size=(200, 1))
+    assert _distance(v, v, U).tobytes() == _norms(v - U).tobytes()
+    assert _distance(v, v.copy(), U).tobytes() == _norms(v - U).tobytes()  # the general path
+    assert _min_norm(v, v).tobytes() == v.tobytes()
+    assert _selection(v, v).tobytes() == v.tobytes()
 
 
 def test_interval_box_queries():
-    b = IntervalBox(np.array([0.0, -math.inf]), np.array([1.0, math.inf]))
-    assert b.contains(np.array([0.5, 100.0]), 0.0)
-    assert not b.contains(np.array([2.0, 0.0]), 1e-9)
-    assert b.min_norm_point().tolist() == [0.0, 0.0]
-    assert b.distance_to(np.array([3.0, 7.0])) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        IntervalBox(np.array([1.0]), np.array([0.0]))
+    lo, hi = box([[0.0, -math.inf]], [[1.0, math.inf]])
+    assert _distance(lo, hi, np.array([[0.5, 100.0]]))[0] == 0.0
+    assert _distance(lo, hi, np.array([[3.0, 7.0]]))[0] == pytest.approx(2.0)
+    assert _min_norm(lo, hi).tolist() == [[0.0, 0.0]]
+    assert _selection(lo, hi).tolist() == [[0.0, 0.0]]
+    lo, hi = box([[-math.inf, 2.0]], [[-1.0, math.inf]])
+    assert _min_norm(lo, hi).tolist() == [[-1.0, 2.0]]
+    assert _selection(lo, hi).tolist() == [[-1.0, 2.0]]
+
+
+def test_value_box_infinite_values():
+    # an infinite coordinate is inside on an infinite face and outside on a finite one
+    lo, hi = box([[0.0, -math.inf], [0.0, -1.0]], [[math.inf, 0.0], [1.0, math.inf]])
+    inside = np.array([[math.inf, -math.inf], [0.5, math.inf]])
+    with np.errstate(invalid="ignore"):  # inf - inf, which the distance drops
+        assert _distance(lo, hi, inside).tolist() == [0.0, 0.0]
+    outside = np.array([[-math.inf, 0.0], [math.inf, 0.0]])
+    assert _distance(lo, hi, outside).tolist() == [math.inf, math.inf]
+
+
+def test_value_box_nan_row_fails_every_tolerance():
+    lo, hi = box([[0.0, -math.inf], [math.nan, math.nan]], [[1.0, math.inf], [math.nan, math.nan]])
+    U = np.array([[0.5, 0.0], [0.0, 0.0]])
+    assert not (_distance(lo, hi, U) <= math.inf)[1]
+    U[0, 1] = math.nan
+    assert not (_distance(lo, hi, U) <= math.inf).any()
 
 
 def test_one_sided_excess_points():
-    assert one_sided_excess(pts([0.0]), pts([0.0])) == 0.0
-    assert one_sided_excess(pts([0.0]), pts([1.0])) == pytest.approx(1.0)
-    assert one_sided_excess(pts([0.0], [5.0]), pts([1.0], [4.0])) == pytest.approx(1.0)
+    assert one_sided_excess(box(0.0, 0.0), box(0.0, 0.0)).tolist() == [0.0]
+    assert one_sided_excess(box(0.0, 0.0), box(1.0, 1.0)).tolist() == [1.0]
+    points = [[0.0, 0.0], [3.0, 4.0]]
+    assert one_sided_excess(box(points, points), box(points[::-1], points[::-1])).tolist() == [
+        5.0, 5.0
+    ]
 
 
 def test_one_sided_excess_boxes():
-    a = IntervalBox(np.array([0.0]), np.array([2.0]))
-    b = IntervalBox(np.array([0.0]), np.array([1.0]))
-    assert one_sided_excess(a, b) == pytest.approx(1.0)
-    assert one_sided_excess(b, a) == 0.0
-    inf_box = IntervalBox(np.array([0.0]), np.array([math.inf]))
-    assert one_sided_excess(inf_box, b) == math.inf
+    a, b = box(0.0, 2.0), box(0.0, 1.0)
+    assert one_sided_excess(a, b).tolist() == [1.0]
+    assert one_sided_excess(b, a).tolist() == [0.0]
+    inf_box = box(0.0, math.inf)
+    assert one_sided_excess(inf_box, b).tolist() == [math.inf]
+    assert one_sided_excess(b, inf_box).tolist() == [0.0]
+    # shared infinite faces add nothing, one face short of the other adds infinity
+    ray = box([[0.0, -math.inf]], [[math.inf, 0.0]])
+    line = box([[-math.inf, -math.inf]], [[math.inf, math.inf]])
+    assert one_sided_excess(ray, line).tolist() == [0.0]
+    assert one_sided_excess(line, ray).tolist() == [math.inf]
+    assert one_sided_excess(line, line).tolist() == [0.0]
+    nan_row = box([[math.nan, math.nan]], [[math.nan, math.nan]])
+    assert np.isnan(one_sided_excess(nan_row, line)).all()
+    assert np.isnan(one_sided_excess(line, nan_row)).all()
 
 
 def test_one_sided_excess_interval_vs_points_midpoint():
-    # the worst point of [-1, 1] against {-1, 1} sits between the two points
-    box = IntervalBox(np.array([-1.0]), np.array([1.0]))
-    assert one_sided_excess(box, pts([-1.0], [1.0])) == pytest.approx(1.0)
-    assert one_sided_excess(box, pts([0.0])) == pytest.approx(1.0)
-
-
-def test_one_sided_excess_unsupported():
-    box2 = IntervalBox(np.zeros(2), np.ones(2))
-    with pytest.raises(NotAvailable):
-        one_sided_excess(box2, pts([0.0, 0.0]))
-
-
-def test_hstar_check():
-    assert not hstar_check(pts([0.0]), pts([1.0]), 0.5)
-    assert hstar_check(pts([0.0]), pts([1.0]), 1.0)
+    # the abs kink: the whole of [-1, 1] against one of its ends, and against its midpoint
+    kink = abs_subdifferential().value_box(np.zeros((2, 1)))
+    assert one_sided_excess(kink, box([[1.0], [0.0]], [[1.0], [0.0]])).tolist() == [2.0, 1.0]
+    assert one_sided_excess(box([[1.0], [0.0]], [[1.0], [0.0]]), kink).tolist() == [0.0, 0.0]
 
 
 def test_clamp_tilde():
@@ -247,34 +269,43 @@ def _shrinks_too_far(op):
     return op
 
 
-@pytest.mark.parametrize("by_value", [False, True])
 @pytest.mark.parametrize("gamma", [0.25, 1.0])
-def test_wrong_closed_form_fails_closed(gamma, by_value):
+def test_wrong_closed_form_fails_closed(gamma):
     op = _shrinks_too_far(abs_subdifferential())
-    if by_value:
-        op.member_rows = None  # the per-row default membership
     with pytest.raises(NoConvergence):
         resolve_rows(op, np.full(3, gamma), np.array([[0.1], [3.0], [-0.2]]))
     with pytest.raises(NoConvergence):
         resolvent(op, gamma, 3.0)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_operator_without_member_rows_checks_each_row_by_value(name):
-    ref, plain = build_catalog(4)[name], build_catalog(4)[name]
-    plain.member_rows = None
-    gammas, X = _mixed_batch(ref, CATALOG[name].gamma_grid, np.random.default_rng(6))
-    if ref.zero_point is not None:
-        X[::7] = ref.zero_point  # the kink of abs, the centre of the box
-    got, want = resolve_rows(plain, gammas, X), resolve_rows(ref, gammas, X)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+def _reference_distance(name, p, u):
+    """The distance from ``u`` to the value set of catalog instance ``name`` (built at
+    seed 4) at ``p``, one row at a time in plain Python; None outside the domain."""
+    if name in ("identity", "psd_skew", "neg_half_identity"):
+        rng = np.random.default_rng(4)  # psd_skew's two draws, as its builder makes them
+        c, s = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
+        mat = {"identity": 1.0, "neg_half_identity": -0.5}.get(name, c @ c.T / 6 + (s - s.T) / 2)
+        return l2(np.dot(mat, p) - u)
+    if name == "abs_subdiff":
+        return abs(u[0] - math.copysign(1.0, p[0])) if p[0] != 0 else max(abs(u[0]) - 1.0, 0.0)
+    if name == "tan_subgradient":
+        return abs(1.0 / math.cos(p[0]) ** 2 - u[0]) if 0.0 < p[0] < math.pi / 2 else None
+    # the box [-1, 1]^3: zero inside, and on a face the ray pointing out of it
+    gaps = []
+    for pi, ui in zip(p, u):
+        if abs(pi) > 1.0 + 1e-9:
+            return None
+        lo = -math.inf if abs(pi + 1.0) <= 1e-9 else 0.0
+        hi = math.inf if abs(pi - 1.0) <= 1e-9 else 0.0
+        gaps.append(max(ui - hi, lo - ui, 0.0))
+    return math.sqrt(sum(g * g for g in gaps))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_member_rows_agrees_with_the_value_sets(name):
     # graph pairs (faces and kinks included), their mirror images (outside the domain of
     # tan, where tan' is even) and cube points, with values moved off by 0, 0.5, 2 or 50
-    # times the tolerance; the default by value_fn is the reference
+    # times the tolerance; a per-row distance to the value set is the reference
     op, rng, tol = build_catalog(4)[name], np.random.default_rng(7), 1e-6
     P, U = map(np.array, zip(*op.graph_samples(rng, 200, 5.0)))
     P = np.concatenate([P, -P, rng.uniform(-5.0, 5.0, size=P.shape)])
@@ -282,11 +313,13 @@ def test_member_rows_agrees_with_the_value_sets(name):
     step = rng.normal(size=U.shape)
     step /= np.linalg.norm(step, axis=1)[:, None]
     step *= rng.choice([0.0, 0.5, 2.0, 50.0], size=(len(U), 1)) * tol
-    want = _member_by_value(op, P, U + step, tol)
-    assert 0 < want.sum() < len(want)
-    assert (op.member_rows(P, U + step, tol) == want).all()
-    tols = rng.uniform(0.0, 4.0 * tol, size=len(P))
-    assert (op.member_rows(P, U + step, tols) == _member_by_value(op, P, U + step, tols)).all()
+    got = _distance(*op.value_box(P), U + step)
+    want = [_reference_distance(name, p, u) for p, u in zip(P, U + step)]
+    inside = np.array([w is not None for w in want])
+    assert (np.isnan(got) == ~inside).all()
+    assert got[inside] == pytest.approx([w for w in want if w is not None], rel=1e-9, abs=1e-12)
+    member = got <= tol
+    assert 0 < member.sum() < len(member)
 
 
 def test_tolerance_covers_rounding_of_tiny_steps():
@@ -300,6 +333,11 @@ def test_tolerance_covers_rounding_of_tiny_steps():
     assert math.isnan(values[0, 0]) and values[1].tolist() == [-1.0]  # the first u is noise
     _, u = resolvent(op, gamma, 98.0, with_value=True)
     assert math.isnan(u[0])
+    # in R^2 the allowance is the L2 norm of the coordinate spacings: here the miss is
+    # 0.593, the max spacing over gamma 0.5 and their L2 norm 0.707
+    x = np.full(2, 0.4194224417951077)
+    p, u = resolvent(identity_operator(2), 2.0**-53, x, with_value=True)
+    assert p.tolist() == x.tolist() and np.isnan(u).all()
 
 
 def test_values_lost_to_rounding_are_refused():
@@ -315,7 +353,6 @@ def test_iterative_fallback_matches_closed_form():
     ref = matrix_operator(np.array([[0.5]]))
     blind = matrix_operator(np.array([[0.5]]))
     blind.resolvent_fn = None
-    blind.member_rows = None  # verified by value, one row at a time
     blind.lipschitz = 0.5
     for x in (-3.0, 0.2, 7.0):
         want = resolvent(ref, 1.0, x)[0]
@@ -534,6 +571,47 @@ def test_range_condition_off_center_drops_w_bound():
     assert all(rep.passed for rep in reports.values())
 
 
+def _range_condition_by_row(op, gamma_fn, alpha_fn, bound, center, rng, n_grid, samples, tol):
+    """``range_condition_check`` one sample at a time, through the one-row API."""
+    split, ball, wbound = [], [], []
+    for n in n_grid:
+        gamma = gamma_fn(n)
+        for _ in range(samples):
+            x = center + rng.uniform(-1, 1, size=op.dim) * bound / math.sqrt(op.dim)
+            if not op.in_domain(x):
+                continue
+            try:
+                z, w = resolvent(op, gamma, x, tol=tol, with_value=True)
+            except OutsideDomain:
+                split.append((-1.0, f"n={n}, x={x}: no split"))
+                continue
+            split.append((1.0, f"n={n}, x={x}"))
+            ball.append((bound + tol - l2(z - center), f"n={n}, x={x}"))
+            wbound.append((bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), f"n={n}, x={x}"))
+    named = {"range_split_membership": split, "range_split_in_ball": ball}
+    if l2(center) == 0.0:
+        named["range_split_w_bound"] = wbound
+    return {
+        name: CheckReport.from_slacks(name, [s for s, _ in rows], tol, lambda i, r=rows: r[i][1])
+        for name, rows in named.items()
+    }
+
+
+@pytest.mark.parametrize("name, center, bound", [
+    ("tan_subgradient", [1.0], 0.9),  # points outside the resolvent domain: no split
+    ("box_normal_cone", [0.0, 0.0, 0.0], 2.0),  # points outside the domain are skipped
+    ("abs_subdiff", [0.0], 3.0),
+])
+def test_range_condition_matches_a_check_by_row(name, center, bound):
+    op = build_catalog(0)[name]
+    args = (lambda n: 2.0 ** -n, lambda n: n + 1, bound, np.array(center))
+    got = range_condition_check(op, *args, np.random.default_rng(1), samples=40, tol=1e-8)
+    n_grid = (0, 1, 2, 3, 5, 8)
+    want = _range_condition_by_row(op, *args, np.random.default_rng(1), n_grid, 40, 1e-8)
+    assert {k: r.as_dict() for k, r in got.items()} == {k: r.as_dict() for k, r in want.items()}
+    assert any(not r.passed for r in want.values()) or name != "tan_subgradient"
+
+
 def test_range_condition_preconditions():
     op = identity_operator(1)
     rng = np.random.default_rng(0)
@@ -548,6 +626,15 @@ def test_graph_closedness(name):
     opsmap = build_catalog(0)
     rep = graph_closedness_check(opsmap[name], np.random.default_rng(8))
     assert rep.passed, f"{name}: {rep.witness}"
+
+
+def test_graph_closedness_catches_a_planted_non_closed_operator():
+    # the sign with the value {0} at 0: sequences tending to 0 keep the value 1 or -1
+    op = abs_subdifferential()
+    op.value_box = lambda P: (np.sign(P),) * 2
+    rep = graph_closedness_check(op, np.random.default_rng(8))
+    assert not rep.passed and rep.witness == "x=[0.]"
+    assert 0 < rep.violations < rep.checks
 
 
 def test_yosida_norm_below_selection_norm():
