@@ -1,9 +1,12 @@
 """Iterative schemes driven by resolvents, with inspectable traces.
 
-Traces record every iterate plus per-step displacement and value residuals
-and serialise to JSON (full fidelity) or CSV (tabular part).  Step-size
-schedules carry their own positivity moduli so downstream range-condition
-checks can consume them directly.
+The proximal point algorithm and Moudafi's scheme run in one loop, ``_run``, each
+giving only its step and its zero test.  A run stops when its steps run out, when it
+diverges (the iterate passes the guard or a residual leaves the float range), when a
+step leaves the domain (``outside_domain_at``) or at a zero (``reached_zero_at``).
+Traces record every iterate plus per-step displacement and value residuals and
+serialise to JSON (full fidelity) or CSV (tabular part).  Step-size schedules carry
+their own positivity moduli so downstream range-condition checks can consume them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class GammaSchedule:
 def _modulus_for(gamma: Callable[[int], float]) -> Callable[[int], int]:
     def modulus(n: int) -> int:
         g = gamma(n)
-        return max(0, math.floor(math.log2(1.0 / g)) + 1)
+        if not g > 0:
+            raise ValueError(f"gamma({n}) = {g} is not positive")
+        return max(0, math.floor(-math.log2(g)) + 1)  # 1 / g overflows for a subnormal g
 
     return modulus
 
@@ -108,6 +113,11 @@ def _as_schedule(schedule) -> GammaSchedule:
     raise ScheduleSyntaxError(f"cannot interpret {schedule!r} as a schedule")
 
 
+# the per-step series and the outcome fields of a trace, named once for its readers and writers
+_SERIES = ("gammas", "step_residuals", "value_residuals")
+_OUTCOMES = ("diverged", "outside_domain_at", "reached_zero_at")
+
+
 @dataclass
 class IterationTrace:
     """Full record of one run; ``points[0]`` is the start."""
@@ -141,12 +151,7 @@ class IterationTrace:
             "algorithm": self.algorithm,
             "params": self.params,
             "points": [list(map(float, p)) for p in self.points],
-            "gammas": self.gammas,
-            "step_residuals": self.step_residuals,
-            "value_residuals": self.value_residuals,
-            "diverged": self.diverged,
-            "outside_domain_at": self.outside_domain_at,
-            "reached_zero_at": self.reached_zero_at,
+            **{name: getattr(self, name) for name in (*_SERIES, *_OUTCOMES)},
         }
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
@@ -160,28 +165,23 @@ class IterationTrace:
             points = np.asarray(data["points"], dtype=float)
             if points.ndim != 2 or not len(points):
                 raise ValueError("points are not a non-empty list of equal-length vectors")
-            trace = cls(algorithm=data["algorithm"], params=data["params"])
-            trace.points = list(points)
-            trace.gammas = [float(g) for g in data["gammas"]]
-            trace.step_residuals = [float(r) for r in data["step_residuals"]]
-            trace.value_residuals = [float(r) for r in data["value_residuals"]]
-            trace.diverged = data["diverged"]
-            trace.outside_domain_at = data["outside_domain_at"]
-            trace.reached_zero_at = data["reached_zero_at"]
+            return cls(
+                data["algorithm"], data["params"], list(points),
+                **{name: [float(v) for v in data[name]] for name in _SERIES},
+                **{name: data[name] for name in _OUTCOMES},
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace: {exc!r}") from None
-        return trace
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         dim = len(self.points[0]) if self.points else 0
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["step", *[f"x{i}" for i in range(dim)], "gamma", "step_residual", "value_residual"]
-        )
+        # one column per series, headed by its name in the singular
+        writer.writerow(["step", *[f"x{i}" for i in range(dim)], *[n[:-1] for n in _SERIES]])
         for i, p in enumerate(self.points):
             row = [i, *[repr(float(v)) for v in p]]
-            for seq in (self.gammas, self.step_residuals, self.value_residuals):
+            for seq in (getattr(self, name) for name in _SERIES):
                 row.append(repr(float(seq[i - 1])) if 1 <= i <= len(seq) else "")
             writer.writerow(row)
         return buf.getvalue()
@@ -194,13 +194,9 @@ class IterationTrace:
         dim = sum(1 for h in header if h.startswith("x"))
         for row in reader:
             trace.points.append(np.asarray([float(v) for v in row[1 : 1 + dim]]))
-            gamma, step_res, value_res = row[1 + dim :]
-            if gamma:
-                trace.gammas.append(float(gamma))
-            if step_res:
-                trace.step_residuals.append(float(step_res))
-            if value_res:
-                trace.value_residuals.append(float(value_res))
+            for name, value in zip(_SERIES, row[1 + dim :], strict=True):
+                if value:
+                    getattr(trace, name).append(float(value))
         return trace
 
 
@@ -209,6 +205,37 @@ def _value_residual(op: SetValuedOperator, x: np.ndarray) -> float:
         return l2(op.minimal_norm(x))
     except OutsideDomain:
         return math.inf
+
+
+def _run(trace: IterationTrace, x: np.ndarray, steps: int, step: Callable,
+         is_zero: Callable, divergence_guard: float) -> IterationTrace:
+    """The run loop of every scheme: test the current point, then take step ``n``.
+
+    ``step(n, x)`` gives the next point, the step size and the step and value residuals,
+    or raises ``OutsideDomain``; ``is_zero(x, step_residual)`` tests a point.
+    """
+    trace.push(x)
+    res = math.nan  # no step taken: the start fails every test on the step residual
+    for n in range(steps + 1):
+        if l2(x) > divergence_guard:
+            trace.diverged = True
+            break
+        if is_zero(x, res):
+            trace.reached_zero_at = n
+            break
+        if n == steps:
+            break
+        try:
+            nxt, gamma, res, vres = step(n, x)
+        except OutsideDomain:
+            trace.outside_domain_at = n
+            break
+        if not math.isfinite(res + vres):  # past the float range: the run has blown up
+            trace.diverged = True
+            break
+        trace.push(nxt, gamma=gamma, step_res=res, value_res=vres)
+        x = nxt
+    return trace
 
 
 def proximal_point(
@@ -221,47 +248,29 @@ def proximal_point(
 ) -> IterationTrace:
     """Iterate the resolvent: ``x_{n+1} = J_{gamma_n}(x_n)``.
 
-    Stops early at a certified zero (minimal-norm value below ``zero_tol``), on leaving
-    the resolvent domain (index recorded) or when the iterate norm (the start point's
-    included) passes the divergence guard or a residual leaves the float range.  A step's
+    Stops early at a certified zero (minimal-norm value below ``zero_tol``, the start
+    point included), on leaving the resolvent domain (index recorded) or when the iterate
+    norm passes the divergence guard or a residual leaves the float range.  A step's
     value residual is ``|u|`` for ``u = (x_n - x_{n+1}) / gamma_n``, or, where ``x_{n+1}``
     rounds to ``x_n`` and leaves ``u`` noise, the least norm of a value at ``x_{n+1}``.
+    A schedule whose last requested step size is not positive (it underflowed) is refused.
     """
     sched = _as_schedule(schedule)
     x = as_vector(x0, op.dim)
-    trace = IterationTrace(
-        algorithm="proximal_point",
-        params={"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol},
-    )
-    trace.push(x)
-    trace.diverged = l2(x) > divergence_guard
-    if trace.diverged:
-        return trace
-    if _value_residual(op, x) <= zero_tol:
-        trace.reached_zero_at = 0
-        return trace
-    for n in range(steps):
+    if steps and not sched(steps - 1) > 0:  # no schedule kind grows: the last step is least
+        raise ScheduleSyntaxError(f"schedule {sched.spec!r} is not positive within steps = {steps}")
+
+    def step(n, x):
         gamma = sched(n)
-        try:
-            nxt, u = resolvent(op, gamma, x, with_value=True)
-        except OutsideDomain:
-            trace.outside_domain_at = n
-            break
-        step, vres = l2(nxt - x), l2(u)
+        nxt, u = resolvent(op, gamma, x, with_value=True)
+        res, vres = l2(nxt - x), l2(u)
         if math.isnan(vres):  # nxt rounds to x: the values at nxt stand in for the noise u
             vres = _value_residual(op, nxt)
-        if not math.isfinite(step + vres):  # past the float range: the run has blown up
-            trace.diverged = True
-            break
-        trace.push(nxt, gamma=gamma, step_res=step, value_res=vres)
-        x = nxt
-        if l2(x) > divergence_guard:
-            trace.diverged = True
-            break
-        if _value_residual(op, x) <= zero_tol:
-            trace.reached_zero_at = n + 1
-            break
-    return trace
+        return nxt, gamma, res, vres
+
+    params = {"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol}
+    return _run(IterationTrace("proximal_point", params), x, steps, step,
+                lambda p, _res: _value_residual(op, p) <= zero_tol, divergence_guard)
 
 
 def moudafi_iteration(
@@ -279,39 +288,21 @@ def moudafi_iteration(
 
     Fixed points satisfy ``T_lam(x)`` being a value of the second operator
     at ``x``.  The value residual reported per step is the fixed-point
-    displacement divided by ``mu``.
+    displacement divided by ``mu``; a displacement of at most ``zero_tol`` stops the run.
     """
     if op_t.dim != op_s.dim:
         raise DimensionMismatch("operator dimensions differ")
     x = as_vector(x0, op_t.dim)
-    trace = IterationTrace(
-        algorithm="moudafi",
-        params={"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol},
-    )
-    trace.push(x)
-    trace.diverged = l2(x) > divergence_guard
-    if trace.diverged:
-        return trace
-    for n in range(steps):
-        try:
-            shifted = x + mu * yosida(op_t, lam, x)  # past the float range, it ends the run below
-            nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
-        except OutsideDomain:
-            trace.outside_domain_at = n
-            break
-        step = l2(nxt - x)
-        if not math.isfinite(step / mu):  # past the float range: the run has blown up
-            trace.diverged = True
-            break
-        trace.push(nxt, gamma=mu, step_res=step, value_res=step / mu)
-        x = nxt
-        if l2(x) > divergence_guard:
-            trace.diverged = True
-            break
-        if step <= zero_tol:
-            trace.reached_zero_at = n + 1
-            break
-    return trace
+
+    def step(n, x):
+        shifted = x + mu * yosida(op_t, lam, x)  # past the float range, it ends the run
+        nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
+        res = l2(nxt - x)
+        return nxt, mu, res, res / mu
+
+    params = {"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol}
+    return _run(IterationTrace("moudafi", params), x, steps, step,
+                lambda _p, res: res <= zero_tol, divergence_guard)
 
 
 def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
@@ -329,9 +320,7 @@ def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
         "final_point": [float(v) for v in trace.final],
         "final_step_residual": trace.step_residuals[-1] if trace.step_residuals else None,
         "final_value_residual": trace.value_residuals[-1] if trace.value_residuals else None,
-        "diverged": trace.diverged,
-        "outside_domain_at": trace.outside_domain_at,
-        "reached_zero_at": trace.reached_zero_at,
+        **{name: getattr(trace, name) for name in _OUTCOMES},
     }
     if zero is not None:
         zero = as_vector(zero, len(trace.final))

@@ -184,14 +184,12 @@ def cmd_majorant(args) -> int:
         sys.stderr.write(f"{op.name}: no uniform majorant\n")
         return 0
     table = [result(n) for n in range(9)]
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(200):
-        x = rng.uniform(-8, 8, size=op.dim)
-        if not op.in_domain(x):
-            continue
-        n = math.ceil(operator_lab.l2(x))
-        worst = max(worst, operator_lab.l2(op.selection(x)) - result(n))
+    X = np.random.default_rng(args.seed).uniform(-8, 8, size=(200, op.dim))
+    lo, hi = op.value_box(X)
+    inside = operator_lab._inside((lo, hi))
+    bounds = [result(math.ceil(r)) for r in operator_lab._norms(X[inside]).tolist()]
+    slack = operator_lab._norms(operator_lab._selection(lo[inside], hi[inside])) - bounds
+    worst = max([0.0, *slack.tolist()])
     _emit(
         {
             "instance": args.instance,

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,49 @@ def test_moudafi_stops_at_fixed_point():
     assert abs(trace.final[0]) < 1e-8
 
 
+DOUBLING = matrix_operator(np.array([[-0.5]]))  # its resolvent at 1 doubles the point
+# (run, (diverged, outside_domain_at, reached_zero_at, number of points))
+STOP_REASONS = {
+    "ppa-steps-run-out": (lambda: proximal_point(identity_operator(1), 8.0, steps=3),
+                          (False, None, None, 4)),
+    "ppa-zero-at-start": (lambda: proximal_point(abs_subdifferential(), 0.0, steps=3),
+                          (False, None, 0, 1)),
+    "ppa-zero": (lambda: proximal_point(abs_subdifferential(), 3.5, steps=50),
+                 (False, None, 4, 5)),
+    "ppa-diverged": (lambda: proximal_point(DOUBLING, 3.5, steps=100), (True, None, None, 40)),
+    "ppa-outside-domain": (lambda: proximal_point(tan_subgradient(), 2.0, steps=10),
+                           (False, 1, None, 2)),
+    "moudafi-steps-run-out": (
+        lambda: moudafi_iteration(identity_operator(1), identity_operator(1), 8.0, steps=3),
+        (False, None, None, 4)),
+    "moudafi-zero": (
+        lambda: moudafi_iteration(identity_operator(1), identity_operator(1), 1.0, steps=500),
+        (False, None, 69, 70)),
+    "moudafi-no-zero-test-at-start": (  # its zero test reads the step, so it waits for one
+        lambda: moudafi_iteration(identity_operator(1), identity_operator(1), 8.0,
+                                  zero_tol=math.inf),
+        (False, None, 1, 2)),
+    "moudafi-diverged": (  # shift 1.5 x, then the doubling resolvent: x triples
+        lambda: moudafi_iteration(identity_operator(1), DOUBLING, 1.0, steps=100),
+        (True, None, None, 27)),
+    "moudafi-outside-domain-of-t": (  # p + tan'(p) = 0.5 has no root
+        lambda: moudafi_iteration(tan_subgradient(), identity_operator(1), 0.5, lam=1.0),
+        (False, 0, None, 1)),
+    "moudafi-outside-domain-of-s": (  # the second shifted point is below 1
+        lambda: moudafi_iteration(identity_operator(1), tan_subgradient(), 1.2),
+        (False, 1, None, 2)),
+}
+
+
+@pytest.mark.parametrize("case", STOP_REASONS)
+def test_stop_reasons(case):
+    run, expected = STOP_REASONS[case]
+    trace = run()
+    assert (trace.diverged, trace.outside_domain_at, trace.reached_zero_at,
+            len(trace.points)) == expected
+    assert len(trace.gammas) == len(trace.step_residuals) == len(trace.points) - 1
+
+
 def test_parse_schedules():
     const = parse_gamma_schedule("const:2.0")
     assert const(0) == const(7) == 2.0
@@ -138,6 +182,44 @@ def test_positivity_modulus_is_strict(spec):
     sched = parse_gamma_schedule(spec)
     for n in range(60):
         assert 2.0 ** -sched.positivity_modulus(n) < sched(n)
+
+
+def test_positivity_modulus_is_strict_on_subnormal_steps():
+    geom = parse_gamma_schedule("geom:1,0.5")
+    assert geom(1074) == 5e-324 and geom.positivity_modulus(1074) == 1075
+    harm = parse_gamma_schedule("harmonic:1e-310")
+    assert harm.positivity_modulus(0) == 1030
+    for sched, n in ((geom, 1074), (harm, 0), (harm, 7)):
+        assert 2.0 ** -sched.positivity_modulus(n) < sched(n)
+
+
+def test_positivity_modulus_refuses_a_zero_step():
+    geom = parse_gamma_schedule("geom:1,0.5")
+    assert geom(1075) == 0.0
+    with pytest.raises(ValueError, match=r"gamma\(1075\) = 0.0"):
+        geom.positivity_modulus(1075)
+
+
+def test_positivity_modulus_matches_the_reciprocal_formula_on_normal_steps():
+    # every power of two and both of its neighbours, where 1 / g stays finite
+    for k in range(-1022, 1024):
+        for g in (math.nextafter(2.0**k, 0), 2.0**k, math.nextafter(2.0**k, math.inf)):
+            if sys.float_info.min <= g < math.inf:
+                reciprocal = max(0, math.floor(math.log2(1.0 / g)) + 1)
+                assert parse_gamma_schedule(f"const:{g!r}").positivity_modulus(0) == reciprocal
+
+
+@pytest.mark.parametrize("spec, steps", [("geom:1,0.5", 1100), ("harmonic:5e-324", 2)])
+def test_ppa_refuses_a_schedule_that_underflows(spec, steps):
+    with pytest.raises(ScheduleSyntaxError) as exc:
+        proximal_point(abs_subdifferential(), 100.0, spec, steps=steps)
+    assert repr(spec) in str(exc.value) and f"steps = {steps}" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rounding allowance overflows
+def test_ppa_runs_a_schedule_down_to_its_least_subnormal_step():
+    trace = proximal_point(abs_subdifferential(), 100.0, "geom:1,0.5", steps=1075)
+    assert len(trace.points) == 1076 and trace.gammas[-1] == 5e-324
 
 
 def test_schedule_call_matches_gamma():

@@ -2,14 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prooflab.algorithms import IterationTrace
-from prooflab.cli import main
-from prooflab.operator_lab import CATALOG
+from prooflab.cli import INSTANCE_ALIASES, main
+from prooflab.majorization import bobs_uniform_majorant
+from prooflab.operator_lab import CATALOG, l2
 
 
 def run_cli(capsys, argv):
@@ -138,6 +140,22 @@ def test_majorant_bobs_unbounded(capsys):
     assert code == 0
     assert json.loads(out)["bounded"] is False
     assert "no uniform majorant" in err
+
+
+@pytest.mark.parametrize("instance", ["identity", "psd_skew", "soft_threshold", "neg_half"])
+def test_majorant_bobs_matches_a_check_by_row(capsys, instance):
+    # the batched slack against a per-sample loop through the one-row API
+    for seed in range(3):
+        code, out, _ = run_cli(capsys, ["majorant", "bobs", instance, "--seed", str(seed)])
+        op = CATALOG[INSTANCE_ALIASES.get(instance, instance)].build(np.random.default_rng(seed))
+        majorant = bobs_uniform_majorant(op)
+        rng, worst = np.random.default_rng(seed), 0.0
+        for _ in range(200):
+            x = rng.uniform(-8, 8, size=op.dim)
+            if op.in_domain(x):
+                bound = majorant(math.ceil(l2(x)))
+                worst = max(worst, l2(op.selection(x)) - bound)
+        assert (code, json.loads(out)["worst_slack"]) == (0 if worst <= 0 else 1, -worst + 0.0)
 
 
 def test_majorant_bobs_needs_instance(capsys):
@@ -358,6 +376,43 @@ def test_run_moudafi(capsys):
     assert trace.final.tolist() == pytest.approx([3.375, 0.0])
 
 
+# exit code and sha256 of the whole stdout of `run ppa --instance NAME --x0 X0 --gamma
+# geom:1,0.5 --steps 30 --format FMT`: every iterate, residual and stop field stays byte
+# for byte what it was (neg_half refuses gamma = 1 at step 0); likewise for one Moudafi run
+RUN_PPA_START = {"identity": "2,2", "psd_skew": "1,2,3,-1,0,5", "soft_threshold": "100",
+                 "box": "2,-3,0.5", "neg_half": "1,0", "tan_subgradient": "1.2"}
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+FROZEN_RUN_SHA256 = {
+    ("identity", "json"): (0, "552a179c4fbfec7e4e27f7d000eafe9e58906f061e6988db4cd6a65fd0ebc8a7"),
+    ("identity", "csv"): (0, "35e7f42e472f3ab521dd24fdd90c816c89952fc0356a2511d2f4732d88061cfc"),
+    ("psd_skew", "json"): (0, "8eaf6b67ebcfae87453af1ec60123a483f7bfda10ba0072b581fa1a93d83a3b3"),
+    ("psd_skew", "csv"): (0, "025f06560285e990e925c61df95fb54f2fe531fc10e0a92596e58319909a6a3e"),
+    ("soft_threshold", "json"): (0, "d115c076fe53d0ca5bc44d34ab58f58b317955f625058b7df3ec7cbcea057afb"),
+    ("soft_threshold", "csv"): (0, "b78de51aa90adf82b51611f3c96440ba73bc0a230d0afcb22da5d55f68feba4c"),
+    ("box", "json"): (0, "922af035ffa244774e1f3857613ece2603e1b9e5ad2a6c0f1393166aa2a3942a"),
+    ("box", "csv"): (0, "0f989c24d9266b16aab36cd3a46b0bb38932c35d51dd7300e3af73d572571a73"),
+    ("neg_half", "json"): (2, EMPTY_SHA256),
+    ("neg_half", "csv"): (2, EMPTY_SHA256),
+    ("tan_subgradient", "json"): (0, "08704a5d46c6be8503dabc288ada3afb1e9a8b7bbfdd1decb58ba34c88cf3f0e"),
+    ("tan_subgradient", "csv"): (0, "2626c0a7770d3119cd809e9053518b78077dc37da008bee2d3cc23d534215e8f"),
+}
+FROZEN_MOUDAFI_SHA256 = "0a3cec1a340a568ea0670dd46dcf4a83d669aa2c703e8e815f12f02eaf609c59"
+
+
+@pytest.mark.parametrize("instance, fmt", sorted(FROZEN_RUN_SHA256))
+def test_run_ppa_output_is_frozen(capsys, instance, fmt):
+    argv = ["run", "ppa", "--instance", instance, f"--x0={RUN_PPA_START[instance]}",
+            "--gamma", "geom:1,0.5", "--steps", "30", "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == FROZEN_RUN_SHA256[instance, fmt]
+
+
+def test_run_moudafi_output_is_frozen(capsys):
+    argv = ["run", "moudafi", "--instance", "identity", "--x0", "8,0", "--steps", "10"]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, FROZEN_MOUDAFI_SHA256)
+
+
 def test_run_dimension_mismatch_is_usage_error(capsys):
     code, _, _ = run_cli(
         capsys, ["run", "ppa", "--instance", "identity", "--x0", "8"]
@@ -474,6 +529,8 @@ BAD_INPUTS = [
     (PPA + ["--gamma", "const:nan"], "'const:nan'"),
     (PPA + ["--gamma", "const:inf"], "'const:inf'"),
     (["run", "moudafi", "--instance", "identity", "--x0", "8,0", "--mu", "0"], "gamma = 0.0"),
+    (PPA + ["--gamma", "geom:1,0.5", "--steps", "1100"], "'geom:1,0.5' is not positive"),
+    (PPA + ["--gamma", "harmonic:5e-324", "--steps", "2"], "steps = 2"),
     (["oplab", "verify", "identity", "--tol", "inf"], "'inf'"),
     (["real", "canon", "-1/2"], "rational"),
     (["real", "canon", "--", "-1/2"], "'-1/2'"),
