@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,8 @@ from .operator_lab import (
     DimensionMismatch,
     OutsideDomain,
     SetValuedOperator,
+    _min_norm,
+    _norms,
     l2,
     as_vector,
     resolvent,
@@ -135,24 +137,17 @@ class IterationTrace:
     def push(self, point: np.ndarray, gamma: float | None = None,
              step_res: float | None = None, value_res: float | None = None) -> None:
         self.points.append(np.asarray(point, dtype=float).copy())
-        if gamma is not None:
-            self.gammas.append(float(gamma))
-        if step_res is not None:
-            self.step_residuals.append(float(step_res))
-        if value_res is not None:
-            self.value_residuals.append(float(value_res))
+        for name, value in zip(_SERIES, (gamma, step_res, value_res)):
+            if value is not None:
+                getattr(self, name).append(float(value))
 
     @property
     def final(self) -> np.ndarray:
         return self.points[-1]
 
     def to_json(self) -> str:
-        payload = {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "points": [list(map(float, p)) for p in self.points],
-            **{name: getattr(self, name) for name in (*_SERIES, *_OUTCOMES)},
-        }
+        payload = {key: getattr(self, key) for key in ("algorithm", "params", *_SERIES, *_OUTCOMES)}
+        payload["points"] = np.array(self.points).tolist()
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
@@ -165,6 +160,15 @@ class IterationTrace:
             points = np.asarray(data["points"], dtype=float)
             if points.ndim != 2 or not len(points):
                 raise ValueError("points are not a non-empty list of equal-length vectors")
+            last = len(points) - 1  # the index of the last step, where a run stops
+            if any(len(data[name]) != last for name in _SERIES):
+                raise ValueError(f"a series is not one entry per step of the {last}")
+            for name in _OUTCOMES:
+                at = data[name]
+                if name == "diverged" and type(at) is not bool:
+                    raise ValueError(f"diverged = {at!r} is not a bool")
+                if name != "diverged" and at is not None and (type(at) is not int or at != last):
+                    raise ValueError(f"{name} = {at!r} is not null or the last step, {last}")
             return cls(
                 data["algorithm"], data["params"], list(points),
                 **{name: [float(v) for v in data[name]] for name in _SERIES},
@@ -175,15 +179,14 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        dim = len(self.points[0]) if self.points else 0
+        points = np.array(self.points).tolist()  # Python floats, which csv writes as their repr
+        dim = len(points[0]) if points else 0
         writer = csv.writer(buf, lineterminator="\n")
         # one column per series, headed by its name in the singular
         writer.writerow(["step", *[f"x{i}" for i in range(dim)], *[n[:-1] for n in _SERIES]])
-        for i, p in enumerate(self.points):
-            row = [i, *[repr(float(v)) for v in p]]
-            for seq in (getattr(self, name) for name in _SERIES):
-                row.append(repr(float(seq[i - 1])) if 1 <= i <= len(seq) else "")
-            writer.writerow(row)
+        series = [getattr(self, name) for name in _SERIES]
+        for i, p in enumerate(points):
+            writer.writerow([i, *p, *(float(s[i - 1]) if 1 <= i <= len(s) else "" for s in series)])
         return buf.getvalue()
 
     @classmethod
@@ -200,33 +203,31 @@ class IterationTrace:
         return trace
 
 
-def _value_residual(op: SetValuedOperator, x: np.ndarray) -> float:
-    try:
-        return l2(op.minimal_norm(x))
-    except OutsideDomain:
-        return math.inf
+def _least_norm(box) -> float:  # of a value in a one-row value box; inf outside the domain
+    norm = l2(_min_norm(*box)[0])
+    return math.inf if math.isnan(norm) else norm
 
 
 def _run(trace: IterationTrace, x: np.ndarray, steps: int, step: Callable,
-         is_zero: Callable, divergence_guard: float) -> IterationTrace:
+         zero_res: float, zero_tol: float, divergence_guard: float) -> IterationTrace:
     """The run loop of every scheme: test the current point, then take step ``n``.
 
-    ``step(n, x)`` gives the next point, the step size and the step and value residuals,
-    or raises ``OutsideDomain``; ``is_zero(x, step_residual)`` tests a point.
+    ``step(n, x)`` gives the next point, the step size, the step and value residuals and
+    the next point's zero residual, or raises ``OutsideDomain``.  A point whose zero
+    residual (``zero_res`` for the start) is at most ``zero_tol`` is a zero.
     """
     trace.push(x)
-    res = math.nan  # no step taken: the start fails every test on the step residual
     for n in range(steps + 1):
         if l2(x) > divergence_guard:
             trace.diverged = True
             break
-        if is_zero(x, res):
+        if zero_res <= zero_tol:
             trace.reached_zero_at = n
             break
         if n == steps:
             break
         try:
-            nxt, gamma, res, vres = step(n, x)
+            nxt, gamma, res, vres, zero_res = step(n, x)
         except OutsideDomain:
             trace.outside_domain_at = n
             break
@@ -252,25 +253,34 @@ def proximal_point(
     point included), on leaving the resolvent domain (index recorded) or when the iterate
     norm passes the divergence guard or a residual leaves the float range.  A step's
     value residual is ``|u|`` for ``u = (x_n - x_{n+1}) / gamma_n``, or, where ``x_{n+1}``
-    rounds to ``x_n`` and leaves ``u`` noise, the least norm of a value at ``x_{n+1}``.
+    rounds to ``x_n`` and leaves ``u`` noise, the least norm of a value at ``x_{n+1}``, which
+    the zero test reads too: it comes from the value box the resolvent kernel verified the
+    step against, so a step makes one ``op.value_box`` call (the start makes its own).
     A schedule whose last requested step size is not positive (it underflowed) is refused.
     """
     sched = _as_schedule(schedule)
     x = as_vector(x0, op.dim)
     if steps and not sched(steps - 1) > 0:  # no schedule kind grows: the last step is least
         raise ScheduleSyntaxError(f"schedule {sched.spec!r} is not positive within steps = {steps}")
+    seen = []  # the last value box the kernel evaluated: the one at x_{n+1} after step n
+
+    def value_box(P, box_of=op.value_box):
+        seen[:] = box = box_of(P)
+        return box
+
+    seeing = replace(op, value_box=value_box)
 
     def step(n, x):
         gamma = sched(n)
-        nxt, u = resolvent(op, gamma, x, with_value=True)
-        res, vres = l2(nxt - x), l2(u)
+        nxt, u = resolvent(seeing, gamma, x, with_value=True)
+        res, vres, least = l2(nxt - x), l2(u), _least_norm(seen)
         if math.isnan(vres):  # nxt rounds to x: the values at nxt stand in for the noise u
-            vres = _value_residual(op, nxt)
-        return nxt, gamma, res, vres
+            vres = least
+        return nxt, gamma, res, vres, least
 
     params = {"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol}
     return _run(IterationTrace("proximal_point", params), x, steps, step,
-                lambda p, _res: _value_residual(op, p) <= zero_tol, divergence_guard)
+                _least_norm(op.value_box(x[None])), zero_tol, divergence_guard)
 
 
 def moudafi_iteration(
@@ -298,11 +308,11 @@ def moudafi_iteration(
         shifted = x + mu * yosida(op_t, lam, x)  # past the float range, it ends the run
         nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
         res = l2(nxt - x)
-        return nxt, mu, res, res / mu
+        return nxt, mu, res, res / mu, res  # its zero test reads the step residual
 
     params = {"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol}
     return _run(IterationTrace("moudafi", params), x, steps, step,
-                lambda _p, res: res <= zero_tol, divergence_guard)
+                math.nan, zero_tol, divergence_guard)  # no step yet: NaN fails every zero_tol
 
 
 def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
@@ -324,9 +334,9 @@ def trace_report(trace: IterationTrace, zero=None, tol: float = 1e-9) -> dict:
     }
     if zero is not None:
         zero = as_vector(zero, len(trace.final))
-        dists = [l2(p - zero) for p in trace.points]
-        report["distance_to_zero"] = dists[-1] if math.isfinite(dists[-1]) else None
-        report["fejer_monotone"] = all(map(math.isfinite, dists)) and all(
-            b <= a + tol * max(1.0, a) for a, b in zip(dists, dists[1:])
-        )
+        with np.errstate(over="ignore"):  # a distance past the float range fails the verdict
+            d = _norms(np.array(trace.points) - zero)
+            fejer = np.isfinite(d).all() and (d[1:] <= d[:-1] + tol * np.maximum(1.0, d[:-1])).all()
+        report["distance_to_zero"] = float(d[-1]) if math.isfinite(d[-1]) else None
+        report["fejer_monotone"] = bool(fejer)
     return report

@@ -57,7 +57,9 @@ class NonFiniteInput(ValueError):
 
 
 def l2(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    """``np.linalg.norm`` of a real 1-D array, bit for bit: the same dot product and root."""
+    v = v.ravel()  # contiguous as in norm, where a strided view would sum in another order
+    return math.sqrt(v.dot(v))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -413,12 +415,12 @@ def tan_subgradient() -> SetValuedOperator:
         return v, v
 
     def bisect(gamma: float, target: float) -> float:
-        a, b = 1e-15, hi - 1e-15
+        a, b, cos = 1e-15, hi - 1e-15, math.cos
         for _ in range(200):
             mid = (a + b) / 2
             if mid in (a, b):  # the bracket is one ulp wide: later steps change nothing
                 return mid
-            if mid + gamma * deriv(mid) <= target:
+            if mid + gamma * (1.0 / cos(mid) ** 2) <= target:  # deriv(mid), inlined
                 a = mid
             else:
                 b = mid

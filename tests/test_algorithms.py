@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +21,15 @@ from prooflab.algorithms import (
 from prooflab.operator_lab import (
     DimensionMismatch,
     NonFiniteInput,
+    OutsideDomain,
     abs_subdifferential,
+    as_vector,
     box_indicator,
+    build_catalog,
     identity_operator,
+    l2,
     matrix_operator,
+    resolvent,
     scaled_identity,
     tan_subgradient,
 )
@@ -154,6 +161,9 @@ def test_stop_reasons(case):
     assert (trace.diverged, trace.outside_domain_at, trace.reached_zero_at,
             len(trace.points)) == expected
     assert len(trace.gammas) == len(trace.step_residuals) == len(trace.points) - 1
+    if trace.params["zero_tol"] != math.inf:  # a parameter JSON cannot hold
+        text = trace.to_json()
+        assert IterationTrace.from_json(text).to_json() == text  # every stop reads back
 
 
 def test_parse_schedules():
@@ -269,12 +279,52 @@ def test_trace_report_flags_moving_away():
     assert report["fejer_monotone"] is False
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
 def test_trace_report_fails_a_distance_beyond_the_float_range():
-    trace = proximal_point(abs_subdifferential(), 3.5, "const:1.0", steps=50)
-    report = trace_report(trace, zero=[1e308])
-    assert (report["distance_to_zero"], report["fejer_monotone"]) == (None, False)
-    json.dumps(report, allow_nan=False)
+    far = IterationTrace(algorithm="synthetic", params={})  # here the subtraction overflows
+    far.push(np.array([1e308]))
+    runs = [(proximal_point(abs_subdifferential(), 3.5, "const:1.0", steps=50), [1e308]),
+            (far, [-1e308])]
+    for trace, zero in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = trace_report(trace, zero=zero)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (report["distance_to_zero"], report["fejer_monotone"]) == (None, False)
+        json.dumps(report, allow_nan=False)
+
+
+def _l2_cases(rng):
+    """Random vectors of dimension 1 to 8 at ordinary, huge and subnormal scales, each
+    also as a strided view."""
+    for d in range(1, 9):
+        for scale in (1.0, 1e150, 1e154, 1e300, 1e-160, 1e-310, 5e-324):
+            for _ in range(40):
+                v = rng.standard_normal(d) * scale * 10.0 ** rng.integers(-3, 4, size=d)
+                wide = np.zeros((d, 3))
+                wide[:, 1] = v
+                yield v
+                yield wide[:, 1]
+
+
+def test_l2_is_numpy_norm_bit_for_bit():
+    with np.errstate(over="ignore", under="ignore"):
+        for v in _l2_cases(np.random.default_rng(3)):
+            got, want = l2(v), float(np.linalg.norm(v))
+            assert type(got) is float and repr(got) == repr(want), v
+
+
+def test_trace_report_distances_are_the_per_point_l2():
+    rng = np.random.default_rng(4)
+    for d in range(1, 9):
+        for scale in (1.0, 1e-160, 1e150):
+            trace = IterationTrace(algorithm="synthetic", params={})
+            for _ in range(12):
+                trace.push(rng.standard_normal(d) * scale)
+            zero = rng.standard_normal(d) * scale
+            dists = [l2(p - zero) for p in trace.points]
+            for k in range(1, len(trace.points) + 1):  # each prefix reports its last distance
+                prefix = dataclasses.replace(trace, points=trace.points[:k])
+                assert repr(trace_report(prefix, zero=zero)["distance_to_zero"]) == repr(dists[k - 1])
 
 
 def test_trace_report_without_zero():
@@ -321,3 +371,137 @@ def test_runs_stop_when_numbers_leave_the_float_range():
     for trace in runs:
         assert trace.diverged and len(trace.points) == 1
         assert IterationTrace.from_json(trace.to_json()).diverged
+
+
+def _counting(op):
+    """``op`` with its ``value_box`` wrapped in a call counter."""
+    calls = []
+
+    def value_box(P):
+        calls.append(len(P))
+        return op.value_box(P)
+
+    return dataclasses.replace(op, value_box=value_box), calls
+
+
+@pytest.mark.parametrize("name, x0, schedule, steps", [
+    ("identity", [2.0, -1.0], "const:0.5", 40),
+    ("psd_skew", [1.0, 2.0, 3.0, -1.0, 0.0, 5.0], "harmonic:0.7", 40),
+    ("abs_subdiff", [3.5], "const:1.0", 50),  # reaches the zero at step 4
+    ("abs_subdiff", [100.0], "geom:1,0.5", 100),  # steps far below ulp(x): u is NaN
+    ("box_normal_cone", [2.0, -3.0, 0.5], "geom:1,0.5", 30),
+    ("neg_half_identity", [1.0, 0.0], "const:8.0", 30),
+    ("tan_subgradient", [1.2], "const:0.006", 60),
+])
+def test_ppa_evaluates_the_value_box_once_a_step(name, x0, schedule, steps):
+    op, calls = _counting(build_catalog(0)[name])
+    trace = proximal_point(op, x0, schedule, steps=steps)
+    assert trace.outside_domain_at is None and not trace.diverged
+    assert calls == [1] * len(trace.points)  # the start, then one box per step taken
+    if x0 == [100.0]:  # the run does take the fallback from noise u to the box
+        x, gamma = trace.points[-2], trace.gammas[-1]
+        assert math.isnan(resolvent(op, gamma, x, with_value=True)[1][0])
+
+
+def _reference_ppa(op, x0, schedule, steps, zero_tol=1e-9, guard=DIVERGENCE_GUARD):
+    """The proximal-point loop written out with its own zero test: the start and every
+    iterate are tested through ``op.minimal_norm``, norms are ``np.linalg.norm``, and a
+    noise ``u`` is replaced by the least norm of a value at the new point."""
+
+    def norm(v):
+        return float(np.linalg.norm(v))
+
+    def value_residual(x):
+        try:
+            return norm(op.minimal_norm(x))
+        except OutsideDomain:
+            return math.inf
+
+    sched = parse_gamma_schedule(schedule)
+    params = {"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol}
+    trace = IterationTrace("proximal_point", params)
+    x = as_vector(x0, op.dim)
+    trace.push(x)
+    for n in range(steps + 1):
+        if norm(x) > guard:
+            trace.diverged = True
+            break
+        if value_residual(x) <= zero_tol:
+            trace.reached_zero_at = n
+            break
+        if n == steps:
+            break
+        gamma = sched(n)
+        try:
+            nxt, u = resolvent(op, gamma, x, with_value=True)
+        except OutsideDomain:
+            trace.outside_domain_at = n
+            break
+        res, vres = norm(nxt - x), norm(u)
+        if math.isnan(vres):
+            vres = value_residual(nxt)
+        if not math.isfinite(res + vres):
+            trace.diverged = True
+            break
+        trace.push(nxt, gamma=gamma, step_res=res, value_res=vres)
+        x = nxt
+    return trace
+
+
+REFERENCE_RUNS = {  # catalog name: (start point, three schedules)
+    "identity": ([2.0, -1.5], ("const:0.3", "harmonic:0.8", "geom:1,0.5")),
+    "psd_skew": ([1.0, 2.0, 3.0, -1.0, 0.0, 5.0], ("const:0.2", "harmonic:0.5", "geom:0.5,0.9")),
+    "abs_subdiff": ([3.5], ("const:1.0", "harmonic:0.3", "geom:1,0.5")),
+    "box_normal_cone": ([2.0, -3.0, 0.5], ("const:1.5", "harmonic:1.0", "geom:1,0.5")),
+    "neg_half_identity": ([1.0, -0.25], ("const:8.0", "harmonic:1000", "geom:9,0.999")),
+    "tan_subgradient": ([1.3], ("const:0.006", "harmonic:0.07", "geom:0.006,0.999")),
+}
+REFERENCE_CASES = [(name, x0, sched, 60) for name, (x0, scheds) in REFERENCE_RUNS.items()
+                   for sched in scheds]
+REFERENCE_CASES += [("abs_subdiff", [100.0], "geom:1,0.5", 100),  # the noise-u fallback
+                    ("tan_subgradient", [1.3], "const:0.05", 60),  # leaves the domain
+                    ("box_normal_cone", [1.2] * 3, "const:1e-300", 5)]  # |u| overflows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the box run at 1e-300 overflows
+@pytest.mark.parametrize("name, x0, schedule, steps", REFERENCE_CASES)
+def test_ppa_matches_the_reference_loop_bit_for_bit(name, x0, schedule, steps):
+    op = build_catalog(0)[name]
+    got, want = proximal_point(op, x0, schedule, steps), _reference_ppa(op, x0, schedule, steps)
+    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+    for field_name in ("gammas", "step_residuals", "value_residuals"):
+        assert list(map(repr, getattr(got, field_name))) == list(map(repr, getattr(want, field_name)))
+    assert (got.diverged, got.outside_domain_at, got.reached_zero_at) == (
+        want.diverged, want.outside_domain_at, want.reached_zero_at)
+    assert got.to_json() == want.to_json()
+
+
+def test_reference_runs_cover_every_stop_reason():
+    outcomes = set()
+    for name, x0, schedule, steps in REFERENCE_CASES:
+        with np.errstate(over="ignore"):
+            trace = proximal_point(build_catalog(0)[name], x0, schedule, steps)
+        outcomes.add((trace.diverged, trace.outside_domain_at is not None,
+                      trace.reached_zero_at not in (None, 0)))
+    # steps run out, a zero mid-run, leaving the domain, diverging
+    assert outcomes >= {(False, False, False), (False, False, True), (False, True, False),
+                        (True, False, False)}
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"diverged": "no"}, "diverged = 'no'"),
+    ({"diverged": 0}, "diverged = 0"),
+    ({"outside_domain_at": "later"}, "outside_domain_at = 'later'"),
+    ({"reached_zero_at": -3}, "reached_zero_at = -3"),
+    ({"reached_zero_at": True}, "reached_zero_at = True"),
+    ({"reached_zero_at": 4.0}, "reached_zero_at = 4.0"),
+    ({"outside_domain_at": 2}, "outside_domain_at = 2"),
+    ({"gammas": []}, "one entry per step"),
+    ({"value_residuals": [1.0] * 5}, "one entry per step"),
+])
+def test_trace_json_refuses_outcomes_that_disagree_with_the_points(change, named):
+    good = json.loads(proximal_point(abs_subdifferential(), 3.5, steps=50).to_json())
+    assert good["reached_zero_at"] == len(good["points"]) - 1 == 4
+    IterationTrace.from_json(json.dumps(good))
+    with pytest.raises(TraceFormatError, match=named):
+        IterationTrace.from_json(json.dumps({**good, **change}))

@@ -413,6 +413,25 @@ def test_run_moudafi_output_is_frozen(capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, FROZEN_MOUDAFI_SHA256)
 
 
+@pytest.mark.parametrize("instance", sorted(RUN_PPA_START))
+def test_every_trace_run_writes_reads_back(capsys, tmp_path, instance):
+    start = f"--x0={RUN_PPA_START[instance]}"
+    runs = [["ppa", "--gamma", "geom:1,0.5", "--steps", "30"],
+            ["ppa", "--gamma", "const:0.05", "--steps", "100"],
+            ["ppa", "--gamma", "const:8.0", "--steps", "30"],
+            ["moudafi", "--mu", "0.5", "--lam", "0.5", "--steps", "30"]]
+    for k, run in enumerate(runs):
+        path = tmp_path / f"{k}.json"
+        code, _, _ = run_cli(capsys, ["run", *run, "--instance", instance, start, "--out", str(path)])
+        if code == 2:  # neg_half refuses step sizes up to 4
+            assert instance == "neg_half" and not path.exists()
+            continue
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert (code, err) == (0, "")
+        trace = IterationTrace.from_json(path.read_text())
+        assert json.loads(out)["iterations"] == len(trace.points) - 1
+
+
 def test_run_dimension_mismatch_is_usage_error(capsys):
     code, _, _ = run_cli(
         capsys, ["run", "ppa", "--instance", "identity", "--x0", "8"]
@@ -518,6 +537,16 @@ BAD_INPUT_FILES = {
         ' "step_residuals": [], "value_residuals": [], "diverged": false,'
         ' "outside_domain_at": null, "reached_zero_at": null}'
     ),
+    "outcomes.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[2.0], [1.0]], "gammas": [],'
+        ' "step_residuals": [], "value_residuals": [], "diverged": "no",'
+        ' "outside_domain_at": "later", "reached_zero_at": -3}'
+    ),
+    "diverged.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[2.0], [1.0]], "gammas": [1.0],'
+        ' "step_residuals": [1.0], "value_residuals": [1.0], "diverged": "no",'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
 }
 PPA = ["run", "ppa", "--instance", "soft_threshold", "--x0", "1"]
 BAD_INPUTS = [
@@ -555,6 +584,8 @@ BAD_INPUTS = [
     (["report", "{d}/keys.json"], "malformed trace"),
     (["report", "{d}/text.json"], "malformed trace"),
     (["report", "{d}/nan.json"], "non-finite"),
+    (["report", "{d}/outcomes.json"], "one entry per step"),
+    (["report", "{d}/diverged.json"], "diverged = 'no'"),
 ]
 
 
