@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -155,14 +156,26 @@ class IterationTrace:
         def non_finite(name: str):
             raise ValueError(f"non-finite number {name}")
 
+        def numbers(name: str, values: list) -> list:
+            # exact types, so bool, a subclass of int, is refused; map and set keep it cheap
+            if not set(map(type, values)) <= {int, float}:
+                bad = next(v for v in values if type(v) not in (int, float))
+                raise ValueError(f"{name} holds {bad!r}, which is not a JSON number")
+            return values
+
         try:
             data = json.loads(text, parse_constant=non_finite)
-            points = np.asarray(data["points"], dtype=float)
+            numbers("points", [*itertools.chain.from_iterable(data["points"])])
+            points = np.asarray(data["points"], dtype=float)  # an int past the float range overflows
             if points.ndim != 2 or not len(points):
                 raise ValueError("points are not a non-empty list of equal-length vectors")
             last = len(points) - 1  # the index of the last step, where a run stops
-            if any(len(data[name]) != last for name in _SERIES):
+            series = {name: [*map(float, numbers(name, data[name]))] for name in _SERIES}
+            if any(len(values) != last for values in series.values()):
                 raise ValueError(f"a series is not one entry per step of the {last}")
+            values = itertools.chain(*series.values())
+            if not (np.isfinite(points).all() and all(map(math.isfinite, values))):  # 1e400 is inf
+                raise ValueError("non-finite number: a value beyond the float range")
             for name in _OUTCOMES:
                 at = data[name]
                 if name == "diverged" and type(at) is not bool:
@@ -171,10 +184,10 @@ class IterationTrace:
                     raise ValueError(f"{name} = {at!r} is not null or the last step, {last}")
             return cls(
                 data["algorithm"], data["params"], list(points),
-                **{name: [float(v) for v in data[name]] for name in _SERIES},
+                **series,
                 **{name: data[name] for name in _OUTCOMES},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"malformed trace: {exc!r}") from None
 
     def to_csv(self) -> str:

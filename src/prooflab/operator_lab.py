@@ -401,6 +401,11 @@ def scaled_identity(c: float, dim: int = 2) -> SetValuedOperator:
     )
 
 
+# The least batch that tan_subgradient bisects as arrays: below it numpy's cost per step
+# outweighs the rows it serves, and rows are bisected one at a time (BENCH_resolvent.json).
+_TAN_LOCKSTEP_ROWS = 40
+
+
 def tan_subgradient() -> SetValuedOperator:
     """Derivative of the tangent on (0, pi/2): monotone, single-valued,
     unbounded near the right endpoint, with a genuinely partial resolvent."""
@@ -426,6 +431,24 @@ def tan_subgradient() -> SetValuedOperator:
                 b = mid
         return (a + b) / 2
 
+    def bisect_rows(gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """``bisect`` on every row in lockstep, bit for bit: ``float_power(c, 2.0)`` rounds
+        as ``c ** 2`` does (``c * c`` does not), and once a row's midpoint meets an end of
+        its bracket, later steps leave that midpoint as it is."""
+        a, b = np.full(len(gammas), 1e-15), np.full(len(gammas), hi - 1e-15)
+        for _ in range(200):
+            mid = (a + b) / 2
+            if ((mid == a) | (mid == b)).all():
+                return mid
+            go = mid + gammas * (1.0 / np.float_power(np.cos(mid), 2.0)) <= targets
+            a, b = np.where(go, mid, a), np.where(go, b, mid)
+        return (a + b) / 2
+
+    def resolvent_fn(gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        if len(gammas) < _TAN_LOCKSTEP_ROWS:
+            return np.array([*map(bisect, gammas.tolist(), X[:, 0].tolist())])[:, None]
+        return bisect_rows(gammas, X[:, 0])[:, None]
+
     def sampler(rng, count, radius):
         xs = [rng.uniform(lo + 1e-3, hi - 1e-3) for _ in range(count)]
         return [(np.array([x]), np.array([deriv(x)])) for x in xs]
@@ -434,7 +457,7 @@ def tan_subgradient() -> SetValuedOperator:
         name="tan_subgradient",
         dim=1,
         value_box=value_box,
-        resolvent_fn=lambda g, X: np.array([*map(bisect, g.tolist(), X[:, 0].tolist())])[:, None],
+        resolvent_fn=resolvent_fn,
         resolvent_domain_fn=lambda gammas, X: X[:, 0] > gammas,
         rho=None,
         declared_classes=("monotone",),
@@ -606,10 +629,12 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
 
     sets = {}
 
-    # consecutive pairs of the domain points drawn at each step size
+    # consecutive pairs of the domain points drawn at each step size, x and y in one call
+    # with x first, so a failing x row is still the one reported
     pg = np.repeat(gammas, [len(p) // 2 for p in points])
     x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
-    (jx, u), jy = resolve_rows(op, pg, x, tol), resolve(pg, y)
+    jxy, uxy = resolve_rows(op, np.concatenate([pg, pg]), np.concatenate([x, y]), tol)
+    (jx, jy), u = np.split(jxy, 2), uxy[: len(x)]
     dres = (x - jx) - (y - jy)
     sets["pairs"] = SimpleNamespace(
         gamma=pg,

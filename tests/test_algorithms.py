@@ -352,6 +352,25 @@ def test_trace_json_refuses_non_finite_numbers():
             IterationTrace.from_json(bad)
 
 
+@pytest.mark.parametrize("name, value, named", [
+    ("points", ["2"], "points holds '2', which is not a JSON number"),
+    ("points", [True], "points holds True"),  # bool is a subclass of int, and no number
+    ("gammas", "1.5", "gammas holds '1.5'"),
+    ("step_residuals", False, "step_residuals holds False"),
+    ("value_residuals", None, "value_residuals holds None"),
+    ("points", [1], None),  # an integer is a JSON number
+    ("gammas", 1, None),
+])
+def test_trace_json_accepts_only_numbers(name, value, named):
+    data = json.loads(proximal_point(abs_subdifferential(), 3.5, steps=50).to_json())
+    data[name][1] = value
+    if named is None:
+        assert json.loads(IterationTrace.from_json(json.dumps(data)).to_json())[name][1] == value
+    else:
+        with pytest.raises(TraceFormatError, match=named):
+            IterationTrace.from_json(json.dumps(data))
+
+
 def test_trace_report_zero_must_match_the_dimension():
     trace = proximal_point(identity_operator(2), [1.0, 1.0], steps=2)
     assert trace_report(trace, zero=[0.0, 0.0])["fejer_monotone"] is True

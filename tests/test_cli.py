@@ -547,6 +547,26 @@ BAD_INPUT_FILES = {
         ' "step_residuals": [1.0], "value_residuals": [1.0], "diverged": "no",'
         ' "outside_domain_at": null, "reached_zero_at": null}'
     ),
+    "strings.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [["2"], [true]], "gammas": ["1.5"],'
+        ' "step_residuals": [false], "value_residuals": [1.0], "diverged": false,'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
+    "bools.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[2], [1.0]], "gammas": [1.0],'
+        ' "step_residuals": [false], "value_residuals": [1.0], "diverged": false,'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
+    "overflow.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[2.0], [1.0]], "gammas": [1.0],'
+        ' "step_residuals": [1e400], "value_residuals": [1.0], "diverged": false,'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
+    "bigint.json": (
+        '{"algorithm": "ppa", "params": {}, "points": [[2.0], [1.0]], "gammas": [1' + '0' * 400
+        + '], "step_residuals": [1.0], "value_residuals": [1.0], "diverged": false,'
+        ' "outside_domain_at": null, "reached_zero_at": null}'
+    ),
 }
 PPA = ["run", "ppa", "--instance", "soft_threshold", "--x0", "1"]
 BAD_INPUTS = [
@@ -586,6 +606,10 @@ BAD_INPUTS = [
     (["report", "{d}/nan.json"], "non-finite"),
     (["report", "{d}/outcomes.json"], "one entry per step"),
     (["report", "{d}/diverged.json"], "diverged = 'no'"),
+    (["report", "{d}/strings.json"], "points holds '2', which is not a JSON number"),
+    (["report", "{d}/bools.json"], "step_residuals holds False"),
+    (["report", "{d}/overflow.json"], "non-finite number: a value beyond the float range"),
+    (["report", "{d}/bigint.json"], "int too large"),
 ]
 
 

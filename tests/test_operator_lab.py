@@ -42,7 +42,14 @@ from prooflab.operator_lab import (
     verify_resolvent_param_modulus,
     yosida,
 )
-from prooflab.operator_lab import _alpha_for, _distance, _min_norm, _norms, _selection
+from prooflab.operator_lab import (
+    _TAN_LOCKSTEP_ROWS,
+    _alpha_for,
+    _distance,
+    _min_norm,
+    _norms,
+    _selection,
+)
 
 
 def box(lo, hi):
@@ -218,6 +225,56 @@ def test_tan_resolvent_early_stop_is_bit_identical():
     assert len(pairs) == 35 * 33
     got = tan_subgradient().resolvent_fn(gammas, xs[:, None])[:, 0]
     assert got.tolist() == [_tan_resolvent_200_steps(gamma, x) for gamma, x in pairs]
+
+
+def _tan_resolvent_by_row(gamma: float, target: float) -> float:
+    """The scalar bisection, one row at a time: Python floats and ``math.cos``."""
+    a, b = 1e-15, math.pi / 2 - 1e-15
+    for _ in range(200):
+        mid = (a + b) / 2
+        if mid in (a, b):
+            return mid
+        if mid + gamma * (1.0 / math.cos(mid) ** 2) <= target:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
+
+
+def _tan_corpus(rng, count):
+    """``count`` rows of ``(gamma, x)`` at step sizes from 1e-12 to 16, in three equal
+    parts: ``x`` within a few ulps to 1e-6 relative of ``gamma`` (a root near the bracket's
+    left end, 1e-15), ``x`` up to 1e12 (a root near pi/2), and ``x - gamma`` up to 10."""
+    gammas = 10.0 ** rng.uniform(-12.0, math.log10(16.0), count)
+    near, far, mid = np.array_split(np.arange(count), 3)
+    xs = np.empty(count)
+    xs[near] = gammas[near] * (1.0 + 10.0 ** rng.uniform(-16.0, -6.0, len(near)))
+    xs[near[::7]] = np.nextafter(gammas[near[::7]], math.inf)
+    xs[far] = gammas[far] + 10.0 ** rng.uniform(2.0, 12.0, len(far))
+    xs[mid] = gammas[mid] + rng.uniform(1e-3, 10.0, len(mid))
+    return gammas, np.maximum(xs, np.nextafter(gammas, math.inf))  # inside the domain
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tan_lockstep_bisection_matches_the_rows_bit_for_bit():
+    resolvent_fn = tan_subgradient().resolvent_fn
+    gammas, xs = _tan_corpus(np.random.default_rng(23), 102_000)
+    want = np.array([*map(_tan_resolvent_by_row, gammas.tolist(), xs.tolist())])
+    assert want.min() < 1e-12 and want.max() > math.pi / 2 - 1e-9  # both ends of the bracket
+    assert resolvent_fn(gammas, xs[:, None])[:, 0].tolist() == want.tolist()
+    # the two sides of the cutoff, row batches and lockstep batches
+    for size in (_TAN_LOCKSTEP_ROWS - 1, _TAN_LOCKSTEP_ROWS):
+        for start in range(0, 40 * size, size):
+            rows = slice(start, start + size)
+            assert resolvent_fn(gammas[rows], xs[rows, None])[:, 0].tolist() == want[rows].tolist()
+    # rows outside the resolvent domain among rows of the last part that the kernel verifies
+    # (gamma >= 1e-6): it hands the rest on as a smaller batch, still a lockstep one
+    rows = np.flatnonzero(gammas >= 1e-6)[-3 * _TAN_LOCKSTEP_ROWS :]
+    outside = np.arange(3 * _TAN_LOCKSTEP_ROWS) % 3 == 0
+    mixed = np.where(outside, gammas[rows] * 0.5, xs[rows])
+    P = resolve_rows(tan_subgradient(), gammas[rows], mixed[:, None])[0][:, 0]
+    assert np.isnan(P[outside]).all() and (~outside).sum() >= _TAN_LOCKSTEP_ROWS
+    assert P[~outside].tolist() == want[rows][~outside].tolist()
 
 
 def _mixed_batch(op, grid, rng, count=120):

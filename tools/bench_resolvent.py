@@ -12,6 +12,11 @@ faces or inside); more drawn rows fill up the rest.  Two medians over
   divided by the row count.  A source tree without ``resolve_rows`` resolves
   the batch with one ``resolvent`` call per row instead.
 
+For ``tan_subgradient``, whose bisection takes one path for small batches and
+another for large ones, ``batch_us_per_row_by_rows`` also gives
+``batch_us_per_row`` for batches of each size in ``SIZES``: the first rows of a
+set of ``max(SIZES)`` rows drawn the same way.
+
 Each ``--src LABEL=DIR`` names a directory holding a ``prooflab`` package.
 The harness makes ``--runs`` runs per source, each in a fresh interpreter,
 alternating the order of the sources from run to run.  A source's value is
@@ -36,18 +41,20 @@ import sys
 import time
 
 ROWS = 300
+SIZES = (1, 16, 32, 64, 300, 750)  # batch sizes of the tan_subgradient sweep
 METRICS = {
     "scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
     "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, per row; a "
     "source without the batch kernel resolves one call per row",
 }
+SWEEP = "batch_us_per_row_by_rows"
 
 
-def _rows(operator_lab, np, name: str, seed: int):
+def _rows(operator_lab, np, name: str, seed: int, count: int = ROWS):
     op = operator_lab.build_catalog(seed)[name]
     rng = np.random.default_rng(seed)
     draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
-    gammas = np.resize(np.asarray(operator_lab.CATALOG[name].gamma_grid, dtype=float), ROWS)
+    gammas = np.resize(np.asarray(operator_lab.CATALOG[name].gamma_grid, dtype=float), count)
     drawn = np.concatenate([draw(rng, 1, gamma, 5.0) for gamma in gammas])
 
     def resolvable(gamma, x) -> bool:
@@ -58,14 +65,14 @@ def _rows(operator_lab, np, name: str, seed: int):
         return True
 
     rows = []
-    for gamma, x in zip(gammas[: ROWS // 2], drawn):
+    for gamma, x in zip(gammas[: count // 2], drawn):
         nxt = operator_lab.resolvent(op, gamma, x)
         rows += [(gamma, x)] + ([(gamma, nxt)] if resolvable(gamma, nxt) else [])
-    rows = (rows + list(zip(gammas[ROWS // 2 :], drawn[ROWS // 2 :])))[:ROWS]
+    rows = (rows + list(zip(gammas[count // 2 :], drawn[count // 2 :])))[:count]
     return op, np.array([g for g, _ in rows]), np.array([x for _, x in rows])
 
 
-def _median_us(fn, repeats: int) -> float:
+def _median_us(fn, repeats: int, rows: int = ROWS) -> float:
     fn()  # warm-up: first-call costs are not the kernel's
     times = []
     gc.disable()
@@ -73,7 +80,7 @@ def _median_us(fn, repeats: int) -> float:
         for _ in range(repeats):
             start = time.perf_counter_ns()
             fn()
-            times.append((time.perf_counter_ns() - start) / 1e3 / ROWS)
+            times.append((time.perf_counter_ns() - start) / 1e3 / rows)
     finally:
         gc.enable()
     return round(statistics.median(times), 2)
@@ -100,6 +107,12 @@ def measure(src: str, repeats: int, seed: int) -> dict:
         batched = scalar if batch is None else (lambda: batch(op, gammas, points))
         out[name] = {"scalar_us_per_call": _median_us(scalar, repeats),
                      "batch_us_per_row": _median_us(batched, repeats)}
+        if name == "tan_subgradient" and batch is not None:
+            op, gammas, points = _rows(operator_lab, np, name, seed, max(SIZES))
+            out[name][SWEEP] = {
+                str(n): _median_us(lambda n=n: batch(op, gammas[:n], points[:n]), repeats, n)
+                for n in SIZES
+            }
     return out
 
 
@@ -144,7 +157,8 @@ def main(argv=None) -> int:
         "timed passes), and *_runs lists every run's median in order",
         "rows_drawn": "half drawn from the resolvent domain at the step-size grid, each followed "
         "by its next proximal-point iterate where that stays in the domain, the rest drawn",
-        "metrics": METRICS,
+        "metrics": {**METRICS, SWEEP: "batch_us_per_row of a batch of each of the first "
+                    f"{', '.join(map(str, SIZES))} rows of {max(SIZES)}, tan_subgradient only"},
     }
     for label, per_run in runs.items():
         record[label] = {
@@ -154,6 +168,12 @@ def main(argv=None) -> int:
             }
             for name in per_run[0]
         }
+        for name, entry in record[label].items():
+            if SWEEP in per_run[0][name]:
+                sweeps = [r[name][SWEEP] for r in per_run]
+                entry[SWEEP] = {n: round(statistics.median(s[n] for s in sweeps), 2)
+                                for n in sweeps[0]}
+                entry[SWEEP + "_runs"] = {n: [s[n] for s in sweeps] for n in sweeps[0]}
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
