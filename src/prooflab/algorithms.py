@@ -1,9 +1,11 @@
 """Iterative schemes driven by resolvents, with inspectable traces.
 
 The proximal point algorithm and Moudafi's scheme run in one loop, ``_run``, each
-giving only its step and its zero test.  A run stops when its steps run out, when it
-diverges (the iterate passes the guard or a residual leaves the float range), when a
-step leaves the domain (``outside_domain_at``) or at a zero (``reached_zero_at``).
+giving only how it takes a chunk of steps: closed-form resolvents, one step at a time,
+then one batched check of them all, as ``resolve_rows`` checks.  A run stops when its
+steps run out, when it diverges (the iterate passes the guard or a residual leaves the
+float range), when a step leaves the domain (``outside_domain_at``) or at a zero
+(``reached_zero_at``), at the step where a run of one step at a time would stop.
 Traces record every iterate plus per-step displacement and value residuals and
 serialise to JSON (full fidelity) or CSV (tabular part).  Step-size schedules carry
 their own positivity moduli so downstream range-condition checks can consume them.
@@ -16,7 +18,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,12 +27,17 @@ from .operator_lab import (
     DimensionMismatch,
     OutsideDomain,
     SetValuedOperator,
+    _closed_form,
+    _floor,
     _min_norm,
     _norms,
+    _refusal,
+    _verify_rows,
+    _yosida_lost,
     l2,
     as_vector,
-    resolvent,
-    yosida,
+    resolvent,  # noqa: F401  unused, but perfbench/tracing.py wraps algorithms.resolvent
+    yosida,  # noqa: F401  and algorithms.yosida too
 )
 
 DIVERGENCE_GUARD = 1e12
@@ -192,14 +199,14 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        points = np.array(self.points).tolist()  # Python floats, which csv writes as their repr
-        dim = len(points[0]) if points else 0
+        points = np.array(self.points)
+        n, dim = len(points), points.shape[-1] if self.points else 0
         writer = csv.writer(buf, lineterminator="\n")
-        # one column per series, headed by its name in the singular
-        writer.writerow(["step", *[f"x{i}" for i in range(dim)], *[n[:-1] for n in _SERIES]])
-        series = [getattr(self, name) for name in _SERIES]
-        for i, p in enumerate(points):
-            writer.writerow([i, *p, *(float(s[i - 1]) if 1 <= i <= len(s) else "" for s in series)])
+        # one column per series, headed by its name in the singular, blank at the start
+        writer.writerow(["step", *[f"x{i}" for i in range(dim)], *[s[:-1] for s in _SERIES]])
+        series = [["", *map(float, getattr(self, s)), *[""] * n][:n] for s in _SERIES]
+        # columns of Python floats, which csv writes as their repr
+        writer.writerows(zip(range(n), *points.T.tolist(), *series))
         return buf.getvalue()
 
     @classmethod
@@ -216,39 +223,69 @@ class IterationTrace:
         return trace
 
 
-def _least_norm(box) -> float:  # of a value in a one-row value box; inf outside the domain
-    norm = l2(_min_norm(*box)[0])
-    return math.inf if math.isnan(norm) else norm
+# Runs take chunks of 1, 2, 4, ... steps, so one that stops after k steps computes at
+# most about 2k + 1 closed-form steps.
+_CHUNK_GROWTH = 2
 
 
-def _run(trace: IterationTrace, x: np.ndarray, steps: int, step: Callable,
+def _zero_residuals(box) -> np.ndarray:
+    """The least norm of a value in each row of a value box; inf outside the domain."""
+    norms = _norms(_min_norm(*box))
+    norms[np.isnan(norms)] = math.inf
+    return norms
+
+
+def _step(op: SetValuedOperator, floor: float, gamma, x: np.ndarray) -> np.ndarray:
+    """``J_gamma(x)`` by the closed form alone: its check comes with its chunk's."""
+    if not gamma > floor:
+        raise _refusal(op, gamma)
+    gammas, X = np.array([gamma]), x[None]
+    if op.resolvent_domain_fn is not None and not op.resolvent_domain_fn(gammas, X)[0]:
+        raise OutsideDomain(f"{op.name}: {x} outside the resolvent domain at gamma = {gamma}")
+    return _closed_form(op, gammas, X)[0]
+
+
+def _diverges(res: np.ndarray) -> list:
+    """The first step whose residual is past the float range, as an event."""
+    finite = np.isfinite(res)
+    return [] if finite.all() else [(int(np.argmin(finite)), "diverged")]
+
+
+def _run(trace: IterationTrace, x: np.ndarray, steps: int, chunk: Callable,
          zero_res: float, zero_tol: float, divergence_guard: float) -> IterationTrace:
-    """The run loop of every scheme: test the current point, then take step ``n``.
+    """The run loop of every scheme: test the start, then take steps a chunk at a time.
 
-    ``step(n, x)`` gives the next point, the step size, the step and value residuals and
-    the next point's zero residual, or raises ``OutsideDomain``.  A point whose zero
-    residual (``zero_res`` for the start) is at most ``zero_tol`` is a zero.
+    ``chunk(n, x, m)`` takes up to ``m`` steps from step ``n`` at ``x`` and gives the
+    points they reach, their step sizes, step, value and zero residuals, and the events
+    that end a step before it reaches its point: ``(row, stop)`` pairs in the order a
+    step meets them, ``stop`` being what the step raises or ``"diverged"``.  The run
+    keeps the steps up to the first stop, as one step at a time would: a step's events,
+    then the guard and the zero test (``zero_res`` at most ``zero_tol``) at its point.
     """
     trace.push(x)
-    for n in range(steps + 1):
-        if l2(x) > divergence_guard:
-            trace.diverged = True
-            break
-        if zero_res <= zero_tol:
-            trace.reached_zero_at = n
-            break
-        if n == steps:
-            break
-        try:
-            nxt, gamma, res, vres, zero_res = step(n, x)
-        except OutsideDomain:
-            trace.outside_domain_at = n
-            break
-        if not math.isfinite(res + vres):  # past the float range: the run has blown up
-            trace.diverged = True
-            break
-        trace.push(nxt, gamma=gamma, step_res=res, value_res=vres)
-        x = nxt
+    n, size = 0, 1
+    with np.errstate(all="ignore"):  # past the float range, a step or the guard ends the run
+        stop = "diverged" if l2(x) > divergence_guard else "zero" if zero_res <= zero_tol else None
+        while stop is None and n < steps:
+            P, gammas, res, vres, zero_res, events = chunk(n, x, min(size, steps - n))
+            far = _norms(P) > divergence_guard
+            at, stop = min(events, key=lambda event: event[0], default=(len(P), None))
+            ends = far[:at] | (zero_res[:at] <= zero_tol)
+            if ends.any():
+                at = int(np.argmax(ends)) + 1
+                stop = "diverged" if far[at - 1] else "zero"
+            trace.points += list(P[:at])
+            for name, values in zip(_SERIES, (gammas, res, vres)):
+                getattr(trace, name).extend(map(float, values[:at].tolist()))
+            n, x, size = n + at, P[-1] if len(P) else x, size * _CHUNK_GROWTH
+    if stop == "diverged":
+        trace.diverged = True
+    elif stop == "zero":
+        trace.reached_zero_at = n
+    elif isinstance(stop, OutsideDomain):
+        trace.outside_domain_at = n
+    elif stop is not None:
+        raise stop  # a step the run reached raised it
     return trace
 
 
@@ -264,36 +301,41 @@ def proximal_point(
 
     Stops early at a certified zero (minimal-norm value below ``zero_tol``, the start
     point included), on leaving the resolvent domain (index recorded) or when the iterate
-    norm passes the divergence guard or a residual leaves the float range.  A step's
-    value residual is ``|u|`` for ``u = (x_n - x_{n+1}) / gamma_n``, or, where ``x_{n+1}``
-    rounds to ``x_n`` and leaves ``u`` noise, the least norm of a value at ``x_{n+1}``, which
-    the zero test reads too: it comes from the value box the resolvent kernel verified the
-    step against, so a step makes one ``op.value_box`` call (the start makes its own).
-    A schedule whose last requested step size is not positive (it underflowed) is refused.
+    norm passes the divergence guard or a residual leaves the float range.  A chunk of
+    steps takes the closed form a step at a time, then checks every step as
+    ``resolve_rows`` does, with one ``op.value_box`` call at the points they reach (the
+    start makes its own).  A step's value residual is ``|u|`` for ``u = (x_n - x_{n+1}) /
+    gamma_n``, or, where ``x_{n+1}`` rounds to ``x_n`` and leaves ``u`` noise, the least
+    norm of a value at ``x_{n+1}``, which the zero test reads too.  A schedule whose last
+    requested step size is not positive (it underflowed) is refused.
     """
     sched = _as_schedule(schedule)
     x = as_vector(x0, op.dim)
     if steps and not sched(steps - 1) > 0:  # no schedule kind grows: the last step is least
         raise ScheduleSyntaxError(f"schedule {sched.spec!r} is not positive within steps = {steps}")
-    seen = []  # the last value box the kernel evaluated: the one at x_{n+1} after step n
+    floor = _floor(op)
 
-    def value_box(P, box_of=op.value_box):
-        seen[:] = box = box_of(P)
-        return box
-
-    seeing = replace(op, value_box=value_box)
-
-    def step(n, x):
-        gamma = sched(n)
-        nxt, u = resolvent(seeing, gamma, x, with_value=True)
-        res, vres, least = l2(nxt - x), l2(u), _least_norm(seen)
-        if math.isnan(vres):  # nxt rounds to x: the values at nxt stand in for the noise u
-            vres = least
-        return nxt, gamma, res, vres, least
+    def chunk(n, x0, m):
+        x, points, gammas, events = x0, [], [], []
+        try:
+            for k in range(n, n + m):
+                gammas.append(sched(k))
+                x = _step(op, floor, gammas[-1], x)
+                points.append(x)
+        except Exception as exc:  # it stops the run only if the run reaches this step
+            events.append((len(points), exc))
+        P = np.array(points).reshape(-1, op.dim)
+        X, G = np.concatenate([x0[None], P])[:-1], np.array(gammas[: len(P)])
+        U, box, failed = _verify_rows(op, G, X, P)
+        res, vres, least = _norms(P - X), _norms(U), _zero_residuals(box)
+        vres = np.where(np.isnan(vres), least, vres)  # noise u: the values at P stand in
+        return P, G, res, vres, least, events + failed + _diverges(res + vres)
 
     params = {"schedule": sched.spec, "steps": steps, "zero_tol": zero_tol}
-    return _run(IterationTrace("proximal_point", params), x, steps, step,
-                _least_norm(op.value_box(x[None])), zero_tol, divergence_guard)
+    with np.errstate(over="ignore"):  # past the float range: the guard stops the run
+        zero_res = _zero_residuals(op.value_box(x[None]))[0]
+    return _run(IterationTrace("proximal_point", params), x, steps, chunk,
+                zero_res, zero_tol, divergence_guard)
 
 
 def moudafi_iteration(
@@ -312,19 +354,42 @@ def moudafi_iteration(
     Fixed points satisfy ``T_lam(x)`` being a value of the second operator
     at ``x``.  The value residual reported per step is the fixed-point
     displacement divided by ``mu``; a displacement of at most ``zero_tol`` stops the run.
+    A chunk of steps takes both closed forms a step at a time, then checks each
+    operator's resolvents in one batch, refusing what ``yosida`` and ``resolvent`` refuse.
     """
     if op_t.dim != op_s.dim:
         raise DimensionMismatch("operator dimensions differ")
     x = as_vector(x0, op_t.dim)
+    floor_t, floor_s = _floor(op_t), _floor(op_s)
 
-    def step(n, x):
-        shifted = x + mu * yosida(op_t, lam, x)  # past the float range, it ends the run
-        nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
-        res = l2(nxt - x)
-        return nxt, mu, res, res / mu, res  # its zero test reads the step residual
+    def chunk(n, x0, m):
+        x, ts, shifts, points, stop = x0, [], [], [], []
+        try:
+            for _ in range(m):
+                ts.append(_step(op_t, floor_t, lam, x))
+                shifts.append(x + mu * ((x - ts[-1]) / lam))
+                if not np.isfinite(shifts[-1]).all():  # past the float range: it blew up
+                    stop = [(len(points), "diverged")]
+                    break
+                x = _step(op_s, floor_s, mu, shifts[-1])
+                points.append(x)
+        except Exception as exc:  # it stops the run only if the run reaches this step
+            stop = [(len(points), exc)]
+        k, X = len(points), np.array([x0, *points])
+        P, dim = X[1:], op_t.dim
+        # a step checks T's resolvent, then its u for noise, then takes S's and checks it
+        U, _, events = _verify_rows(op_t, np.full(len(ts), lam), X[: len(ts)],
+                                    np.array(ts).reshape(-1, dim))
+        events += [(int(j), _yosida_lost(op_t, lam, X[j]))
+                   for j in np.flatnonzero(np.isnan(U[:, 0]))[:1]]
+        shifted = np.array(shifts[:k]).reshape(-1, dim)
+        events += stop + _verify_rows(op_s, np.full(k, mu), shifted, P)[2]
+        res = _norms(P - X[:k])
+        vres = res / mu
+        return P, np.full(k, mu, dtype=float), res, vres, res, events + _diverges(res + vres)
 
     params = {"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol}
-    return _run(IterationTrace("moudafi", params), x, steps, step,
+    return _run(IterationTrace("moudafi", params), x, steps, chunk,
                 math.nan, zero_tol, divergence_guard)  # no step yet: NaN fails every zero_tol
 
 

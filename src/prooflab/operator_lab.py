@@ -186,44 +186,67 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     """Resolvents ``P`` of the rows of ``X[N, d]`` at step sizes ``gammas[N]``, and the
     values ``U = (X - P) / gammas`` at them; both NaN outside the resolvent domain.
 
-    Closed forms are preferred; a contraction iteration covers single-valued
-    instances with ``gamma * lipschitz < 1``.  On instances declaring a
-    negative comonotonicity degree ``rho`` the call refuses step sizes with
-    ``rho <= -gamma/2``, where single-valuedness is no longer guaranteed.
-    Every row is verified against the defining inclusion: the distance from ``u`` to the
-    value box at ``p`` is at most ``tol * max(1, |u|)``.  When ``gamma`` is far below
-    ``ulp(x)``, ``p`` rounds to ``x`` and ``u`` is off by about ``ulp(x) / gamma``: ``p``
-    is accepted with that rounding, the L2 norm of the coordinate spacings over
-    ``gamma``, added to the tolerance, and its ``U`` row, noise, is NaN.
+    Step sizes at or below ``_floor(op)`` are refused, rows in the domain take
+    ``_closed_form`` and ``_verify_rows`` checks them; runs of the proximal point and
+    Moudafi schemes take the same pieces, a chunk of steps at a time.
     """
     if X.shape != (len(gammas), op.dim):
         raise DimensionMismatch(f"expected {len(gammas)} rows of dimension {op.dim}, got {X.shape}")
-    floor = -2 * op.rho if op.rho is not None and op.rho < 0 else 0
+    floor = _floor(op)
     if len(gammas) and not gammas.min() > floor:  # also refuses NaN
-        gamma = gammas[np.argmin(gammas > floor)]
-        if not gamma > 0:
-            raise NonPositiveGamma(f"gamma = {gamma}")
-        raise ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
+        raise _refusal(op, gammas[np.argmin(gammas > floor)])
     inside = None if op.resolvent_domain_fn is None else op.resolvent_domain_fn(gammas, X)
     if inside is not None and not inside.all():
         P, U = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
         P[inside], U[inside] = resolve_rows(op, gammas[inside], X[inside], tol)
         return P, U
+    P = _closed_form(op, gammas, X)
+    U, _, failed = _verify_rows(op, gammas, X, P, tol)
+    if failed:
+        raise failed[0][1]
+    return P, U
+
+
+def _floor(op: SetValuedOperator) -> float:
+    """Step sizes at or below this are refused: 0, or ``-2 * rho`` for a declared negative
+    comonotonicity degree ``rho``, where single-valuedness is no longer guaranteed."""
+    return -2 * op.rho if op.rho is not None and op.rho < 0 else 0
+
+
+def _refusal(op: SetValuedOperator, gamma) -> ValueError:
+    if not gamma > 0:
+        return NonPositiveGamma(f"gamma = {gamma}")
+    return ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
+
+
+def _closed_form(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Unverified resolvents: the closed form, or a contraction iteration covering
+    single-valued instances with ``gamma * lipschitz < 1``."""
     if op.resolvent_fn is not None:
-        p = np.asarray(op.resolvent_fn(gammas, X), dtype=float)
-    else:
-        p = np.array([_damped_fixed_point(op, *row) for row in zip(gammas, X)]).reshape(X.shape)
-    u = (X - p) / gammas[:, None]
-    miss = _distance(*op.value_box(p), u)
-    if not miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
-        tols = tol * np.maximum(1.0, _norms(u))
-        rounding = _norms(np.spacing(np.maximum(abs(X), abs(p)))) / gammas
-        good = miss <= tols + rounding
-        if not good.all():
-            gamma, x = gammas[~good][0], X[~good][0]
-            raise NoConvergence(f"{op.name}: defining inclusion fails at gamma = {gamma}, x = {x}")
-        u[~(miss <= tols)] = np.nan
-    return p, u
+        return np.asarray(op.resolvent_fn(gammas, X), dtype=float)
+    return np.array([_damped_fixed_point(op, *row) for row in zip(gammas, X)]).reshape(X.shape)
+
+
+def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np.ndarray,
+                 tol: float = 1e-8):
+    """The values ``U = (X - P) / gammas``, the value box at ``P``, and the first row
+    failing the defining inclusion as ``[(row, NoConvergence)]`` (``[]`` if none).  A row
+    passes when the distance from ``u`` to the box at ``p`` is at most ``tol * max(1,
+    |u|)``.  When ``gamma`` is far below ``ulp(x)``, ``p`` rounds to ``x`` and ``u`` is off
+    by about ``ulp(x) / gamma``: ``p`` is accepted with that rounding, the L2 norm of the
+    coordinate spacings over ``gamma``, added to the tolerance, and its ``U`` row is NaN.
+    """
+    U = (X - P) / gammas[:, None]
+    box = op.value_box(P)
+    miss = _distance(*box, U)
+    if miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
+        return U, box, []
+    tols = tol * np.maximum(1.0, _norms(U))
+    good = miss <= tols + _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
+    U[~(miss <= tols)] = np.nan
+    return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
+                                           f"{gammas[j]}, x = {X[j]}"))
+                    for j in np.flatnonzero(~good)[:1]]
 
 
 def _damped_fixed_point(op: SetValuedOperator, gamma, x: np.ndarray) -> np.ndarray:
@@ -247,8 +270,12 @@ def yosida(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8) -> np.ndar
     """Single-valued approximant ``(x - resolvent(x)) / gamma``."""
     _, u = resolvent(op, gamma, x, tol=tol, with_value=True)
     if math.isnan(u[0]):
-        raise NoConvergence(f"{op.name}: Yosida value lost to rounding at gamma = {gamma}, x = {x}")
+        raise _yosida_lost(op, gamma, x)
     return u
+
+
+def _yosida_lost(op: SetValuedOperator, gamma, x) -> NoConvergence:
+    return NoConvergence(f"{op.name}: Yosida value lost to rounding at gamma = {gamma}, x = {x}")
 
 
 # ---------------------------------------------------------------- catalog

@@ -1,13 +1,17 @@
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prooflab.algorithms import (
+    _CHUNK_GROWTH,
     DIVERGENCE_GUARD,
     GammaSchedule,
     IterationTrace,
@@ -19,7 +23,9 @@ from prooflab.algorithms import (
     trace_report,
 )
 from prooflab.operator_lab import (
+    ComonotoneStepError,
     DimensionMismatch,
+    NoConvergence,
     NonFiniteInput,
     OutsideDomain,
     abs_subdifferential,
@@ -32,6 +38,7 @@ from prooflab.operator_lab import (
     resolvent,
     scaled_identity,
     tan_subgradient,
+    yosida,
 )
 
 
@@ -226,7 +233,7 @@ def test_ppa_refuses_a_schedule_that_underflows(spec, steps):
     assert repr(spec) in str(exc.value) and f"steps = {steps}" in str(exc.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rounding allowance overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the run ignores its own overflows
 def test_ppa_runs_a_schedule_down_to_its_least_subnormal_step():
     trace = proximal_point(abs_subdifferential(), 100.0, "geom:1,0.5", steps=1075)
     assert len(trace.points) == 1076 and trace.gammas[-1] == 5e-324
@@ -378,7 +385,7 @@ def test_trace_report_zero_must_match_the_dimension():
         trace_report(trace, zero=[0.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # inf already says it diverged
 def test_runs_stop_when_numbers_leave_the_float_range():
     box = box_indicator([-1.0], [1.0])
     runs = [
@@ -411,12 +418,17 @@ def _counting(op):
     ("box_normal_cone", [2.0, -3.0, 0.5], "geom:1,0.5", 30),
     ("neg_half_identity", [1.0, 0.0], "const:8.0", 30),
     ("tan_subgradient", [1.2], "const:0.006", 60),
+    ("identity", [2.0, -1.0], "const:0.006", 1000),
 ])
-def test_ppa_evaluates_the_value_box_once_a_step(name, x0, schedule, steps):
+def test_ppa_evaluates_the_value_box_once_a_chunk(name, x0, schedule, steps):
     op, calls = _counting(build_catalog(0)[name])
     trace = proximal_point(op, x0, schedule, steps=steps)
     assert trace.outside_domain_at is None and not trace.diverged
-    assert calls == [1] * len(trace.points)  # the start, then one box per step taken
+    taken, chunks = len(trace.points) - 1, []
+    while sum(chunks) < taken:  # chunks of 1, 2, 4, ... steps up to the one holding the stop
+        chunks.append(min(_CHUNK_GROWTH ** len(chunks), steps - sum(chunks)))
+    assert calls == [1, *chunks]  # the start, then one box per chunk over all its steps
+    assert sum(calls) <= 2 * taken + 1
     if x0 == [100.0]:  # the run does take the fallback from noise u to the box
         x, gamma = trace.points[-2], trace.gammas[-1]
         assert math.isnan(resolvent(op, gamma, x, with_value=True)[1][0])
@@ -480,31 +492,218 @@ REFERENCE_CASES = [(name, x0, sched, 60) for name, (x0, scheds) in REFERENCE_RUN
 REFERENCE_CASES += [("abs_subdiff", [100.0], "geom:1,0.5", 100),  # the noise-u fallback
                     ("tan_subgradient", [1.3], "const:0.05", 60),  # leaves the domain
                     ("box_normal_cone", [1.2] * 3, "const:1e-300", 5)]  # |u| overflows
+REFERENCE_CASES += [  # 1000-step runs, as the benchmark makes them
+    ("identity", [2.0, -3.0], "const:0.006", 1000),
+    ("psd_skew", [1.0, 2.0, 3.0, -1.0, 0.0, 5.0], "harmonic:0.7", 1000),
+    ("abs_subdiff", [4.0], "harmonic:0.4", 1000),  # soft thresholding that never reaches 0
+    ("abs_subdiff", [-4.0], "const:0.005", 1000),  # reaches the zero at step 801
+    ("neg_half_identity", [3.0, -1.0], "geom:9,0.999", 1000),  # and at step 18
+    ("tan_subgradient", [1.4], "const:0.0013", 1000),  # leaves the domain at step 604
+]
+# Chunks end after 1, 3, 7, 15, 31, ... steps: stops at steps 14, 15 and 16 land just before,
+# on and just after the end of one.
+REFERENCE_CASES += [(name, x0, sched, steps) for name, x0, sched, steps in (
+    *(("abs_subdiff", [a], "const:1.0", 60) for a in (13.5, 14.5, 15.5)),  # a zero
+    *(("identity", [2.0, -1.5], "const:0.3", steps) for steps in (14, 15, 16)),  # steps run out
+    *(("tan_subgradient", [1.3], f"const:{g}", 60) for g in (0.056, 0.0525, 0.05)),  # the domain
+)]
+REFERENCE_CASES += [  # refused mid-run
+    ("psd_skew", [2.0] * 6, "geom:1,0.5", 60),  # NoConvergence at gamma = 1.82e-12
+    ("neg_half_identity", [1.0, 1.0], "geom:10,0.5", 60),  # ComonotoneStepError at gamma = 2.5
+]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the box run at 1e-300 overflows
+def _outcome(run):
+    """Everything a run gives: its trace, or the class and message of what it raised."""
+    try:
+        trace = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    series = [list(map(repr, getattr(trace, name))) for name in ("gammas", "step_residuals",
+                                                                  "value_residuals")]
+    return (np.array(trace.points).tobytes(), series, trace.diverged, trace.outside_domain_at,
+            trace.reached_zero_at, trace.to_json())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference loop's norms overflow
 @pytest.mark.parametrize("name, x0, schedule, steps", REFERENCE_CASES)
 def test_ppa_matches_the_reference_loop_bit_for_bit(name, x0, schedule, steps):
     op = build_catalog(0)[name]
-    got, want = proximal_point(op, x0, schedule, steps), _reference_ppa(op, x0, schedule, steps)
-    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
-    for field_name in ("gammas", "step_residuals", "value_residuals"):
-        assert list(map(repr, getattr(got, field_name))) == list(map(repr, getattr(want, field_name)))
-    assert (got.diverged, got.outside_domain_at, got.reached_zero_at) == (
-        want.diverged, want.outside_domain_at, want.reached_zero_at)
-    assert got.to_json() == want.to_json()
+    assert _outcome(lambda: proximal_point(op, x0, schedule, steps)) == _outcome(
+        lambda: _reference_ppa(op, x0, schedule, steps))
+
+
+def _no_step_from_zero(gammas, X):  # a closed form that fails past the run's stop
+    if not X.all():
+        raise RuntimeError("no step from 0")
+    return abs_subdifferential().resolvent_fn(gammas, X)
+
+
+def _wrong_then_failing(gammas, X):  # right from 0.8 up, wrong below it, failing below 0.3
+    if X[0, 0] < 0.3:
+        raise RuntimeError("no step below 0.3")
+    return X - gammas[:, None] * np.where(X < 0.8, 0.25, 1.0)
+
+
+# (operator, start point, schedule, steps, zero_tol)
+EDGE_RUNS = {
+    **{f"refused-at-step-{r + 1}": (  # by then the point is below 1e-9: zero_tol = 0
+        scaled_identity(-0.5, 2), [1.0, 1.0], f"geom:{4.5 * 2**r!r},0.5", 60, 0.0)
+       for r in (13, 14, 15)},
+    # the guard stops the run at step 17, in the chunk of steps 15 to 30, where later
+    # steps grow the point by 1e10 a step past the float range
+    "guard-before-overflow": (DOUBLING, [1e-150], "const:2.0000000002", 40, 0.0),
+    "error-past-a-zero": (
+        dataclasses.replace(abs_subdifferential(), resolvent_fn=_no_step_from_zero),
+        [3.5], "const:1.0", 50, 1e-9),
+    # step 3 fails its check and step 4 raises, both in the chunk of steps 3 to 6
+    "error-past-a-failed-check": (
+        dataclasses.replace(abs_subdifferential(), resolvent_fn=_wrong_then_failing),
+        [3.5], "const:1.0", 50, 1e-9),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference loop's norms overflow
+@pytest.mark.parametrize("case", EDGE_RUNS)
+def test_ppa_edge_runs_match_the_reference_loop(case):
+    op, x0, schedule, steps, zero_tol = EDGE_RUNS[case]
+    got = _outcome(lambda: proximal_point(op, x0, schedule, steps, zero_tol=zero_tol))
+    assert got == _outcome(lambda: _reference_ppa(op, x0, schedule, steps, zero_tol=zero_tol))
+    if case.startswith("refused"):
+        assert got[0] is ComonotoneStepError
+    elif case == "error-past-a-failed-check":
+        assert got[0] is NoConvergence
+    else:
+        assert got[2 if case == "guard-before-overflow" else 4] not in (False, None)
 
 
 def test_reference_runs_cover_every_stop_reason():
     outcomes = set()
     for name, x0, schedule, steps in REFERENCE_CASES:
-        with np.errstate(over="ignore"):
+        try:
             trace = proximal_point(build_catalog(0)[name], x0, schedule, steps)
+        except (NoConvergence, ComonotoneStepError) as exc:
+            outcomes.add(type(exc))
+            continue
         outcomes.add((trace.diverged, trace.outside_domain_at is not None,
                       trace.reached_zero_at not in (None, 0)))
-    # steps run out, a zero mid-run, leaving the domain, diverging
+    # steps run out, a zero mid-run, leaving the domain, diverging, the two refusals
     assert outcomes >= {(False, False, False), (False, False, True), (False, True, False),
-                        (True, False, False)}
+                        (True, False, False), NoConvergence, ComonotoneStepError}
+
+
+def _reference_moudafi(op_t, op_s, x0, mu, lam, steps, zero_tol=1e-9, guard=DIVERGENCE_GUARD):
+    """Moudafi's scheme a step at a time through ``yosida`` and ``resolvent``, with its own
+    zero test on the step residual and ``np.linalg.norm`` for norms."""
+
+    def norm(v):
+        return float(np.linalg.norm(v))
+
+    params = {"mu": mu, "lambda": lam, "steps": steps, "zero_tol": zero_tol}
+    trace = IterationTrace("moudafi", params)
+    x, res = as_vector(x0, op_t.dim), math.nan
+    trace.push(x)
+    for n in range(steps + 1):
+        if norm(x) > guard:
+            trace.diverged = True
+            break
+        if res <= zero_tol:
+            trace.reached_zero_at = n
+            break
+        if n == steps:
+            break
+        try:
+            shifted = x + mu * yosida(op_t, lam, x)
+            nxt = resolvent(op_s, mu, shifted) if np.isfinite(shifted).all() else shifted
+        except OutsideDomain:
+            trace.outside_domain_at = n
+            break
+        res = norm(nxt - x)
+        if not math.isfinite(res + res / mu):
+            trace.diverged = True
+            break
+        trace.push(nxt, gamma=mu, step_res=res, value_res=res / mu)
+        x = nxt
+    return trace
+
+
+OPERATORS = build_catalog(0)
+
+# (T, S, start point, mu, lambda, steps)
+MOUDAFI_RUNS = {
+    **{f"{name}-1000": (OPERATORS[name], OPERATORS[name], x0, mu, mu, 1000)
+       for name, x0, mu in (("identity", [2.0, -3.0], 0.5),
+                            ("psd_skew", [1.0, 2.0, 3.0, -1.0, 0.0, 5.0], 0.05),
+                            ("abs_subdiff", [4.0], 0.05),
+                            ("box_normal_cone", [2.0, -3.0, 0.5], 0.5),
+                            ("neg_half_identity", [3.0, -1.0], 8.0),
+                            ("tan_subgradient", [1.2], 0.002))},
+    "zero": (identity_operator(1), identity_operator(1), 1.0, 1.0, 1.0, 500),
+    "steps-end-on-a-chunk": (identity_operator(1), identity_operator(1), 8.0, 1.0, 1.0, 15),
+    "diverged": (identity_operator(1), DOUBLING, 1.0, 1.0, 1.0, 100),
+    "outside-domain-of-t": (tan_subgradient(), identity_operator(1), 0.5, 1.0, 1.0, 50),
+    "outside-domain-of-s": (identity_operator(1), tan_subgradient(), 1.2, 1.0, 1.0, 50),
+    "start-past-the-float-range": (OPERATORS["neg_half_identity"], OPERATORS["neg_half_identity"],
+                                   [1e300, 1.0], 8.0, 8.0, 50),
+    "shift-overflows": (identity_operator(1), identity_operator(1), 100.0, 1e308, 1.0, 50),
+    "value-residual-overflows": (box_indicator([-1.0], [1.0]), box_indicator([-1.0], [1.0]),
+                                 8.0, 1e-310, 1.0, 3),
+    "mu-refused": (OPERATORS["identity"], OPERATORS["neg_half_identity"], [1.0, 2.0], 1.0, 8.0, 50),
+    "lambda-refused": (OPERATORS["neg_half_identity"], OPERATORS["identity"],
+                       [1.0, 2.0], 8.0, 1.0, 50),
+    "yosida-noise-before-mu-refused": (OPERATORS["identity"], OPERATORS["neg_half_identity"],
+                                       [1.0, 2.0], 1.0, 1e-300, 50),
+    # |x| doubles each step, until its u is rounding noise near x = 1534
+    "yosida-noise-mid-run": (abs_subdifferential(), DOUBLING, 1.0, 1.0, 1e-6, 60),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference loop's norms overflow
+@pytest.mark.parametrize("case", MOUDAFI_RUNS)
+def test_moudafi_matches_the_reference_loop_bit_for_bit(case):
+    op_t, op_s, x0, mu, lam, steps = MOUDAFI_RUNS[case]
+    assert _outcome(lambda: moudafi_iteration(op_t, op_s, x0, mu, lam, steps)) == _outcome(
+        lambda: _reference_moudafi(op_t, op_s, x0, mu, lam, steps))
+
+
+def test_moudafi_reference_runs_cover_every_stop_reason():
+    outcomes = set()
+    for op_t, op_s, x0, mu, lam, steps in MOUDAFI_RUNS.values():
+        try:
+            trace = moudafi_iteration(op_t, op_s, x0, mu, lam, steps)
+        except (NoConvergence, ComonotoneStepError) as exc:  # u noise, a refused step size
+            outcomes.add(type(exc))
+            continue
+        outcomes.add((trace.diverged, trace.outside_domain_at, trace.reached_zero_at,
+                      len(trace.points) - 1 == steps))
+    assert {NoConvergence, ComonotoneStepError} <= outcomes
+    assert {o[0] for o in outcomes if isinstance(o, tuple)} == {True, False}
+    assert any(isinstance(o, tuple) and o[1] is not None and o[1] > 0 for o in outcomes)
+    assert any(isinstance(o, tuple) and o[2] is not None and o[2] > 0 for o in outcomes)
+
+
+def test_runs_past_the_float_range_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        neg_half = OPERATORS["neg_half_identity"]
+        trace = moudafi_iteration(neg_half, neg_half, [1e300, 1.0], mu=8.0, lam=8.0)
+        assert trace.diverged and len(trace.points) == 1
+        trace = proximal_point(DOUBLING, 1e-150, "const:2.0000000002", 40, zero_tol=0.0)
+        assert trace.diverged and len(trace.points) == 18  # later steps went past 1e308
+
+
+def test_every_traced_binding_exists():
+    """``perfbench/tracing.py`` wraps each ``(module, attribute)`` of ``TRACED`` by
+    reading the attribute from the module's ``__dict__``; one that is gone fails every
+    traced run."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
+    for _, _, bindings in traced:
+        for path, attr in bindings:
+            module, _, owner = path.partition(".")
+            obj = importlib.import_module(f"prooflab.{module}")
+            assert attr in (getattr(obj, owner) if owner else obj).__dict__, (path, attr)
 
 
 @pytest.mark.parametrize("change, named", [

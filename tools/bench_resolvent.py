@@ -4,13 +4,15 @@ For each instance it builds 300 rows ``(gamma, x)`` cycling the instance's
 step-size grid, the way proximal-point runs meet them: half are drawn from
 the resolvent domain, and the next iterate ``J_gamma(x)`` of each drawn row
 follows it where it still lies in the domain (for the box, a point on its
-faces or inside); more drawn rows fill up the rest.  Two medians over
+faces or inside); more drawn rows fill up the rest.  Three medians over
 ``--repeats`` timed passes are reported:
 
 - ``scalar_us_per_call``: one ``resolvent(op, gamma, x)`` call per row;
 - ``batch_us_per_row``: one ``resolve_rows(op, gammas, X)`` call over all rows,
   divided by the row count.  A source tree without ``resolve_rows`` resolves
-  the batch with one ``resolvent`` call per row instead.
+  the batch with one ``resolvent`` call per row instead;
+- ``ppa_us_per_step``: one ``proximal_point`` run of at most ``PPA_STEPS`` steps from
+  the instance's start in ``PPA_RUNS``, divided by the steps it takes.
 
 For ``tan_subgradient``, whose bisection takes one path for small batches and
 another for large ones, ``batch_us_per_row_by_rows`` also gives
@@ -46,6 +48,16 @@ METRICS = {
     "scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
     "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, per row; a "
     "source without the batch kernel resolves one call per row",
+    "ppa_us_per_step": "one proximal_point run of at most 1000 steps from PPA_RUNS, per step taken",
+}
+PPA_STEPS = 1000
+PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload draws them
+    "identity": ([2.0, -3.0], "const:0.006"),
+    "psd_skew": ([1.0, 2.0, 3.0, -1.0, 0.0, 5.0], "const:0.006"),
+    "abs_subdiff": ([4.0], "harmonic:0.4"),  # never reaches the zero
+    "box_normal_cone": ([2.0, -3.0, 0.5], "harmonic:1.0"),  # reaches a face, a zero, at step 1
+    "neg_half_identity": ([3.0, -1.0], "const:8.0"),  # reaches the zero at step 20
+    "tan_subgradient": ([1.4], "const:0.0013"),  # leaves the domain at step 604
 }
 SWEEP = "batch_us_per_row_by_rows"
 
@@ -91,7 +103,7 @@ def measure(src: str, repeats: int, seed: int) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from prooflab import operator_lab
+    from prooflab import algorithms, operator_lab
 
     resolvent = operator_lab.resolvent
     batch = getattr(operator_lab, "resolve_rows", None)
@@ -105,8 +117,14 @@ def measure(src: str, repeats: int, seed: int) -> dict:
                 resolvent(op, gamma, x)
 
         batched = scalar if batch is None else (lambda: batch(op, gammas, points))
+        x0, schedule = PPA_RUNS[name]
+
+        def ppa():
+            return algorithms.proximal_point(op, x0, schedule, PPA_STEPS)
+
         out[name] = {"scalar_us_per_call": _median_us(scalar, repeats),
-                     "batch_us_per_row": _median_us(batched, repeats)}
+                     "batch_us_per_row": _median_us(batched, repeats),
+                     "ppa_us_per_step": _median_us(ppa, repeats, len(ppa().points) - 1)}
         if name == "tan_subgradient" and batch is not None:
             op, gammas, points = _rows(operator_lab, np, name, seed, max(SIZES))
             out[name][SWEEP] = {
