@@ -27,7 +27,6 @@ from .operator_lab import (
     DimensionMismatch,
     OutsideDomain,
     SetValuedOperator,
-    _closed_form,
     _floor,
     _min_norm,
     _norms,
@@ -128,6 +127,33 @@ _SERIES = ("gammas", "step_residuals", "value_residuals")
 _OUTCOMES = ("diverged", "outside_domain_at", "reached_zero_at")
 
 
+def _csv_header(dim: int) -> list:
+    """A step column, a column per coordinate, and one per series, headed by its name
+    in the singular and blank on the start row."""
+    return ["step", *[f"x{i}" for i in range(dim)], *[s[:-1] for s in _SERIES]]
+
+
+def _checked(points, series: dict) -> tuple[list, dict]:
+    """The points and series a trace reader parsed, as a trace holds them, or
+    ``ValueError``: the points must be a non-empty list of equal-length finite vectors,
+    and each series one finite number per step, step sizes positive, residuals not
+    negative."""
+    points = np.asarray(points, dtype=float)  # an int past the float range overflows
+    if points.ndim != 2 or not len(points):
+        raise ValueError("points are not a non-empty list of equal-length vectors")
+    last = len(points) - 1
+    series = {name: [*map(float, values)] for name, values in series.items()}
+    if any(len(values) != last for values in series.values()):
+        raise ValueError(f"a series is not one entry per step of the {last}")
+    values = itertools.chain(*series.values())
+    if not (np.isfinite(points).all() and all(map(math.isfinite, values))):  # 1e400 is inf
+        raise ValueError("non-finite number: a value beyond the float range")
+    gammas, residuals = series["gammas"], [*series["step_residuals"], *series["value_residuals"]]
+    if not (all(g > 0 for g in gammas) and all(r >= 0 for r in residuals)):
+        raise ValueError("a step size that is not positive or a negative residual")
+    return list(points), series
+
+
 @dataclass
 class IterationTrace:
     """Full record of one run; ``points[0]`` is the start."""
@@ -173,27 +199,17 @@ class IterationTrace:
         try:
             data = json.loads(text, parse_constant=non_finite)
             numbers("points", [*itertools.chain.from_iterable(data["points"])])
-            points = np.asarray(data["points"], dtype=float)  # an int past the float range overflows
-            if points.ndim != 2 or not len(points):
-                raise ValueError("points are not a non-empty list of equal-length vectors")
+            points, series = _checked(data["points"],
+                                      {name: numbers(name, data[name]) for name in _SERIES})
             last = len(points) - 1  # the index of the last step, where a run stops
-            series = {name: [*map(float, numbers(name, data[name]))] for name in _SERIES}
-            if any(len(values) != last for values in series.values()):
-                raise ValueError(f"a series is not one entry per step of the {last}")
-            values = itertools.chain(*series.values())
-            if not (np.isfinite(points).all() and all(map(math.isfinite, values))):  # 1e400 is inf
-                raise ValueError("non-finite number: a value beyond the float range")
             for name in _OUTCOMES:
                 at = data[name]
                 if name == "diverged" and type(at) is not bool:
                     raise ValueError(f"diverged = {at!r} is not a bool")
                 if name != "diverged" and at is not None and (type(at) is not int or at != last):
                     raise ValueError(f"{name} = {at!r} is not null or the last step, {last}")
-            return cls(
-                data["algorithm"], data["params"], list(points),
-                **series,
-                **{name: data[name] for name in _OUTCOMES},
-            )
+            return cls(data["algorithm"], data["params"], points, **series,
+                       **{name: data[name] for name in _OUTCOMES})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"malformed trace: {exc!r}") from None
 
@@ -202,8 +218,7 @@ class IterationTrace:
         points = np.array(self.points)
         n, dim = len(points), points.shape[-1] if self.points else 0
         writer = csv.writer(buf, lineterminator="\n")
-        # one column per series, headed by its name in the singular, blank at the start
-        writer.writerow(["step", *[f"x{i}" for i in range(dim)], *[s[:-1] for s in _SERIES]])
+        writer.writerow(_csv_header(dim))
         series = [["", *map(float, getattr(self, s)), *[""] * n][:n] for s in _SERIES]
         # columns of Python floats, which csv writes as their repr
         writer.writerows(zip(range(n), *points.T.tolist(), *series))
@@ -211,16 +226,22 @@ class IterationTrace:
 
     @classmethod
     def from_csv(cls, text: str, algorithm: str = "", params: dict | None = None) -> "IterationTrace":
-        trace = cls(algorithm=algorithm, params=params or {})
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        dim = sum(1 for h in header if h.startswith("x"))
-        for row in reader:
-            trace.points.append(np.asarray([float(v) for v in row[1 : 1 + dim]]))
-            for name, value in zip(_SERIES, row[1 + dim :], strict=True):
-                if value:
-                    getattr(trace, name).append(float(value))
-        return trace
+        """The points and series of a trace as :meth:`to_csv` writes it, checked as
+        :meth:`from_json` checks them; a blank series cell is only on the start row."""
+        try:
+            header, *rows = csv.reader(io.StringIO(text))
+            dim = len(header) - 1 - len(_SERIES)
+            if header != _csv_header(dim):
+                raise ValueError(f"header {header} is not the header of a trace")
+            points = [[*map(float, row[1 : 1 + dim])] for row in rows]
+            columns = zip(*(row[1 + dim :] for row in rows), strict=True)
+            series = dict(zip(_SERIES, columns, strict=True))
+            if any(values[0] for values in series.values()):
+                raise ValueError("the start row holds a series value")
+            points, series = _checked(points, {name: v[1:] for name, v in series.items()})
+            return cls(algorithm, params or {}, points, **series)
+        except (csv.Error, ValueError) as exc:
+            raise TraceFormatError(f"malformed trace: {exc!r}") from None
 
 
 # Runs take chunks of 1, 2, 4, ... steps, so one that stops after k steps computes at
@@ -236,13 +257,13 @@ def _zero_residuals(box) -> np.ndarray:
 
 
 def _step(op: SetValuedOperator, floor: float, gamma, x: np.ndarray) -> np.ndarray:
-    """``J_gamma(x)`` by the closed form alone: its check comes with its chunk's."""
+    """``J_gamma(x)`` by ``op.resolvent_fn`` alone: its check comes with its chunk's."""
     if not gamma > floor:
         raise _refusal(op, gamma)
     gammas, X = np.array([gamma]), x[None]
     if op.resolvent_domain_fn is not None and not op.resolvent_domain_fn(gammas, X)[0]:
         raise OutsideDomain(f"{op.name}: {x} outside the resolvent domain at gamma = {gamma}")
-    return _closed_form(op, gammas, X)[0]
+    return op.resolvent_fn(gammas, X)[0]
 
 
 def _diverges(res: np.ndarray) -> list:

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=tolerance, default=tol, help="also PROOFLAB_TOL")
     p.add_argument("--gamma-grid", type=float_list, default=None)
     p.add_argument("--config", default=None, help="flat key=value overrides")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect on the output")
+    p.add_argument("--jobs", type=natural, default=1, help="accepted; has no effect on the output")
     p.set_defaults(fn=cmd_oplab)
 
     p = sub.add_parser("run", parents=[common], help="run an iteration and dump its trace")

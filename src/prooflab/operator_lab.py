@@ -1,11 +1,11 @@
 """Numerical laboratory for set-valued operators on R^d.
 
-Operators are given intensionally: a batched value box, optional closed-form
-resolvents, and a graph sampler.  Every value set is a coordinate box, so
-``value_box(P[N, d])`` returns ``(lo, hi)``: ``lo == hi`` for a single value, faces
-at -inf or inf allowed, NaN rows outside the domain.  Each value query (domain,
-membership distance, selection, least-norm point, sampling, one-sided excess) is
-derived from it once.  Checks are sampled falsification, reported with worst slacks.
+Operators are given intensionally: a batched value box, a batched resolvent and a
+graph sampler.  Every value set is a coordinate box, so ``value_box(P[N, d])``
+returns ``(lo, hi)``: ``lo == hi`` for a single value, faces at -inf or inf
+allowed, NaN rows outside the domain.  Each value query (domain, membership
+distance, selection, least-norm point, sampling, one-sided excess) is derived from
+it once.  Checks are sampled falsification, reported with worst slacks.
 
 Slack convention: each property is one array of slacks over the samples a
 check draws.  A sample passes when ``slack >= -tol``, so a negative slack
@@ -33,11 +33,7 @@ class OutsideDomain(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iterative resolvent fallback failed to verify its defining inclusion."""
-
-
-class NotAvailable(RuntimeError):
-    """No closed form or certified iteration applies."""
+    """A computed resolvent fails to verify its defining inclusion."""
 
 
 class PreconditionViolated(ValueError):
@@ -118,21 +114,22 @@ def one_sided_excess(source, target) -> np.ndarray:
 
 @dataclass
 class SetValuedOperator:
-    """An operator ``x -> subset of R^d`` with optional numerics attached."""
+    """An operator ``x -> subset of R^d``: its values, resolvents and graph samples."""
 
     name: str
     dim: int
     # P[N, d] -> (lo, hi): the value at P[i] is the box [lo[i], hi[i]], faces at -inf/inf
     # allowed, lo == hi for a single value; a row outside the domain holds NaN
     value_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    # (gammas[N], X[N, d]) -> resolvents P[N, d], and -> bool[N] for the domain
-    resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    # (gammas[N], X[N, d]) -> resolvents P[N, d], unverified: the kernel checks them
+    resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # (rng, count, radius) -> count pairs (x, u) with u a value at x
+    graph_sampler: Callable[[np.random.Generator, int, float], list]
+    # (gammas[N], X[N, d]) -> bool[N], the rows in the resolvent domain; unset means all
     resolvent_domain_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     rho: float | None = None
     declared_classes: tuple[str, ...] = ()
-    lipschitz: float | None = None
     norm_bound_on_ball: Callable[[float], float] | None = None
-    graph_sampler: Callable[[np.random.Generator, int, float], list] | None = None
     zero_point: np.ndarray | None = None
     # (rng, count, gamma, radius) -> (count, dim) points of the resolvent domain at
     # gamma; unset means the cube [-radius, radius]^dim
@@ -153,11 +150,6 @@ class SetValuedOperator:
     def minimal_norm(self, x) -> np.ndarray:
         return _min_norm(*self._box(x))
 
-    def graph_samples(self, rng: np.random.Generator, count: int, radius: float = 5.0) -> list:
-        if self.graph_sampler is None:
-            raise NotAvailable(f"{self.name} has no graph sampler")
-        return self.graph_sampler(rng, count, radius)
-
 
 def minimal_norm_selection(op: SetValuedOperator, x) -> np.ndarray:
     """The value of minimal norm: metric projection of the origin onto the set."""
@@ -167,8 +159,8 @@ def minimal_norm_selection(op: SetValuedOperator, x) -> np.ndarray:
 def clamp_tilde(x, bound: float) -> np.ndarray:
     """Radial clamp onto the closed ball of the given radius (identity inside)."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if bound <= 0:
-        raise ValueError("clamp radius must be positive")
+    if not 0 < bound < math.inf:  # also refuses NaN
+        raise ValueError(f"clamp radius must be finite and positive, got {bound}")
     return bound * v / max(l2(v), bound)
 
 
@@ -187,7 +179,7 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     values ``U = (X - P) / gammas`` at them; both NaN outside the resolvent domain.
 
     Step sizes at or below ``_floor(op)`` are refused, rows in the domain take
-    ``_closed_form`` and ``_verify_rows`` checks them; runs of the proximal point and
+    ``op.resolvent_fn`` and ``_verify_rows`` checks them; runs of the proximal point and
     Moudafi schemes take the same pieces, a chunk of steps at a time.
     """
     if X.shape != (len(gammas), op.dim):
@@ -200,7 +192,7 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
         P, U = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
         P[inside], U[inside] = resolve_rows(op, gammas[inside], X[inside], tol)
         return P, U
-    P = _closed_form(op, gammas, X)
+    P = op.resolvent_fn(gammas, X)
     U, _, failed = _verify_rows(op, gammas, X, P, tol)
     if failed:
         raise failed[0][1]
@@ -217,14 +209,6 @@ def _refusal(op: SetValuedOperator, gamma) -> ValueError:
     if not gamma > 0:
         return NonPositiveGamma(f"gamma = {gamma}")
     return ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
-
-
-def _closed_form(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Unverified resolvents: the closed form, or a contraction iteration covering
-    single-valued instances with ``gamma * lipschitz < 1``."""
-    if op.resolvent_fn is not None:
-        return np.asarray(op.resolvent_fn(gammas, X), dtype=float)
-    return np.array([_damped_fixed_point(op, *row) for row in zip(gammas, X)]).reshape(X.shape)
 
 
 def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np.ndarray,
@@ -247,23 +231,6 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}"))
                     for j in np.flatnonzero(~good)[:1]]
-
-
-def _damped_fixed_point(op: SetValuedOperator, gamma, x: np.ndarray) -> np.ndarray:
-    """The fixed point of ``p -> (p + x - gamma*A(p)) / 2`` for ``A`` single-valued
-    along the way, certified contractive only when ``gamma * lipschitz < 1``."""
-    if op.lipschitz is None or gamma * op.lipschitz >= 1:
-        raise NotAvailable(f"no resolvent method for {op.name} at gamma = {gamma}")
-    p = x.copy()
-    for _ in range(100_000):
-        lo, hi = op.value_box(p[None])
-        if not (lo == hi).all():  # also a NaN row
-            raise NotAvailable(f"{op.name} is not single-valued at {p}")
-        nxt = (p + x - gamma * lo[0]) / 2
-        if l2(nxt - p) <= 1e-10:
-            return nxt
-        p = nxt
-    raise NoConvergence(f"{op.name}: resolvent iteration stalled")
 
 
 def yosida(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8) -> np.ndarray:
@@ -315,7 +282,6 @@ def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
         resolvent_fn=resolvent_fn,
         rho=None,
         declared_classes=classes,
-        lipschitz=op_norm,
         norm_bound_on_ball=lambda r: op_norm * r,
         zero_point=np.zeros(dim),
     )
@@ -422,7 +388,6 @@ def scaled_identity(c: float, dim: int = 2) -> SetValuedOperator:
         resolvent_fn=lambda gammas, X: X / (1 + gammas[:, None] * c),
         rho=rho,
         declared_classes=classes,
-        lipschitz=abs(c),
         norm_bound_on_ball=lambda r: abs(c) * r,
         zero_point=np.zeros(dim),
     )
@@ -581,6 +546,11 @@ class CheckReport:
         }
 
 
+# The scales at which accretivity and the norm form of firm nonexpansiveness test that
+# a norm of a blend of differences does not drop
+_BLEND_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
 def check_operator_class(
     op: SetValuedOperator,
     kind: str,
@@ -589,17 +559,16 @@ def check_operator_class(
     radius: float = 5.0,
     rho: float | None = None,
     norm_p: float = 2.0,
-    lam_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     tol: float = 1e-8,
 ) -> CheckReport:
     """Sampled falsification of a monotonicity-style class inequality.
 
     ``kind`` is ``monotone`` (inner product of differences nonnegative),
     ``accretive`` (norm of difference nondecreasing along the graph
-    direction, any p-norm) or ``comonotone`` (inner product dominates
-    ``rho`` times the squared value gap).
+    direction at each scale of ``_BLEND_GRID``, any p-norm) or ``comonotone``
+    (inner product dominates ``rho`` times the squared value gap).
     """
-    graph = np.array(op.graph_samples(rng, samples, radius), dtype=float).reshape(-1, 2, op.dim)
+    graph = np.array(op.graph_sampler(rng, samples, radius), dtype=float).reshape(-1, 2, op.dim)
     x, u = graph[:, 0], graph[:, 1]
     dx, du = x[:-1] - x[1:], u[:-1] - u[1:]
     if kind == "monotone":
@@ -610,7 +579,7 @@ def check_operator_class(
         slacks = _dots(dx, du) - rho * _norms(du) ** 2
     elif kind == "accretive":
         norm = functools.partial(np.linalg.norm, ord=norm_p, axis=-1)
-        slacks = np.min([norm(dx + lam * du) for lam in lam_grid], axis=0) - norm(dx)
+        slacks = np.min([norm(dx + lam * du) for lam in _BLEND_GRID], axis=0) - norm(dx)
     else:
         raise ValueError(f"unknown class {kind!r}")
     name = kind + (f"(rho={rho})" if rho is not None else "")
@@ -648,7 +617,7 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
     points, graph = [], []
     for gamma in gammas:
         points.append(draw(rng, samples, gamma, radius)[: samples // 2 * 2])
-        graph.append(op.graph_samples(rng, max(10, samples // 4), radius))
+        graph.append(op.graph_sampler(rng, max(10, samples // 4), radius))
     steps = [(gamma, lam) for gamma in gammas for lam in gammas]
     changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
     def resolve(g, X):
@@ -715,7 +684,7 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
 
 
 def _norm_blend(s, t):
-    blends = [_norms(r * s.dxy + (1 - r) * s.dj) for r in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    blends = [_norms(r * s.dxy + (1 - r) * s.dj) for r in _BLEND_GRID]
     return np.min(blends, axis=0) - s.nj
 
 
@@ -926,10 +895,7 @@ def range_condition_check(
     x = center + rng.uniform(-1, 1, size=(len(ns), op.dim)) * bound / math.sqrt(op.dim)
     inside = _inside(op.value_box(x))
     ns, x = ns[inside], x[inside]
-    try:
-        z, w = resolve_rows(op, np.repeat(gammas, samples)[inside], x, tol)
-    except NotAvailable:
-        z = w = np.full(x.shape, np.nan)
+    z, w = resolve_rows(op, np.repeat(gammas, samples)[inside], x, tol)
     split = ~np.isnan(z).any(axis=1)
     lost = split & np.isnan(w).any(axis=1)  # z is the resolvent, but w = (x - z) / gamma is noise
     if lost.any():
@@ -958,7 +924,7 @@ def graph_closedness_check(
     tol: float = 1e-6,
 ) -> CheckReport:
     """Limits of convergent graph sequences stay in the graph (sampled)."""
-    pairs = op.graph_samples(rng, sequences, 3.0)
+    pairs = op.graph_sampler(rng, sequences, 3.0)
     limit = np.array([x for x, _ in pairs], dtype=float).reshape(-1, op.dim)
     start = limit + rng.normal(size=limit.shape)
     # x_i = limit + (start - limit) / 2**i for i = 1..length, one sequence per row

@@ -1,9 +1,9 @@
-import ast
 import dataclasses
 import importlib
 import json
 import math
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from prooflab.operator_lab import (
     identity_operator,
     l2,
     matrix_operator,
+    range_condition_check,
     resolvent,
     scaled_identity,
     tan_subgradient,
@@ -217,6 +218,18 @@ def test_positivity_modulus_refuses_a_zero_step():
         geom.positivity_modulus(1075)
 
 
+@pytest.mark.parametrize("spec", ["const:1.0", "harmonic:1.0", "geom:1,0.5", "const:1e-6"])
+@pytest.mark.parametrize("name", ["identity", "psd_skew", "abs_subdiff", "box_normal_cone"])
+def test_schedule_moduli_feed_the_range_condition(name, spec):
+    # a schedule's positivity modulus is the witness alpha_n that the bounded range
+    # condition asks for along the schedule's step sizes
+    op, sched = build_catalog(0)[name], parse_gamma_schedule(spec)
+    reports = range_condition_check(op, sched, sched.positivity_modulus, 4.0, np.zeros(op.dim),
+                                    np.random.default_rng(0))
+    assert set(reports) == {"range_split_membership", "range_split_in_ball", "range_split_w_bound"}
+    assert all(report.passed and report.checks for report in reports.values())
+
+
 def test_positivity_modulus_matches_the_reciprocal_formula_on_normal_steps():
     # every power of two and both of its neighbours, where 1 / g stays finite
     for k in range(-1022, 1024):
@@ -266,6 +279,48 @@ def test_csv_roundtrip_exact():
     assert back.gammas == trace.gammas
     assert back.step_residuals == trace.step_residuals
     assert back.to_csv() == text
+
+
+def _csv_with(text: str, row: int, col: int, cell: str) -> str:
+    lines = [line.split(",") for line in text.splitlines()]
+    lines[row][col] = cell
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("row, col, cell, named", [
+    (2, 1, "nan", "non-finite"),
+    (2, 1, "inf", "non-finite"),
+    (3, 2, "-1", "step size that is not positive"),
+    (3, 2, "0", "step size that is not positive"),
+    (3, 2, "1e400", "non-finite"),
+    (2, 3, "-0.5", "negative residual"),
+    (4, 2, "", "could not convert"),  # a blank cell on a step row
+    (4, 4, "", "could not convert"),
+    (1, 2, "1.0", "the start row holds a series value"),
+    (3, 1, "x", "could not convert"),
+])
+def test_trace_csv_refuses_what_json_refuses(row, col, cell, named):
+    trace = proximal_point(abs_subdifferential(), math.pi, "harmonic:2", steps=7)
+    text = trace.to_csv()
+    assert IterationTrace.from_csv(text).to_csv() == text
+    with pytest.raises(TraceFormatError, match=named):
+        IterationTrace.from_csv(_csv_with(text, row, col, cell))
+    if row > 1 and col > 1 and cell:  # the same series value in a JSON trace
+        data = json.loads(trace.to_json())
+        data[["gammas", "step_residuals", "value_residuals"][col - 2]][row - 2] = float(cell)
+        with pytest.raises(TraceFormatError, match=named):
+            IterationTrace.from_json(json.dumps(data))
+
+
+def test_trace_csv_refuses_a_malformed_table():
+    text = proximal_point(identity_operator(2), [1.0, 2.0], steps=3).to_csv()
+    header, start, step, *_ = text.splitlines(keepends=True)
+    for bad in ["", header, header + start + step.replace(",", ",,", 1), header + step,
+                header.replace("x1", "y1") + start + step, "a,b,c,d\n0,,,\n1,1,1,1\n",
+                header + start + step[: step.rindex(",")] + "\n",
+                '"' + "x" * 200_000]:  # a field past the csv module's limit
+        with pytest.raises(TraceFormatError):
+            IterationTrace.from_csv(bad)
 
 
 def test_trace_report_fejer():
@@ -695,15 +750,26 @@ def test_runs_past_the_float_range_warn_nothing():
 def test_every_traced_binding_exists():
     """``perfbench/tracing.py`` wraps each ``(module, attribute)`` of ``TRACED`` by
     reading the attribute from the module's ``__dict__``; one that is gone fails every
-    traced run."""
-    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
-    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
-    for _, _, bindings in traced:
-        for path, attr in bindings:
-            module, _, owner = path.partition(".")
-            obj = importlib.import_module(f"prooflab.{module}")
-            assert attr in (getattr(obj, owner) if owner else obj).__dict__, (path, attr)
+    traced run.  The tracer, run from its source without writing a file, installs on
+    every binding and its removal puts each original back."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    bindings = [binding for _, _, traced in tracing.TRACED for binding in traced]
+    names = {owner.partition(".")[0] for owner, _ in bindings}
+    tracer = tracing.Tracer({name: importlib.import_module(f"prooflab.{name}") for name in names})
+
+    def bound():
+        return [tracer._target(owner).__dict__.get(attr) for owner, attr in bindings]
+
+    originals = bound()
+    assert None not in originals, [b for b, f in zip(bindings, originals) if f is None]
+    try:
+        tracer.install()
+        assert [f.__wrapped__ for f in bound()] == originals
+    finally:
+        tracer.remove()
+    assert bound() == originals
 
 
 @pytest.mark.parametrize("change, named", [

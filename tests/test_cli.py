@@ -195,11 +195,9 @@ def test_oplab_deterministic_across_jobs(capsys):
     argv = ["oplab", "verify", "soft_threshold", "--samples", "50", "--seed", "3"]
     _, serial, _ = run_cli(capsys, argv)
     _, serial_again, _ = run_cli(capsys, argv)
-    _, threaded, _ = run_cli(capsys, argv + ["--jobs", "4"])
     assert serial == serial_again
-    payload_serial = json.loads(serial)
-    payload_threaded = json.loads(threaded)
-    assert payload_serial["checks"] == payload_threaded["checks"]
+    for jobs in ("2", "4"):
+        assert run_cli(capsys, argv + ["--jobs", jobs])[1] == serial
 
 
 # Exact per-check sample counts.  yosida_norm_minimality runs at the graph
@@ -530,6 +528,7 @@ BAD_INPUT_FILES = {
     "digit_free_name.sexp": "(= (: 5 0) 0)",
     "samples.cfg": "samples = abc\n",
     "tol.cfg": "tol = inf\n",
+    "jobs.cfg": "jobs = -3\n",
     "keys.json": '{"algorithm": "ppa"}',
     "text.json": "not json",
     "nan.json": (
@@ -591,6 +590,8 @@ BAD_INPUTS = [
     (["oplab", "verify", "identity", "--config", "{d}/missing.cfg"], "missing.cfg"),
     (["oplab", "verify", "identity", "--config", "{d}/samples.cfg"], "'abc'"),
     (["oplab", "verify", "identity", "--config", "{d}/tol.cfg"], "'inf'"),
+    (["oplab", "verify", "identity", "--jobs", "-3"], "'-3'"),
+    (["oplab", "verify", "identity", "--config", "{d}/jobs.cfg"], "'-3'"),
     (["translate", "--nt", "{d}/missing.sexp"], "missing.sexp"),
     (["translate", "--nt", "{d}/malformed.sexp"], "unbalanced parenthesis"),
     (["delta", "{d}/ill_typed.sexp"], "non-arrow type"),

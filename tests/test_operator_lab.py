@@ -13,10 +13,10 @@ from prooflab.operator_lab import (
     NoConvergence,
     NonFiniteInput,
     NonPositiveGamma,
-    NotAvailable,
     OutsideDomain,
     PreconditionViolated,
     STANDARD_GAMMAS,
+    SetValuedOperator,
     abs_subdifferential,
     as_vector,
     box_indicator,
@@ -146,8 +146,9 @@ def test_clamp_tilde():
     assert clamp_tilde([3.0, 4.0], 10.0).tolist() == [3.0, 4.0]
     assert clamp_tilde([3.0, 4.0], 1.0).tolist() == pytest.approx([0.6, 0.8])
     assert clamp_tilde([0.0, 0.0], 1.0).tolist() == [0.0, 0.0]
-    with pytest.raises(ValueError):
-        clamp_tilde([1.0], 0.0)
+    for radius in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            clamp_tilde([3.0, 4.0], radius)
 
 
 def test_soft_threshold_resolvent():
@@ -364,7 +365,7 @@ def test_member_rows_agrees_with_the_value_sets(name):
     # tan, where tan' is even) and cube points, with values moved off by 0, 0.5, 2 or 50
     # times the tolerance; a per-row distance to the value set is the reference
     op, rng, tol = build_catalog(4)[name], np.random.default_rng(7), 1e-6
-    P, U = map(np.array, zip(*op.graph_samples(rng, 200, 5.0)))
+    P, U = map(np.array, zip(*op.graph_sampler(rng, 200, 5.0)))
     P = np.concatenate([P, -P, rng.uniform(-5.0, 5.0, size=P.shape)])
     U = np.concatenate([U, U, U])
     step = rng.normal(size=U.shape)
@@ -406,20 +407,10 @@ def test_values_lost_to_rounding_are_refused():
                               np.random.default_rng(0))
 
 
-def test_iterative_fallback_matches_closed_form():
-    ref = matrix_operator(np.array([[0.5]]))
-    blind = matrix_operator(np.array([[0.5]]))
-    blind.resolvent_fn = None
-    blind.lipschitz = 0.5
-    for x in (-3.0, 0.2, 7.0):
-        want = resolvent(ref, 1.0, x)[0]
-        assert resolvent(blind, 1.0, x)[0] == pytest.approx(want, abs=1e-8)
-    gammas, X = np.full(4, 1.0), np.array([[-3.0], [0.2], [7.0], [1.5]])
-    got, want = resolve_rows(blind, gammas, X), resolve_rows(ref, gammas, X)
-    assert np.concatenate(got) == pytest.approx(np.concatenate(want), abs=1e-8)
-    blind.lipschitz = None
-    with pytest.raises(NotAvailable):
-        resolvent(blind, 1.0, 1.0)
+def test_an_operator_brings_its_resolvent_and_graph_sampler():
+    # no fallback solves or samples an operator that lacks them
+    with pytest.raises(TypeError, match="'resolvent_fn' and 'graph_sampler'"):
+        SetValuedOperator("bare", 1, value_box=lambda P: (P, P))
 
 
 def test_alpha_constant():
@@ -465,7 +456,7 @@ def test_failing_report_names_its_worst_pair():
     op = build_catalog(0)["neg_half_identity"]
     rho = -1.9
     rep = check_operator_class(op, "comonotone", np.random.default_rng(11), samples=50, rho=rho)
-    pairs = op.graph_samples(np.random.default_rng(11), 50, 5.0)
+    pairs = op.graph_sampler(np.random.default_rng(11), 50, 5.0)
     slacks = [
         float((x - y) @ (u - v)) - rho * l2(u - v) ** 2
         for (x, u), (y, v) in zip(pairs, pairs[1:])
