@@ -123,8 +123,8 @@ class SetValuedOperator:
     value_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # (gammas[N], X[N, d]) -> resolvents P[N, d], unverified: the kernel checks them
     resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # (rng, count, radius) -> count pairs (x, u) with u a value at x
-    graph_sampler: Callable[[np.random.Generator, int, float], list]
+    # (rng, count, radius) -> (X[count, d], U[count, d]), each U[i] a value at X[i]
+    graph_sampler: Callable[[np.random.Generator, int, float], tuple[np.ndarray, np.ndarray]]
     # (gammas[N], X[N, d]) -> bool[N], the rows in the resolvent domain; unset means all
     resolvent_domain_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     rho: float | None = None
@@ -184,6 +184,8 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     """
     if X.shape != (len(gammas), op.dim):
         raise DimensionMismatch(f"expected {len(gammas)} rows of dimension {op.dim}, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise NonFiniteInput(f"expected finite coordinates, got {X[~np.isfinite(X).all(1)][0]}")
     floor = _floor(op)
     if len(gammas) and not gammas.min() > floor:  # also refuses NaN
         raise _refusal(op, gammas[np.argmin(gammas > floor)])
@@ -253,7 +255,7 @@ def _single_valued(image: Callable[[np.ndarray], np.ndarray], dim: int) -> dict:
 
     def graph_sampler(rng, count, radius):
         X = rng.uniform(-radius, radius, size=(count, dim))
-        return list(zip(X, image(X)))
+        return X, image(X)
 
     return dict(value_box=lambda P: (image(P),) * 2, graph_sampler=graph_sampler)
 
@@ -307,19 +309,15 @@ def abs_subdifferential() -> SetValuedOperator:
         return (sign - kink, sign + kink) if kink.any() else (sign, sign)
 
     def sampler(rng, count, radius):
-        out = []
-        for _ in range(count):
-            roll = rng.random()
-            if roll < 0.25:
-                x = np.zeros(1)
-                u = rng.uniform(-1.0, 1.0, size=1)
+        X, U = np.zeros((count, 1)), np.zeros((count, 1))
+        for x, u in zip(X, U):
+            if rng.random() < 0.25:  # the kink, with any value in [-1, 1]
+                u[0] = rng.uniform(-1.0, 1.0)
             else:
-                x = rng.uniform(-radius, radius, size=1)
                 while x[0] == 0.0:
-                    x = rng.uniform(-radius, radius, size=1)
-                u = np.sign(x)
-            out.append((x, u))
-        return out
+                    x[0] = rng.uniform(-radius, radius)
+                u[0] = np.sign(x[0])
+        return X, U
 
     return SetValuedOperator(
         name="abs_subdiff",
@@ -334,11 +332,12 @@ def abs_subdifferential() -> SetValuedOperator:
     )
 
 
-def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
-    """Normal cone of a coordinate box: zero inside, outward rays on faces."""
+def box_indicator(lower, upper) -> SetValuedOperator:
+    """Normal cone of a coordinate box: zero inside, outward rays on faces (points within
+    1e-9 of a face count as on it)."""
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    dim = len(lower)
+    dim, face_tol = len(lower), 1e-9
 
     out_lo, out_hi = lower - face_tol, upper + face_tol  # beyond these, outside the box
     on_lo, on_hi = lower + face_tol, upper - face_tol  # up to these, on a face
@@ -348,20 +347,16 @@ def box_indicator(lower, upper, face_tol: float = 1e-9) -> SetValuedOperator:
         return np.where(P <= on_lo, -np.inf, 0.0) + nan, np.where(P >= on_hi, np.inf, 0.0) + nan
 
     def sampler(rng, count, radius):
-        out = []
-        for _ in range(count):
-            x = lower + (upper - lower) * rng.random(dim)
-            u = np.zeros(dim)
+        X, U = np.empty((count, dim)), np.zeros((count, dim))
+        for x, u in zip(X, U):
+            x[:] = lower + (upper - lower) * rng.random(dim)
             for i in range(dim):
                 roll = rng.random()
                 if roll < 0.2:
-                    x[i] = upper[i]
-                    u[i] = rng.exponential(1.0)
+                    x[i], u[i] = upper[i], rng.exponential(1.0)
                 elif roll < 0.4:
-                    x[i] = lower[i]
-                    u[i] = -rng.exponential(1.0)
-            out.append((x, u))
-        return out
+                    x[i], u[i] = lower[i], -rng.exponential(1.0)
+        return X, U
 
     center = (lower + upper) / 2
     return SetValuedOperator(
@@ -403,12 +398,14 @@ def tan_subgradient() -> SetValuedOperator:
     unbounded near the right endpoint, with a genuinely partial resolvent."""
     lo, hi = 0.0, math.pi / 2
 
-    def deriv(x: float) -> float:
-        return 1.0 / math.cos(x) ** 2
+    def deriv(P: np.ndarray) -> np.ndarray:
+        """``1.0 / math.cos(p) ** 2`` on every entry, bit for bit: ``float_power(c, 2.0)``
+        rounds as ``c ** 2`` does (``c * c`` does not)."""
+        return 1.0 / np.float_power(np.cos(P), 2.0)
 
     def value_box(P):
         p = P[:, 0]
-        v = np.where((lo < p) & (p < hi), [*map(deriv, p.tolist())], np.nan)[:, None]
+        v = deriv(np.where((lo < p) & (p < hi), p, np.nan))[:, None]
         return v, v
 
     def bisect(gamma: float, target: float) -> float:
@@ -424,15 +421,14 @@ def tan_subgradient() -> SetValuedOperator:
         return (a + b) / 2
 
     def bisect_rows(gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """``bisect`` on every row in lockstep, bit for bit: ``float_power(c, 2.0)`` rounds
-        as ``c ** 2`` does (``c * c`` does not), and once a row's midpoint meets an end of
-        its bracket, later steps leave that midpoint as it is."""
+        """``bisect`` on every row in lockstep, bit for bit: once a row's midpoint meets an
+        end of its bracket, later steps leave that midpoint as it is."""
         a, b = np.full(len(gammas), 1e-15), np.full(len(gammas), hi - 1e-15)
         for _ in range(200):
             mid = (a + b) / 2
             if ((mid == a) | (mid == b)).all():
                 return mid
-            go = mid + gammas * (1.0 / np.float_power(np.cos(mid), 2.0)) <= targets
+            go = mid + gammas * deriv(mid) <= targets
             a, b = np.where(go, mid, a), np.where(go, b, mid)
         return (a + b) / 2
 
@@ -442,8 +438,8 @@ def tan_subgradient() -> SetValuedOperator:
         return bisect_rows(gammas, X[:, 0])[:, None]
 
     def sampler(rng, count, radius):
-        xs = [rng.uniform(lo + 1e-3, hi - 1e-3) for _ in range(count)]
-        return [(np.array([x]), np.array([deriv(x)])) for x in xs]
+        X = rng.uniform(lo + 1e-3, hi - 1e-3, size=(count, 1))
+        return X, deriv(X)
 
     return SetValuedOperator(
         name="tan_subgradient",
@@ -461,8 +457,6 @@ def tan_subgradient() -> SetValuedOperator:
 
 @dataclass(frozen=True)
 class OperatorCatalogEntry:
-    name: str
-    description: str
     build: Callable[[np.random.Generator], SetValuedOperator]
     gamma_grid: tuple[float, ...]
 
@@ -471,37 +465,16 @@ STANDARD_GAMMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 COMONOTONE_GAMMAS = (8.0, 16.0)
 
 CATALOG: dict[str, OperatorCatalogEntry] = {
-    "identity": OperatorCatalogEntry(
-        "identity", "identity matrix on R^2", lambda rng: identity_operator(2), STANDARD_GAMMAS
-    ),
-    "psd_skew": OperatorCatalogEntry(
-        "psd_skew",
-        "random monotone matrix (PSD symmetric part plus skew part) on R^6",
-        lambda rng: random_monotone_matrix(rng, 6),
-        STANDARD_GAMMAS,
-    ),
-    "abs_subdiff": OperatorCatalogEntry(
-        "abs_subdiff", "subdifferential of the absolute value", lambda rng: abs_subdifferential(),
-        STANDARD_GAMMAS,
-    ),
+    "identity": OperatorCatalogEntry(lambda rng: identity_operator(2), STANDARD_GAMMAS),
+    "psd_skew": OperatorCatalogEntry(lambda rng: random_monotone_matrix(rng, 6), STANDARD_GAMMAS),
+    "abs_subdiff": OperatorCatalogEntry(lambda rng: abs_subdifferential(), STANDARD_GAMMAS),
     "box_normal_cone": OperatorCatalogEntry(
-        "box_normal_cone",
-        "normal cone of the box [-1, 1]^3",
-        lambda rng: box_indicator([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
-        STANDARD_GAMMAS,
+        lambda rng: box_indicator([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]), STANDARD_GAMMAS
     ),
     "neg_half_identity": OperatorCatalogEntry(
-        "neg_half_identity",
-        "scaling by -1/2: comonotone of degree -2",
-        lambda rng: scaled_identity(-0.5, 2),
-        COMONOTONE_GAMMAS,
+        lambda rng: scaled_identity(-0.5, 2), COMONOTONE_GAMMAS
     ),
-    "tan_subgradient": OperatorCatalogEntry(
-        "tan_subgradient",
-        "derivative of tan on (0, pi/2): unbounded on bounded sets",
-        lambda rng: tan_subgradient(),
-        STANDARD_GAMMAS,
-    ),
+    "tan_subgradient": OperatorCatalogEntry(lambda rng: tan_subgradient(), STANDARD_GAMMAS),
 }
 
 
@@ -568,8 +541,7 @@ def check_operator_class(
     direction at each scale of ``_BLEND_GRID``, any p-norm) or ``comonotone``
     (inner product dominates ``rho`` times the squared value gap).
     """
-    graph = np.array(op.graph_sampler(rng, samples, radius), dtype=float).reshape(-1, 2, op.dim)
-    x, u = graph[:, 0], graph[:, 1]
+    x, u = op.graph_sampler(rng, samples, radius)
     dx, du = x[:-1] - x[1:], u[:-1] - u[1:]
     if kind == "monotone":
         slacks = _dots(dx, du)
@@ -584,25 +556,6 @@ def check_operator_class(
         raise ValueError(f"unknown class {kind!r}")
     name = kind + (f"(rho={rho})" if rho is not None else "")
     return CheckReport.from_slacks(name, slacks, tol, lambda i: f"x={x[i]}, y={x[i + 1]}")
-
-
-def inner_vs_norm_check(
-    rng: np.random.Generator, samples: int = 500, dim: int = 4, tol: float = 1e-9
-) -> CheckReport:
-    """Duality bridge: a nonpositive inner product against one vector is the
-    same as the vector's norm never shrinking when subtracting any scaled
-    copy of the other; checked both ways on a scale grid."""
-    x, y = rng.normal(size=(samples, 2, dim)).transpose(1, 0, 2)
-    inner, ny = _dots(x, y), _norms(y)
-    # a scale grid, and where y is not 0 the scale that projects x onto y's line
-    proj = np.where(ny > 1e-12, np.maximum(0.0, inner) / np.maximum(ny, 1e-12) ** 2, 0.0)
-    grid = np.column_stack([np.broadcast_to([0.0, 0.25, 1.0, 4.0], (samples, 4)), proj])
-    shifted = _norms(x[:, None] - grid[..., None] * y[:, None])
-    holds_norm = (_norms(x)[:, None] <= shifted + tol).all(axis=1)
-    slacks = np.where(holds_norm == (inner <= 0), 1.0, -1.0)
-    return CheckReport.from_slacks(
-        "inner_product_vs_norm_bridge", slacks, tol, lambda i: f"x={x[i]}, y={y[i]}"
-    )
 
 
 def _alpha_for(op: SetValuedOperator, gamma):
@@ -649,9 +602,8 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
     )
 
     # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
-    gg = np.repeat(gammas, [len(g) for g in graph])
-    zw = np.array([pair for g in graph for pair in g], dtype=float).reshape(-1, 2, op.dim)
-    z, w = zw[:, 0], zw[:, 1]
+    z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
+    gg = np.repeat(gammas, len(z) // len(gammas))
     jzw = resolve(gg, z + gg[:, None] * w)
     sets["inclusion"] = SimpleNamespace(z=z, p=jzw, where=lambda i: f"gamma={gg[i]}, z={z[i]}")
     if "minimality" in kinds:
@@ -749,7 +701,10 @@ def check_resolvent_properties(
         raise ValueError("empty step-size grid")
     comonotone_only = op.rho is not None and op.rho < 0
     props = {n: p for n, p in _RESOLVENT_PROPERTIES.items() if p[3] or not comonotone_only}
-    sets = _suite_samples(op, rng, gammas, samples, radius, tol, {p[0] for p in props.values()})
+    # at extreme step sizes a point (z + gamma * w, a blend at gamma / lambda) or a gap may
+    # pass the float range: resolve_rows refuses such a point, and a gap's slack fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        sets = _suite_samples(op, rng, gammas, samples, radius, tol, {p[0] for p in props.values()})
     reports = {}
     for name, (kind, slack, scale, _) in props.items():
         rows = sets[kind]
@@ -806,18 +761,13 @@ def verify_resolvent_param_modulus(
 
 
 def check_minimal_norm_selection(
-    op: SetValuedOperator,
-    rng: np.random.Generator,
-    samples: int = 100,
-    per_point: int = 20,
-    radius: float = 3.0,
-    tol: float = 1e-8,
+    op: SetValuedOperator, rng: np.random.Generator, samples: int = 100, tol: float = 1e-8
 ) -> dict[str, CheckReport]:
     """The minimal-norm value is a value, variationally characterised and
     unique: any value of (nearly) minimal norm is (nearly) the selection.  The first
-    ``samples`` domain points among ``50 * samples`` candidates each get ``per_point``
-    values drawn from their box, infinite faces cut at distance 10."""
-    X = rng.uniform(-radius, radius, size=(50 * samples, op.dim))
+    ``samples`` domain points among ``50 * samples`` candidates in ``[-3, 3]^d`` each get
+    20 values drawn from their box, infinite faces cut at distance 10."""
+    X = rng.uniform(-3.0, 3.0, size=(50 * samples, op.dim))
     box = op.value_box(X)
     keep = np.flatnonzero(_inside(box))[:samples]
     x, lo, hi = X[keep], box[0][keep], box[1][keep]
@@ -825,14 +775,14 @@ def check_minimal_norm_selection(
     member = np.where(_distance(lo, hi, sel) <= tol, 1.0, -1.0)
     top = np.where(np.isinf(hi), 10.0, hi)
     bottom = np.minimum(np.where(np.isinf(lo), -10.0, lo), top)
-    y = bottom[:, None] + (top - bottom)[:, None] * rng.random((len(x), per_point, op.dim))
+    y = bottom[:, None] + (top - bottom)[:, None] * rng.random((len(x), 20, op.dim))
     nsel = _norms(sel)
     variational = -_dots(y - sel[:, None], -sel[:, None])
     # tol * tol, not tol**2, which overflows for a tolerance past 1e154
     gap = np.sqrt(np.maximum(0.0, 2 * nsel * tol + tol * tol))
     near = (_norms(y) <= nsel[:, None] + tol).ravel()
     unique = (gap[:, None] + tol - _norms(y - sel[:, None])).ravel()[near]
-    xs, ys = np.repeat(x, per_point, axis=0), y.reshape(-1, op.dim)
+    xs, ys = np.repeat(x, 20, axis=0), y.reshape(-1, op.dim)
     slacks = {
         "min_selection_membership": (member, lambda i: f"x={x[i]}"),
         "min_selection_variational": (variational, lambda i: f"x={xs[i]}, y={ys[i]}"),
@@ -845,16 +795,14 @@ def uc_modulus_check(
     op: SetValuedOperator,
     modulus: Callable[[int], int],
     rng: np.random.Generator,
-    k_grid: Sequence[int] = (0, 1, 2, 3),
     samples: int = 100,
-    radius: float = 5.0,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Uniform graph-continuity: arguments closer than the modulus threshold
-    have one-sidedly close value sets at the requested resolution."""
-    k = np.repeat(k_grid, samples)
-    delta = np.repeat([1.0 / (modulus(j) + 1) for j in k_grid], samples)
-    x = rng.uniform(-radius, radius, size=(len(k), op.dim))
+    """Uniform graph-continuity: arguments in ``[-5, 5]^d`` closer than the modulus
+    threshold have one-sidedly close value sets at each resolution k = 0..3."""
+    k = np.repeat(np.arange(4), samples)
+    delta = np.repeat([1.0 / (modulus(j) + 1) for j in range(4)], samples)
+    x = rng.uniform(-5.0, 5.0, size=(len(k), op.dim))
     step = rng.normal(size=x.shape)
     y = x + step * (rng.random(len(k)) * delta * 0.999 / np.maximum(_norms(step), 1e-12))[:, None]
     excess = one_sided_excess(op.value_box(x), op.value_box(y))
@@ -873,18 +821,17 @@ def range_condition_check(
     bound: float,
     center,
     rng: np.random.Generator,
-    n_grid: Sequence[int] = (0, 1, 2, 3, 5, 8),
     samples: int = 50,
     tol: float = 1e-8,
 ) -> dict[str, CheckReport]:
-    """Bounded range condition along a parameter sequence.
+    """Bounded range condition along a parameter sequence, at n = 0, 1, 2, 3, 5 and 8.
 
     Every sampled domain point in the ball splits as ``x = z + gamma_n * w``
     with ``w`` a value at ``z`` and ``z`` still in the ball; when the ball
     is centred at the origin, ``w`` obeys the inverse-parameter norm bound
     ``bound * 2**(alpha_n + 1)``.
     """
-    center = as_vector(center, op.dim)
+    center, n_grid = as_vector(center, op.dim), (0, 1, 2, 3, 5, 8)
     gammas = [gamma_fn(n) for n in n_grid]
     for n, gamma in zip(n_grid, gammas):
         if gamma <= 0:
@@ -916,26 +863,20 @@ def range_condition_check(
     return {k: CheckReport.from_slacks(k, s, tol, where(r)) for k, (s, r) in slacks.items()}
 
 
-def graph_closedness_check(
-    op: SetValuedOperator,
-    rng: np.random.Generator,
-    sequences: int = 25,
-    length: int = 40,
-    tol: float = 1e-6,
-) -> CheckReport:
-    """Limits of convergent graph sequences stay in the graph (sampled)."""
-    pairs = op.graph_sampler(rng, sequences, 3.0)
-    limit = np.array([x for x, _ in pairs], dtype=float).reshape(-1, op.dim)
+def graph_closedness_check(op: SetValuedOperator, rng: np.random.Generator) -> CheckReport:
+    """Limits of convergent graph sequences stay in the graph (sampled): 25 sequences of
+    40 points, the last point's value within 1e-4 (relative) of the limit's value set."""
+    limit, _ = op.graph_sampler(rng, 25, 3.0)
     start = limit + rng.normal(size=limit.shape)
-    # x_i = limit + (start - limit) / 2**i for i = 1..length, one sequence per row
-    seq = limit[:, None] + (start - limit)[:, None] / 2.0 ** np.arange(1, length + 1)[:, None]
+    # x_i = limit + (start - limit) / 2**i for i = 1..40, one sequence per row
+    seq = limit[:, None] + (start - limit)[:, None] / 2.0 ** np.arange(1, 41)[:, None]
     seq_box = [b.reshape(seq.shape) for b in op.value_box(seq.reshape(-1, op.dim))]
     lo, hi = op.value_box(limit)
     # sequences that leave the domain, or whose limit lies outside it, are skipped
     keep = _inside(seq_box).all(axis=1) & _inside((lo, hi))
     u_last = _selection(seq_box[0][:, -1], seq_box[1][:, -1])
-    ok = _distance(lo, hi, u_last) <= max(tol, 1e-4) * np.maximum(1.0, _norms(u_last))
+    ok = _distance(lo, hi, u_last) <= 1e-4 * np.maximum(1.0, _norms(u_last))
     x = limit[keep]
     return CheckReport.from_slacks(
-        "graph_closedness", np.where(ok, 1.0, -1.0)[keep], tol, lambda i: f"x={x[i]}"
+        "graph_closedness", np.where(ok, 1.0, -1.0)[keep], 0.0, lambda i: f"x={x[i]}"
     )

@@ -580,6 +580,9 @@ BAD_INPUTS = [
     (PPA + ["--gamma", "geom:1,0.5", "--steps", "1100"], "'geom:1,0.5' is not positive"),
     (PPA + ["--gamma", "harmonic:5e-324", "--steps", "2"], "steps = 2"),
     (["oplab", "verify", "identity", "--tol", "inf"], "'inf'"),
+    # z + gamma * w and the identity's blend at gamma / lambda pass the float range
+    *[(["oplab", "verify", name, "--gamma-grid", grid], "expected finite coordinates")
+      for name in ("box", "identity") for grid in ("1e308", "1e-300,1e300")],
     (["real", "canon", "-1/2"], "rational"),
     (["real", "canon", "--", "-1/2"], "'-1/2'"),
     (["real", "canon", "x/y"], "'x/y'"),
@@ -625,6 +628,16 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, named):
     assert named in err
     if err.startswith("prooflab: error:"):  # raised by the library, not argparse
         assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, grid, want", [
+    ("box", "1e308", 2), ("box", "1e-300,1e300", 2), ("identity", "1e308", 2),
+    ("identity", "1e-300,1e300", 2),
+    ("abs_subdiff", "1e308", 1),  # its points stay finite, and really miss in floats
+])
+def test_extreme_step_sizes_warn_nothing(capsys, name, grid, want):
+    assert run_cli(capsys, ["oplab", "verify", name, "--gamma-grid", grid])[0] == want
 
 
 def test_tol_env_must_be_finite(monkeypatch, capsys):

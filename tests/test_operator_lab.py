@@ -27,7 +27,6 @@ from prooflab.operator_lab import (
     clamp_tilde,
     graph_closedness_check,
     identity_operator,
-    inner_vs_norm_check,
     l2,
     matrix_operator,
     minimal_norm_selection,
@@ -365,7 +364,7 @@ def test_member_rows_agrees_with_the_value_sets(name):
     # tan, where tan' is even) and cube points, with values moved off by 0, 0.5, 2 or 50
     # times the tolerance; a per-row distance to the value set is the reference
     op, rng, tol = build_catalog(4)[name], np.random.default_rng(7), 1e-6
-    P, U = map(np.array, zip(*op.graph_sampler(rng, 200, 5.0)))
+    P, U = op.graph_sampler(rng, 200, 5.0)
     P = np.concatenate([P, -P, rng.uniform(-5.0, 5.0, size=P.shape)])
     U = np.concatenate([U, U, U])
     step = rng.normal(size=U.shape)
@@ -413,6 +412,41 @@ def test_an_operator_brings_its_resolvent_and_graph_sampler():
         SetValuedOperator("bare", 1, value_box=lambda P: (P, P))
 
 
+@pytest.mark.parametrize("count", [0, 1, 50])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_graph_sampler_returns_value_rows(name, count):
+    # (X, U) float rows, each U[i] a value at X[i]: at distance 0 from its value box
+    op = build_catalog(2)[name]
+    X, U = op.graph_sampler(np.random.default_rng(count), count, 5.0)
+    for rows in (X, U):
+        assert rows.dtype == np.float64 and rows.shape == (count, op.dim)
+    assert _distance(*op.value_box(X), U).tolist() == [0.0] * count
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tan_value_is_the_per_row_derivative_bit_for_bit():
+    hi = math.pi / 2
+    rng = np.random.default_rng(17)
+    above_zero = np.arange(1, 1001) * 5e-324  # the first subnormals past 0
+    below_hi = hi - np.arange(1, 1001) * np.spacing(hi)
+    p = np.concatenate([above_zero, below_hi, rng.uniform(0.0, hi, 98_000)])
+    assert ((0.0 < p) & (p < hi)).all()
+    lo_box, hi_box = tan_subgradient().value_box(p[:, None])
+    want = [1.0 / math.cos(v) ** 2 for v in p.tolist()]
+    assert lo_box[:, 0].tolist() == want and hi_box is lo_box
+    outside = np.array([0.0, -5e-324, -1.0, hi, math.nextafter(hi, 2.0), 3.0, 1e300,
+                        -math.inf, math.inf, math.nan])
+    assert np.isnan(tan_subgradient().value_box(outside[:, None])[0]).all()
+
+
+def test_kernel_refuses_rows_past_the_float_range():
+    op = identity_operator(2)
+    for bad in (math.inf, -math.inf, math.nan):
+        X = np.array([[1.0, 2.0], [0.5, bad]])
+        with pytest.raises(NonFiniteInput, match="finite coordinates"):
+            resolve_rows(op, np.array([1.0, 1.0]), X)
+
+
 def test_alpha_constant():
     assert _alpha_for(scaled_identity(-0.5, 2), 8.0) == pytest.approx(2.0 / 3.0)
     assert _alpha_for(abs_subdifferential(), 1.0) == pytest.approx(0.5)
@@ -456,15 +490,15 @@ def test_failing_report_names_its_worst_pair():
     op = build_catalog(0)["neg_half_identity"]
     rho = -1.9
     rep = check_operator_class(op, "comonotone", np.random.default_rng(11), samples=50, rho=rho)
-    pairs = op.graph_sampler(np.random.default_rng(11), 50, 5.0)
+    X, U = op.graph_sampler(np.random.default_rng(11), 50, 5.0)
     slacks = [
-        float((x - y) @ (u - v)) - rho * l2(u - v) ** 2
-        for (x, u), (y, v) in zip(pairs, pairs[1:])
+        float((X[i] - X[i + 1]) @ (U[i] - U[i + 1])) - rho * l2(U[i] - U[i + 1]) ** 2
+        for i in range(49)
     ]
     worst = int(np.argmin(slacks))
     assert not rep.passed and rep.checks == 49
     assert rep.worst_slack == pytest.approx(slacks[worst], rel=1e-12)
-    assert rep.witness == f"x={pairs[worst][0]}, y={pairs[worst + 1][0]}"
+    assert rep.witness == f"x={X[worst]}, y={X[worst + 1]}"
 
 
 def test_report_fails_closed_on_nan():
@@ -475,11 +509,6 @@ def test_report_fails_closed_on_nan():
     d = rep.as_dict()
     assert d["worst_slack"] is None
     json.dumps(d, allow_nan=False)
-
-
-def test_inner_vs_norm_bridge():
-    report = inner_vs_norm_check(np.random.default_rng(1), samples=300)
-    assert report.passed and report.checks == 300
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -9,8 +9,7 @@ faces or inside); more drawn rows fill up the rest.  Three medians over
 
 - ``scalar_us_per_call``: one ``resolvent(op, gamma, x)`` call per row;
 - ``batch_us_per_row``: one ``resolve_rows(op, gammas, X)`` call over all rows,
-  divided by the row count.  A source tree without ``resolve_rows`` resolves
-  the batch with one ``resolvent`` call per row instead;
+  divided by the row count;
 - ``ppa_us_per_step``: one ``proximal_point`` run of at most ``PPA_STEPS`` steps from
   the instance's start in ``PPA_RUNS``, divided by the steps it takes.
 
@@ -46,8 +45,7 @@ ROWS = 300
 SIZES = (1, 16, 32, 64, 300, 750)  # batch sizes of the tan_subgradient sweep
 METRICS = {
     "scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
-    "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, per row; a "
-    "source without the batch kernel resolves one call per row",
+    "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, per row",
     "ppa_us_per_step": "one proximal_point run of at most 1000 steps from PPA_RUNS, per step taken",
 }
 PPA_STEPS = 1000
@@ -105,8 +103,7 @@ def measure(src: str, repeats: int, seed: int) -> dict:
 
     from prooflab import algorithms, operator_lab
 
-    resolvent = operator_lab.resolvent
-    batch = getattr(operator_lab, "resolve_rows", None)
+    resolvent, batch = operator_lab.resolvent, operator_lab.resolve_rows
     out = {}
     for name in operator_lab.CATALOG:
         op, gammas, points = _rows(operator_lab, np, name, seed)
@@ -116,16 +113,15 @@ def measure(src: str, repeats: int, seed: int) -> dict:
             for gamma, x in pairs:
                 resolvent(op, gamma, x)
 
-        batched = scalar if batch is None else (lambda: batch(op, gammas, points))
         x0, schedule = PPA_RUNS[name]
 
         def ppa():
             return algorithms.proximal_point(op, x0, schedule, PPA_STEPS)
 
         out[name] = {"scalar_us_per_call": _median_us(scalar, repeats),
-                     "batch_us_per_row": _median_us(batched, repeats),
+                     "batch_us_per_row": _median_us(lambda: batch(op, gammas, points), repeats),
                      "ppa_us_per_step": _median_us(ppa, repeats, len(ppa().points) - 1)}
-        if name == "tan_subgradient" and batch is not None:
+        if name == "tan_subgradient":
             op, gammas, points = _rows(operator_lab, np, name, seed, max(SIZES))
             out[name][SWEEP] = {
                 str(n): _median_us(lambda n=n: batch(op, gammas[:n], points[:n]), repeats, n)
