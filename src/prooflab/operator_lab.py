@@ -7,10 +7,9 @@ allowed, NaN rows outside the domain.  Each value query (domain, membership
 distance, selection, least-norm point, sampling, one-sided excess) is derived from
 it once.  Checks are sampled falsification, reported with worst slacks.
 
-Slack convention: each property is one array of slacks over the samples a
-check draws.  A sample passes when ``slack >= -tol``, so a negative slack
-beyond the tolerance is a violation and a non-finite slack fails; only the
-worst violating sample is formatted, as the witness.
+Slack convention: each property is one array of slacks over the samples a check
+draws, reported by ``CheckReport.from_slacks``.  A kept sample passes when ``slack >=
+-tol``; a non-finite slack fails, and only the worst violation is formatted, as the witness.
 """
 
 from __future__ import annotations
@@ -216,11 +215,13 @@ def _refusal(op: SetValuedOperator, gamma) -> ValueError:
 def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np.ndarray,
                  tol: float = 1e-8):
     """The values ``U = (X - P) / gammas``, the value box at ``P``, and the first row
-    failing the defining inclusion as ``[(row, NoConvergence)]`` (``[]`` if none).  A row
-    passes when the distance from ``u`` to the box at ``p`` is at most ``tol * max(1,
-    |u|)``.  When ``gamma`` is far below ``ulp(x)``, ``p`` rounds to ``x`` and ``u`` is off
-    by about ``ulp(x) / gamma``: ``p`` is accepted with that rounding, the L2 norm of the
-    coordinate spacings over ``gamma``, added to the tolerance, and its ``U`` row is NaN.
+    failing the defining inclusion as ``[(row, NoConvergence)]`` (``[]`` if none), or as
+    ``NonFiniteInput`` if its ``p`` passed the float range.  A row passes when the distance
+    from ``u`` to the box at ``p`` is at most ``tol * max(1, |u|)``, plus, for rounding at
+    small ``gamma``, ``d + 1`` coordinate spacings (L2 norm) over ``gamma``; then its ``U``
+    row is NaN.  One spacing is ``p`` rounding to ``x``, ``d`` the closed form's own (an LU
+    solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 9; tan's last bisection step can leave its root two ulps off).
     """
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
@@ -228,10 +229,12 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     if miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
         return U, box, []
     tols = tol * np.maximum(1.0, _norms(U))
-    good = miss <= tols + _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
+    good = miss <= tols + (op.dim + 1) * _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
     U[~(miss <= tols)] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
-                                           f"{gammas[j]}, x = {X[j]}"))
+                                           f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()
+                     else NonFiniteInput(f"{op.name}: the resolvent at gamma = {gammas[j]} passes "
+                                         f"the float range, x = {X[j]}"))
                     for j in np.flatnonzero(~good)[:1]]
 
 
@@ -494,14 +497,17 @@ class CheckReport:
     witness: str = ""
 
     @classmethod
-    def from_slacks(cls, name: str, slacks, tols, witness: Callable[[int], str]) -> CheckReport:
-        """Report over per-sample slacks; ``witness(i)`` describes sample ``i``."""
+    def from_slacks(cls, name: str, slacks, tols, show: dict, keep=slice(None)) -> CheckReport:
+        """Report over the slacks of the samples that ``keep`` selects (all by default); the
+        witness is the worst violating kept row of each ``show`` column, as ``key=value, ...``."""
         slacks = np.asarray(slacks, dtype=float).ravel()
-        bad = ~(slacks >= -np.asarray(tols, dtype=float).ravel())
-        worst = float(slacks[np.argmin(slacks)]) if slacks.size else math.inf
-        report = cls(name, slacks.size, int(bad.sum()), worst)
+        rows = np.arange(slacks.size)[keep]
+        kept, bad = slacks[rows], ~(slacks >= -np.asarray(tols, dtype=float).ravel())[rows]
+        worst = float(kept[np.argmin(kept)]) if kept.size else math.inf
+        report = cls(name, kept.size, int(bad.sum()), worst)
         if report.violations:
-            report.witness = witness(int(np.argmin(np.where(bad, slacks, np.inf))))
+            i = rows[np.argmin(np.where(bad, kept, np.inf))]
+            report.witness = ", ".join(f"{key}={column[i]}" for key, column in show.items())
         return report
 
     @property
@@ -522,6 +528,11 @@ class CheckReport:
 # The scales at which accretivity and the norm form of firm nonexpansiveness test that
 # a norm of a blend of differences does not drop
 _BLEND_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _blend(a, b, norm=_norms):
+    """The least over ``_BLEND_GRID`` of ``norm(r*a + (1-r)*b) - norm(b)``."""
+    return np.min([norm(r * a + (1 - r) * b) for r in _BLEND_GRID], axis=0) - norm(b)
 
 
 def check_operator_class(
@@ -550,12 +561,11 @@ def check_operator_class(
             raise ValueError("comonotone checks need a degree rho")
         slacks = _dots(dx, du) - rho * _norms(du) ** 2
     elif kind == "accretive":
-        norm = functools.partial(np.linalg.norm, ord=norm_p, axis=-1)
-        slacks = np.min([norm(dx + lam * du) for lam in _BLEND_GRID], axis=0) - norm(dx)
+        slacks = _blend(dx + du, dx, functools.partial(np.linalg.norm, ord=norm_p, axis=-1))
     else:
         raise ValueError(f"unknown class {kind!r}")
     name = kind + (f"(rho={rho})" if rho is not None else "")
-    return CheckReport.from_slacks(name, slacks, tol, lambda i: f"x={x[i]}, y={x[i + 1]}")
+    return CheckReport.from_slacks(name, slacks, tol, {"x": x[:-1], "y": x[1:]})
 
 
 def _alpha_for(op: SetValuedOperator, gamma):
@@ -563,9 +573,9 @@ def _alpha_for(op: SetValuedOperator, gamma):
     return 1.0 / (2.0 * (rho / gamma + 1.0))
 
 
-def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, SimpleNamespace]:
-    """The resolvent suite's sample sets named in ``kinds``, as rows tagged
-    with their step sizes.  Every point is drawn first, in a fixed order."""
+def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, SimpleNamespace]:
+    """The resolvent suite's sample sets, as rows tagged with their step sizes, each with
+    the columns it ``show``s for a witness.  Every point is drawn first, in a fixed order."""
     draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
     points, graph = [], []
     for gamma in gammas:
@@ -598,23 +608,21 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
         # the kernel verified u on every row it solved; a NaN row (x outside the resolvent
         # domain, or u lost to rounding) is no member
         member=~np.isnan(u).any(axis=1),
-        where=lambda i: f"gamma={pg[i]}, x={x[i]}, y={y[i]}",
+        show={"gamma": pg, "x": x, "y": y},
     )
 
     # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
     z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
     gg = np.repeat(gammas, len(z) // len(gammas))
     jzw = resolve(gg, z + gg[:, None] * w)
-    sets["inclusion"] = SimpleNamespace(z=z, p=jzw, where=lambda i: f"gamma={gg[i]}, z={z[i]}")
-    if "minimality" in kinds:
-        jz, uz = resolve_rows(op, gg, z, tol)
-        keep = ~np.isnan(jz).any(axis=1)  # z outside the resolvent domain is skipped
-        mg, mz = gg[keep], z[keep]
-        sets["minimality"] = SimpleNamespace(
-            nsel=_norms(_min_norm(*op.value_box(mz))),
-            nu=_norms(uz[keep]),
-            where=lambda i: f"gamma={mg[i]}, z={mz[i]}",
-        )
+    sets["inclusion"] = SimpleNamespace(z=z, p=jzw, show={"gamma": gg, "z": z})
+    jz, uz = resolve_rows(op, gg, z, tol)
+    sets["minimality"] = SimpleNamespace(
+        nsel=_norms(_min_norm(*op.value_box(z))),
+        nu=_norms(uz),
+        show=sets["inclusion"].show,
+        keep=~np.isnan(jz).any(axis=1),  # z outside the resolvent domain is skipped
+    )
 
     # parameter changes: resolvents at lam and, through the identity, at gamma
     cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
@@ -628,16 +636,10 @@ def _suite_samples(op, rng, gammas, samples, radius, tol, kinds) -> dict[str, Si
         nx=_norms(cx),
         jl=jl,
         jg=resolve(cg, ratio * cx + (1 - ratio) * jl),
-        where=lambda i: f"gamma={cg[i]}, lambda={lam[i]}, x={cx[i]}",
+        jgx=resolve(cg, cx),
+        show={"gamma": cg, "lambda": lam, "x": cx},
     )
-    if "displacements" in kinds:
-        sets["displacements"] = SimpleNamespace(**vars(sets["changes"]), jgx=resolve(cg, cx))
     return sets
-
-
-def _norm_blend(s, t):
-    blends = [_norms(r * s.dxy + (1 - r) * s.dj) for r in _BLEND_GRID]
-    return np.min(blends, axis=0) - s.nj
 
 
 def _averaged(s, t):
@@ -661,7 +663,7 @@ def _unit(s):
 # the tolerance, and whether it also runs on instances with a negative degree rho.
 _RESOLVENT_PROPERTIES = {
     "defining_inclusion_unique": ("inclusion", lambda s, t: t - _norms(s.p - s.z), _unit, True),
-    "firmly_nonexpansive_norm_form": ("pairs", _norm_blend, _unit, False),
+    "firmly_nonexpansive_norm_form": ("pairs", lambda s, t: _blend(s.dxy, s.dj), _unit, False),
     "firmly_nonexpansive_inner_form": (
         "pairs", lambda s, t: _dots(s.dxy, s.dj) - s.nj**2, _unit, False
     ),
@@ -671,7 +673,7 @@ _RESOLVENT_PROPERTIES = {
     "resolvent_identity": (
         "changes", lambda s, t: t - _norms(s.jl - s.jg), lambda s: np.maximum(1.0, s.nx), True
     ),
-    "displacement_bound": ("displacements", _displacement, lambda s: np.maximum(1.0, s.nx), False),
+    "displacement_bound": ("changes", _displacement, lambda s: np.maximum(1.0, s.nx), False),
     "yosida_membership": ("pairs", lambda s, t: np.where(s.member, 1.0, -1.0), _unit, True),
     "yosida_lipschitz": (
         "pairs", lambda s, t: 2 / s.gamma * s.nxy - s.ygap, lambda s: np.maximum(1.0, s.nxy), False
@@ -704,12 +706,13 @@ def check_resolvent_properties(
     # at extreme step sizes a point (z + gamma * w, a blend at gamma / lambda) or a gap may
     # pass the float range: resolve_rows refuses such a point, and a gap's slack fails
     with np.errstate(over="ignore", invalid="ignore"):
-        sets = _suite_samples(op, rng, gammas, samples, radius, tol, {p[0] for p in props.values()})
+        sets = _suite_samples(op, rng, gammas, samples, radius, tol)
     reports = {}
     for name, (kind, slack, scale, _) in props.items():
         rows = sets[kind]
         tols = tol * scale(rows)
-        reports[name] = CheckReport.from_slacks(name, slack(rows, tols), tols, rows.where)
+        keep = getattr(rows, "keep", slice(None))  # only the minimality set skips samples
+        reports[name] = CheckReport.from_slacks(name, slack(rows, tols), tols, rows.show, keep)
     return reports
 
 
@@ -724,6 +727,9 @@ def resolvent_param_modulus(b: float, l_prime: int, k: int) -> int:
         raise ValueError("exponents are naturals")
     b = max(float(b), 1.0)
     return math.floor(k + l_prime + math.log2(b))
+
+
+_MODULUS_TOL = 1e-9  # the slack that the two modulus checks allow each comparison
 
 
 @dataclass(frozen=True)
@@ -743,10 +749,9 @@ def verify_resolvent_param_modulus(
     b: float,
     l_prime: int,
     k: int,
-    tol: float = 1e-9,
 ) -> ModulusCheck:
     """Instantiate the parameter-continuity statement at one sample."""
-    x = as_vector(x, op.dim)
+    x, tol = as_vector(x, op.dim), _MODULUS_TOL
     if gamma_prime < 2.0**-l_prime:
         raise PreconditionViolated(f"gamma' = {gamma_prime} below 2^-{l_prime}")
     jp = resolvent(op, gamma_prime, x)
@@ -769,8 +774,8 @@ def check_minimal_norm_selection(
     20 values drawn from their box, infinite faces cut at distance 10."""
     X = rng.uniform(-3.0, 3.0, size=(50 * samples, op.dim))
     box = op.value_box(X)
-    keep = np.flatnonzero(_inside(box))[:samples]
-    x, lo, hi = X[keep], box[0][keep], box[1][keep]
+    first = np.flatnonzero(_inside(box))[:samples]
+    x, lo, hi = X[first], box[0][first], box[1][first]
     sel = _min_norm(lo, hi)
     member = np.where(_distance(lo, hi, sel) <= tol, 1.0, -1.0)
     top = np.where(np.isinf(hi), 10.0, hi)
@@ -780,15 +785,16 @@ def check_minimal_norm_selection(
     variational = -_dots(y - sel[:, None], -sel[:, None])
     # tol * tol, not tol**2, which overflows for a tolerance past 1e154
     gap = np.sqrt(np.maximum(0.0, 2 * nsel * tol + tol * tol))
-    near = (_norms(y) <= nsel[:, None] + tol).ravel()
-    unique = (gap[:, None] + tol - _norms(y - sel[:, None])).ravel()[near]
-    xs, ys = np.repeat(x, 20, axis=0), y.reshape(-1, op.dim)
+    near = (_norms(y) <= nsel[:, None] + tol).ravel()  # only values of near-least norm count
+    unique = gap[:, None] + tol - _norms(y - sel[:, None])
+    pairs = {"x": np.repeat(x, 20, axis=0), "y": y.reshape(-1, op.dim)}
     slacks = {
-        "min_selection_membership": (member, lambda i: f"x={x[i]}"),
-        "min_selection_variational": (variational, lambda i: f"x={xs[i]}, y={ys[i]}"),
-        "min_selection_uniqueness": (unique, lambda i: f"x={xs[near][i]}, y={ys[near][i]}"),
+        "min_selection_membership": (member, {"x": x}, slice(None)),
+        "min_selection_variational": (variational, pairs, slice(None)),
+        "min_selection_uniqueness": (unique, pairs, near),
     }
-    return {name: CheckReport.from_slacks(name, s, tol, w) for name, (s, w) in slacks.items()}
+    return {name: CheckReport.from_slacks(name, s, tol, show, keep)
+            for name, (s, show, keep) in slacks.items()}
 
 
 def uc_modulus_check(
@@ -796,7 +802,6 @@ def uc_modulus_check(
     modulus: Callable[[int], int],
     rng: np.random.Generator,
     samples: int = 100,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Uniform graph-continuity: arguments in ``[-5, 5]^d`` closer than the modulus
     threshold have one-sidedly close value sets at each resolution k = 0..3."""
@@ -806,12 +811,9 @@ def uc_modulus_check(
     step = rng.normal(size=x.shape)
     y = x + step * (rng.random(len(k)) * delta * 0.999 / np.maximum(_norms(step), 1e-12))[:, None]
     excess = one_sided_excess(op.value_box(x), op.value_box(y))
-    keep = ~np.isnan(excess)  # pairs with an end outside the domain are skipped
-    k, x, y = k[keep], x[keep], y[keep]
-    return CheckReport.from_slacks(
-        "uniform_continuity_modulus", 1.0 / (k + 1) - excess[keep], tol,
-        lambda i: f"k={k[i]}, x={x[i]}, y={y[i]}",
-    )
+    return CheckReport.from_slacks(  # pairs with an end outside the domain are skipped
+        "uniform_continuity_modulus", 1.0 / (k + 1) - excess, _MODULUS_TOL,
+        {"k": k, "x": x, "y": y}, ~np.isnan(excess))
 
 
 def range_condition_check(
@@ -848,19 +850,15 @@ def range_condition_check(
     if lost.any():
         n = ns[lost][0]
         raise NoConvergence(f"{op.name}: split lost to rounding at gamma_{n} = {gamma_fn(n)}")
-    tag = np.where(split, "", ": no split")
-
-    def where(rows):
-        return lambda i: f"n={ns[rows][i]}, x={x[rows][i]}{tag[rows][i]}"
-
     slacks = {
         "range_split_membership": (np.where(split, 1.0, -1.0), slice(None)),
-        "range_split_in_ball": (bound + tol - _norms(z[split] - center), split),
+        "range_split_in_ball": (bound + tol - _norms(z - center), split),
     }
     if l2(center) == 0.0:
         wmax = np.repeat([bound * 2.0 ** (alpha_fn(n) + 1) for n in n_grid], samples)[inside]
-        slacks["range_split_w_bound"] = (wmax[split] - _norms(w[split]), split)
-    return {k: CheckReport.from_slacks(k, s, tol, where(r)) for k, (s, r) in slacks.items()}
+        slacks["range_split_w_bound"] = (wmax - _norms(w), split)
+    show = {"n": ns, "x": x}
+    return {k: CheckReport.from_slacks(k, s, tol, show, keep) for k, (s, keep) in slacks.items()}
 
 
 def graph_closedness_check(op: SetValuedOperator, rng: np.random.Generator) -> CheckReport:
@@ -876,7 +874,5 @@ def graph_closedness_check(op: SetValuedOperator, rng: np.random.Generator) -> C
     keep = _inside(seq_box).all(axis=1) & _inside((lo, hi))
     u_last = _selection(seq_box[0][:, -1], seq_box[1][:, -1])
     ok = _distance(lo, hi, u_last) <= 1e-4 * np.maximum(1.0, _norms(u_last))
-    x = limit[keep]
-    return CheckReport.from_slacks(
-        "graph_closedness", np.where(ok, 1.0, -1.0)[keep], 0.0, lambda i: f"x={x[i]}"
-    )
+    return CheckReport.from_slacks("graph_closedness", np.where(ok, 1.0, -1.0), 0.0,
+                                   {"x": limit}, keep)

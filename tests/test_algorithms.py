@@ -562,8 +562,8 @@ REFERENCE_CASES += [(name, x0, sched, steps) for name, x0, sched, steps in (
     *(("identity", [2.0, -1.5], "const:0.3", steps) for steps in (14, 15, 16)),  # steps run out
     *(("tan_subgradient", [1.3], f"const:{g}", 60) for g in (0.056, 0.0525, 0.05)),  # the domain
 )]
-REFERENCE_CASES += [  # refused mid-run
-    ("psd_skew", [2.0] * 6, "geom:1,0.5", 60),  # NoConvergence at gamma = 1.82e-12
+REFERENCE_CASES += [
+    ("psd_skew", [2.0] * 6, "geom:1,0.5", 60),  # steps down to gamma = 1.7e-18, where p is x
     ("neg_half_identity", [1.0, 1.0], "geom:10,0.5", 60),  # ComonotoneStepError at gamma = 2.5
 ]
 
@@ -634,9 +634,10 @@ def test_ppa_edge_runs_match_the_reference_loop(case):
 
 def test_reference_runs_cover_every_stop_reason():
     outcomes = set()
-    for name, x0, schedule, steps in REFERENCE_CASES:
+    runs = [(build_catalog(0)[name], *case) for name, *case in REFERENCE_CASES]
+    for op, x0, schedule, steps in [*runs, EDGE_RUNS["error-past-a-failed-check"][:4]]:
         try:
-            trace = proximal_point(build_catalog(0)[name], x0, schedule, steps)
+            trace = proximal_point(op, x0, schedule, steps)
         except (NoConvergence, ComonotoneStepError) as exc:
             outcomes.add(type(exc))
             continue
@@ -645,6 +646,23 @@ def test_reference_runs_cover_every_stop_reason():
     # steps run out, a zero mid-run, leaving the domain, diverging, the two refusals
     assert outcomes >= {(False, False, False), (False, False, True), (False, True, False),
                         (True, False, False), NoConvergence, ComonotoneStepError}
+
+
+def test_ppa_takes_valid_small_steps_on_psd_skew():
+    # geometric schedules reach step sizes near ulp(1), where the LU solve's own rounding
+    # moves u by more than p rounding to x alone; every such run used to be refused
+    refused = 0
+    for seed in range(2):
+        op, rng = build_catalog(seed)["psd_skew"], np.random.default_rng(seed)
+        for x0 in rng.uniform(-4.0, 4.0, size=(6, 6)):
+            for q in (0.5, 0.3, 0.1):
+                try:
+                    trace = proximal_point(op, x0, f"geom:1,{q}", 80)
+                except NoConvergence:
+                    refused += 1
+                    continue
+                assert len(trace.points) == 81 and np.isfinite(trace.value_residuals).all()
+    assert refused == 0
 
 
 def _reference_moudafi(op_t, op_s, x0, mu, lam, steps, zero_tol=1e-9, guard=DIVERGENCE_GUARD):

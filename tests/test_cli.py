@@ -583,6 +583,10 @@ BAD_INPUTS = [
     # z + gamma * w and the identity's blend at gamma / lambda pass the float range
     *[(["oplab", "verify", name, "--gamma-grid", grid], "expected finite coordinates")
       for name in ("box", "identity") for grid in ("1e308", "1e-300,1e300")],
+    # I + gamma * A overflows, and the solve gives NaN: the resolvent passes the float range
+    (["oplab", "verify", "psd_skew", "--gamma-grid", "1e308"], "float range"),
+    (["run", "ppa", "--instance", "psd_skew", "--x0", "1,2,3,-1,0,5", "--gamma", "const:1e308",
+      "--steps", "1"], "float range"),
     (["real", "canon", "-1/2"], "rational"),
     (["real", "canon", "--", "-1/2"], "'-1/2'"),
     (["real", "canon", "x/y"], "'x/y'"),

@@ -326,13 +326,38 @@ def _shrinks_too_far(op):
     return op
 
 
-@pytest.mark.parametrize("gamma", [0.25, 1.0])
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 1e-9])
 def test_wrong_closed_form_fails_closed(gamma):
     op = _shrinks_too_far(abs_subdifferential())
     with pytest.raises(NoConvergence):
         resolve_rows(op, np.full(3, gamma), np.array([[0.1], [3.0], [-0.2]]))
     with pytest.raises(NoConvergence):
         resolvent(op, gamma, 3.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-9])
+def test_wrong_matrix_solve_fails_closed_at_small_steps(gamma):
+    # the allowance for a solve's rounding at small steps does not cover a 1% error in it
+    rng = np.random.default_rng(0)
+    c, s = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
+    mat = c @ c.T / 6 + (s - s.T) / 2
+    op = matrix_operator(mat)
+    op.resolvent_fn = lambda g, X: np.linalg.solve(np.eye(6) + 1.01 * g[:, None, None] * mat,
+                                                   X[..., None])[..., 0]
+    with pytest.raises(NoConvergence):
+        resolve_rows(op, np.full(3, gamma), rng.uniform(-4.0, 4.0, size=(3, 6)))
+
+
+@pytest.mark.parametrize("gamma", [1e-14, 1e-12, 1e-10, 1e-9])
+def test_tan_rows_at_small_steps_are_accepted(gamma):
+    # the root of tan's bisection can be two ulps off, which moves u by more than the
+    # spacing of x over gamma alone; rows bisected one at a time and in lockstep
+    op, rng = tan_subgradient(), np.random.default_rng(int(-math.log10(gamma)))
+    X = op.domain_sampler(rng, 195, gamma, 1.5)
+    lockstep, _ = resolve_rows(op, np.full(len(X), gamma), X)
+    by_batch = [resolve_rows(op, np.full(len(b), gamma), b)[0] for b in np.split(X, 5)]
+    assert len(by_batch[0]) == _TAN_LOCKSTEP_ROWS - 1
+    assert np.concatenate(by_batch).tolist() == lockstep.tolist()
 
 
 def _reference_distance(name, p, u):
@@ -502,13 +527,38 @@ def test_failing_report_names_its_worst_pair():
 
 
 def test_report_fails_closed_on_nan():
-    rep = CheckReport.from_slacks("probe", [0.5, math.nan], 1e-8, lambda i: f"sample {i}")
+    rep = CheckReport.from_slacks("probe", [0.5, math.nan], 1e-8, {"sample": np.arange(2)})
     assert rep.checks == 2 and rep.violations == 1
     assert rep.passed is False
-    assert rep.witness == "sample 1"
+    assert rep.witness == "sample=1"
     d = rep.as_dict()
     assert d["worst_slack"] is None
     json.dumps(d, allow_nan=False)
+
+
+def test_report_counts_only_kept_samples():
+    # rows 0 and 3 are worse than any kept row, but skipped: they count nowhere
+    slacks = np.array([-9.0, -1.0, 0.5, -7.0, -3.0, -2.0])
+    keep = np.array([False, True, True, False, True, True])
+    show = {"gamma": np.arange(6) / 4, "lambda": np.arange(6) * 2, "x": np.eye(6)[:, :2]}
+    rep = CheckReport.from_slacks("probe", slacks, 1e-8, show, keep)
+    assert (rep.checks, rep.violations, rep.worst_slack) == (4, 3, -3.0)
+    assert rep.witness == "gamma=1.0, lambda=8, x=[0. 0.]"  # row 4, the columns in order
+    tols = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 5.0])  # row-aligned tolerances absolve 4 and 5
+    rep = CheckReport.from_slacks("probe", slacks, tols, show, keep)
+    assert (rep.violations, rep.witness) == (1, "gamma=0.25, lambda=2, x=[0. 1.]")
+    assert CheckReport.from_slacks("probe", slacks, 10.0, show, keep).passed
+
+
+def test_report_fails_closed_on_a_kept_nan_and_on_no_kept_sample():
+    slacks, show = np.array([1.0, math.nan, math.nan, 2.0]), {"i": np.arange(4)}
+    rep = CheckReport.from_slacks("probe", slacks, 1e-8, show, np.array([True, False, True, True]))
+    assert (rep.checks, rep.violations, rep.witness, rep.passed) == (3, 1, "i=2", False)
+    ends = np.array([True, False, False, True])  # the NaN rows skipped: a pass
+    assert CheckReport.from_slacks("probe", slacks, 1e-8, show, ends).passed
+    none = CheckReport.from_slacks("probe", slacks, 1e-8, show, np.zeros(4, dtype=bool))
+    assert (none.checks, none.violations, none.witness, none.passed) == (0, 0, "", False)
+    assert none.as_dict()["worst_slack"] is None
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -660,16 +710,17 @@ def _range_condition_by_row(op, gamma_fn, alpha_fn, bound, center, rng, n_grid, 
             try:
                 z, w = resolvent(op, gamma, x, tol=tol, with_value=True)
             except OutsideDomain:
-                split.append((-1.0, f"n={n}, x={x}: no split"))
+                split.append((-1.0, n, x))
                 continue
-            split.append((1.0, f"n={n}, x={x}"))
-            ball.append((bound + tol - l2(z - center), f"n={n}, x={x}"))
-            wbound.append((bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), f"n={n}, x={x}"))
+            split.append((1.0, n, x))
+            ball.append((bound + tol - l2(z - center), n, x))
+            wbound.append((bound * 2.0 ** (alpha_fn(n) + 1) - l2(w), n, x))
     named = {"range_split_membership": split, "range_split_in_ball": ball}
     if l2(center) == 0.0:
         named["range_split_w_bound"] = wbound
     return {
-        name: CheckReport.from_slacks(name, [s for s, _ in rows], tol, lambda i, r=rows: r[i][1])
+        name: CheckReport.from_slacks(name, [s for s, _, _ in rows], tol,
+                                      {"n": [n for _, n, _ in rows], "x": [x for *_, x in rows]})
         for name, rows in named.items()
     }
 
