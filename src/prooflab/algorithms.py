@@ -258,7 +258,7 @@ def _zero_residuals(box) -> np.ndarray:
 
 def _step(op: SetValuedOperator, floor: float, gamma, x: np.ndarray) -> np.ndarray:
     """``J_gamma(x)`` by ``op.resolvent_fn`` alone: its check comes with its chunk's."""
-    if not gamma > floor:
+    if not floor < gamma < math.inf:  # what resolve_rows refuses
         raise _refusal(op, gamma)
     gammas, X = np.array([gamma]), x[None]
     if op.resolvent_domain_fn is not None and not op.resolvent_domain_fn(gammas, X)[0]:

@@ -10,6 +10,7 @@ flag value its argparse converter refuses, or an ``INPUT_ERRORS`` exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -283,7 +284,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI's parser and its ``oplab`` subparser, built once per process; ``main`` sets
+    the one default that reads the environment, ``--tol``'s, on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=natural, default=0, help="seed for all sampling")
     parser = argparse.ArgumentParser(prog="prooflab")
@@ -325,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=["verify"])
     p.add_argument("instance", choices=INSTANCES, metavar="instance")
     p.add_argument("--samples", type=natural, default=300)
-    tol = os.environ.get("PROOFLAB_TOL", "1e-8")  # argparse converts it like a --tol value
-    p.add_argument("--tol", type=tolerance, default=tol, help="also PROOFLAB_TOL")
+    p.add_argument("--tol", type=tolerance, help="also PROOFLAB_TOL")
     p.add_argument("--gamma-grid", type=float_list, default=None)
     p.add_argument("--config", default=None, help="flat key=value overrides")
     p.add_argument("--jobs", type=natural, default=1, help="accepted; has no effect on the output")
@@ -350,11 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--zero", type=float_list)
     p.set_defaults(fn=cmd_report)
-    return parser
+    return parser, sub.choices["oplab"]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, oplab = build_parser()
+    # --tol's default, read on every call; argparse converts a string default like a --tol
+    # value, so a bad PROOFLAB_TOL is refused as a bad --tol is, and only by verbs that take it
+    oplab.set_defaults(tol=os.environ.get("PROOFLAB_TOL", "1e-8"))
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     if args.command == "majorant" and args.verb == "bobs" and not args.instance:

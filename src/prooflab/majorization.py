@@ -9,6 +9,7 @@ sampling: :func:`check_majorizes` never proves, it only fails to refute.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -194,6 +195,7 @@ def bobs_uniform_majorant(
         if b is None or not math.isfinite(b):
             return NOT_BOUNDED
 
+    @functools.cache  # pure in n; a refused n raises, and nothing is cached for it
     def at(n: int) -> int:
         if n < 0:
             raise ValueError("arguments are naturals")

@@ -177,7 +177,8 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
     """Resolvents ``P`` of the rows of ``X[N, d]`` at step sizes ``gammas[N]``, and the
     values ``U = (X - P) / gammas`` at them; both NaN outside the resolvent domain.
 
-    Step sizes at or below ``_floor(op)`` are refused, rows in the domain take
+    Step sizes at or below ``_floor(op)`` are refused, and so is an infinite one (as
+    ``NonFiniteInput``, which covers ``resolvent`` and ``yosida`` too); rows in the domain take
     ``op.resolvent_fn`` and ``_verify_rows`` checks them; runs of the proximal point and
     Moudafi schemes take the same pieces, a chunk of steps at a time.
     """
@@ -185,9 +186,9 @@ def resolve_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, tol: 
         raise DimensionMismatch(f"expected {len(gammas)} rows of dimension {op.dim}, got {X.shape}")
     if not np.isfinite(X).all():
         raise NonFiniteInput(f"expected finite coordinates, got {X[~np.isfinite(X).all(1)][0]}")
-    floor = _floor(op)
-    if len(gammas) and not gammas.min() > floor:  # also refuses NaN
-        raise _refusal(op, gammas[np.argmin(gammas > floor)])
+    good = (gammas > _floor(op)) & (gammas < math.inf)  # also refuses NaN
+    if not good.all():
+        raise _refusal(op, gammas[np.argmin(good)])
     inside = None if op.resolvent_domain_fn is None else op.resolvent_domain_fn(gammas, X)
     if inside is not None and not inside.all():
         P, U = np.full(X.shape, np.nan), np.full(X.shape, np.nan)
@@ -209,6 +210,8 @@ def _floor(op: SetValuedOperator) -> float:
 def _refusal(op: SetValuedOperator, gamma) -> ValueError:
     if not gamma > 0:
         return NonPositiveGamma(f"gamma = {gamma}")
+    if gamma == math.inf:
+        return NonFiniteInput(f"expected a finite step size, got gamma = {gamma}")
     return ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
 
 
@@ -586,14 +589,24 @@ def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, SimpleNam
     def resolve(g, X):
         return resolve_rows(op, g, X, tol)[0]
 
+    def resolve_values(g, X):
+        # a value lost to rounding (p finite, u NaN) is read off the box at p, as the point
+        # of it nearest (x - p) / gamma; a proximal-point run reads its value residual there
+        P, U = resolve_rows(op, g, X, tol)
+        lost = np.isnan(U).any(axis=1) & ~np.isnan(P).any(axis=1)
+        if lost.any():
+            lo, hi = op.value_box(P[lost])
+            U[lost] = np.clip((X[lost] - P[lost]) / g[lost, None], lo, hi)
+        return P, U
+
     sets = {}
 
     # consecutive pairs of the domain points drawn at each step size, x and y in one call
     # with x first, so a failing x row is still the one reported
     pg = np.repeat(gammas, [len(p) // 2 for p in points])
     x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
-    jxy, uxy = resolve_rows(op, np.concatenate([pg, pg]), np.concatenate([x, y]), tol)
-    (jx, jy), u = np.split(jxy, 2), uxy[: len(x)]
+    jxy, uxy = resolve_values(np.concatenate([pg, pg]), np.concatenate([x, y]))
+    (jx, jy), (u, uy) = np.split(jxy, 2), np.split(uxy, 2)
     dres = (x - jx) - (y - jy)
     sets["pairs"] = SimpleNamespace(
         gamma=pg,
@@ -604,9 +617,9 @@ def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, SimpleNam
         nxy=_norms(x - y),
         nj=_norms(jx - jy),
         nres=_norms(dres),
-        ygap=_norms(u - (y - jy) / pg[:, None]),
+        ygap=_norms(u - uy),
         # the kernel verified u on every row it solved; a NaN row (x outside the resolvent
-        # domain, or u lost to rounding) is no member
+        # domain) is no member
         member=~np.isnan(u).any(axis=1),
         show={"gamma": pg, "x": x, "y": y},
     )
@@ -616,7 +629,7 @@ def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, SimpleNam
     gg = np.repeat(gammas, len(z) // len(gammas))
     jzw = resolve(gg, z + gg[:, None] * w)
     sets["inclusion"] = SimpleNamespace(z=z, p=jzw, show={"gamma": gg, "z": z})
-    jz, uz = resolve_rows(op, gg, z, tol)
+    jz, uz = resolve_values(gg, z)
     sets["minimality"] = SimpleNamespace(
         nsel=_norms(_min_norm(*op.value_box(z))),
         nu=_norms(uz),

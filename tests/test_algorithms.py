@@ -120,6 +120,20 @@ def test_moudafi_dimension_mismatch():
         moudafi_iteration(identity_operator(1), identity_operator(2), 1.0)
 
 
+@pytest.mark.parametrize("name", ["abs_subdiff", "box_normal_cone", "identity"])
+def test_runs_refuse_an_infinite_step_size(name):
+    # the refusal resolve_rows makes; schedule strings cannot name one.  (mu = inf never
+    # reaches a resolvent: the shift x + mu * T(x) passes the float range, and the run
+    # reads as diverged.)
+    op = build_catalog(0)[name]
+    x = np.full(op.dim, 2.0)
+    inf_steps = GammaSchedule("inf", lambda n: math.inf, lambda n: 0)
+    with pytest.raises(NonFiniteInput, match="step size"):
+        proximal_point(op, x, inf_steps, steps=2)
+    with pytest.raises(NonFiniteInput, match="step size"):
+        moudafi_iteration(op, op, x, lam=math.inf, steps=2)
+
+
 def test_moudafi_stops_at_fixed_point():
     trace = moudafi_iteration(
         identity_operator(), identity_operator(), 1.0, steps=500, zero_tol=1e-9

@@ -1,13 +1,19 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prooflab import cli
 from prooflab.algorithms import IterationTrace
 from prooflab.cli import INSTANCE_ALIASES, main
 from prooflab.majorization import bobs_uniform_majorant
@@ -514,6 +520,60 @@ def test_tol_env_override(monkeypatch, capsys):
     assert json.loads(run_cli(capsys, argv)[1])["tol"] == 1e-5
     monkeypatch.delenv("PROOFLAB_TOL")
     assert json.loads(run_cli(capsys, argv)[1])["tol"] == 1e-8
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli.build_parser.cache_clear()
+    run_cli(capsys, ["types", "0"])
+    first = len(built)
+    for argv in (["types", "0(0)"], ["real", "canon", "1/2"], ["oplab", "verify", "identity",
+                 "--samples", "5"], ["nonsense"], ["majorant", "bobs", "identity"]):
+        run_cli(capsys, argv)
+    assert first > 0 and len(built) == first
+
+
+def test_a_refused_call_leaves_nothing_behind(capsys):
+    good = ["oplab", "verify", "identity", "--samples", "5", "--seed", "3"]
+    alone = run_cli(capsys, good)
+    assert run_cli(capsys, ["oplab", "verify", "identity", "--samples", "-5", "--seed", "9"])[0] == 2
+    assert run_cli(capsys, good) == alone
+
+
+def test_a_config_call_leaves_nothing_behind(capsys, tmp_path):
+    (tmp_path / "five.cfg").write_text("samples = 5\ntol = 1e-3\n")
+    argv = ["oplab", "verify", "abs_subdiff"]
+    payload = json.loads(run_cli(capsys, [*argv, "--config", str(tmp_path / "five.cfg")])[1])
+    assert (payload["samples"], payload["tol"]) == (5, 1e-3)
+    payload = json.loads(run_cli(capsys, argv)[1])
+    assert (payload["samples"], payload["tol"]) == (300, 1e-8)
+
+
+def test_in_process_calls_match_a_fresh_process(capsys):
+    argv = ["oplab", "verify", "identity", "--samples", "5"]
+    run_cli(capsys, argv)
+    second = run_cli(capsys, argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PROOFLAB_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    fresh = subprocess.run([sys.executable, "-m", "prooflab.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == second
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("identity", "1e-9"), ("psd_skew", "1e-9"), ("tan_subgradient", "1e-9"),
+    ("identity", "1e-300"),
+])
+def test_yosida_checks_pass_at_tiny_step_sizes(capsys, name, grid):
+    # u = (x - p) / gamma is rounding noise here: the Yosida checks read it off the box at p
+    code, out, err = run_cli(capsys, ["oplab", "verify", name, "--gamma-grid", grid,
+                                      "--samples", "60"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"]["resolvent.yosida_membership"]["checks"] == 30  # pairs
 
 
 # Bad input: each exits 2 with nothing on stdout, and stderr names what was

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def test_bobs_rejects_negative():
     maj = bobs_uniform_majorant(abs_subdifferential())
     with pytest.raises(ValueError):
         maj(-1)
+
+
+def test_bobs_table_evaluates_each_argument_once():
+    calls = []
+
+    def bound(r):
+        calls.append(r)
+        return None if r == 3.0 else 2 * r
+
+    maj = bobs_uniform_majorant(SimpleNamespace(norm_bound_on_ball=bound))
+    calls.clear()
+    assert [maj(2), maj(2), maj(1)] == [4, 4, 2]
+    assert calls == [0.0, 1.0, 2.0, 0.0, 1.0]
+    for _ in range(2):  # a refused argument raises every time: nothing is cached for it
+        with pytest.raises(ValueError, match="naturals"):
+            maj(-1)
+        with pytest.raises(ValueError, match="inside radius 3"):
+            maj(3)
 
 
 def test_canonical_code_feeds_majorant():

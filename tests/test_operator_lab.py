@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -429,6 +430,29 @@ def test_values_lost_to_rounding_are_refused():
     with pytest.raises(NoConvergence):
         range_condition_check(identity_operator(1), lambda n: 1e-300, lambda n: 1000, 1.0, 0.5,
                               np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_infinite_step_sizes_are_refused(name):
+    op, gamma = CATALOG[name].build(np.random.default_rng(0)), CATALOG[name].gamma_grid[0]
+    x = np.full(op.dim, 0.5)
+    with pytest.raises(NonFiniteInput, match="step size"):
+        resolve_rows(op, np.array([gamma, math.inf]), np.stack([x, x]))
+    with pytest.raises(NonFiniteInput, match="step size"):
+        resolvent(op, math.inf, x)
+    with pytest.raises(NonFiniteInput, match="step size"):
+        yosida(op, math.inf, x)
+
+
+@pytest.mark.parametrize("name", ["identity", "psd_skew", "tan_subgradient"])
+def test_yosida_suite_still_fails_wrong_values_at_tiny_steps(name):
+    # a 1% error in the values is caught by the kernel's defining inclusion at 1e-9 (at
+    # 1e-300, p rounds to x and no resolvent equation can tell the values apart)
+    op = build_catalog(0)[name]
+    wrong = dataclasses.replace(op, value_box=lambda P: tuple(1.01 * b for b in op.value_box(P)))
+    with pytest.raises(NoConvergence):
+        check_resolvent_properties(wrong, np.random.default_rng(1), (1e-9,), samples=60)
 
 
 def test_an_operator_brings_its_resolvent_and_graph_sampler():
