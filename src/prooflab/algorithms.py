@@ -388,6 +388,8 @@ def moudafi_iteration(
         try:
             for _ in range(m):
                 ts.append(_step(op_t, floor_t, lam, x))
+                if not floor_s < mu < math.inf:  # before the shift can pass the float range
+                    raise _refusal(op_s, mu)
                 shifts.append(x + mu * ((x - ts[-1]) / lam))
                 if not np.isfinite(shifts[-1]).all():  # past the float range: it blew up
                     stop = [(len(points), "diverged")]

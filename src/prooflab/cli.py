@@ -218,22 +218,13 @@ def _config_flags(path: str, parser: argparse.ArgumentParser):
 def cmd_oplab(args) -> int:
     op = _resolve_instance(args.instance, args.seed)
     gammas = args.gamma_grid or _catalog_entry(args.instance).gamma_grid
-    samples, tol = args.samples, args.tol
+    groups = operator_lab.CHECK_GROUPS
     # one child generator per check group, so no group's draws shift another's
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(args.seed).spawn(4)]
-    kind, rho = ("comonotone", op.rho) if (op.rho or 0) < 0 else ("monotone", None)
-    groups = {
-        "class": [operator_lab.check_operator_class(op, kind, rngs[0], samples, rho=rho, tol=tol)],
-        "resolvent": operator_lab.check_resolvent_properties(
-            op, rngs[1], gammas, samples, tol=tol
-        ).values(),
-        "min_selection": operator_lab.check_minimal_norm_selection(
-            op, rngs[2], max(20, samples // 5), tol=tol
-        ).values(),
-        "closedness": [operator_lab.graph_closedness_check(op, rngs[3])],
-    }
+    rngs = map(np.random.default_rng, np.random.SeedSequence(args.seed).spawn(len(groups)))
     checks = {
-        f"{group}.{rep.name}": rep.as_dict() for group, reps in groups.items() for rep in reps
+        f"{group}.{rep.name}": rep.as_dict()
+        for group, rng in zip(groups, rngs)
+        for rep in operator_lab.check_group(op, group, rng, gammas, args.samples, args.tol)
     }
     failed = sorted(name for name, rep in checks.items() if not rep["passed"])
     _emit(
@@ -242,8 +233,8 @@ def cmd_oplab(args) -> int:
             "operator": op.name,
             "seed": args.seed,
             "gamma_grid": list(gammas),
-            "samples": samples,
-            "tol": tol,
+            "samples": args.samples,
+            "tol": args.tol,
             "checks": checks,
             "passed": not failed,
         }

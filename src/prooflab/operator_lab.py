@@ -518,14 +518,8 @@ class CheckReport:
         return self.checks > 0 and self.violations == 0
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checks": self.checks,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack if math.isfinite(self.worst_slack) else None,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        worst = self.worst_slack if math.isfinite(self.worst_slack) else None
+        return {**vars(self), "worst_slack": worst, "passed": self.passed}
 
 
 # The scales at which accretivity and the norm form of firm nonexpansiveness test that
@@ -538,121 +532,9 @@ def _blend(a, b, norm=_norms):
     return np.min([norm(r * a + (1 - r) * b) for r in _BLEND_GRID], axis=0) - norm(b)
 
 
-def check_operator_class(
-    op: SetValuedOperator,
-    kind: str,
-    rng: np.random.Generator,
-    samples: int = 300,
-    radius: float = 5.0,
-    rho: float | None = None,
-    norm_p: float = 2.0,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Sampled falsification of a monotonicity-style class inequality.
-
-    ``kind`` is ``monotone`` (inner product of differences nonnegative),
-    ``accretive`` (norm of difference nondecreasing along the graph
-    direction at each scale of ``_BLEND_GRID``, any p-norm) or ``comonotone``
-    (inner product dominates ``rho`` times the squared value gap).
-    """
-    x, u = op.graph_sampler(rng, samples, radius)
-    dx, du = x[:-1] - x[1:], u[:-1] - u[1:]
-    if kind == "monotone":
-        slacks = _dots(dx, du)
-    elif kind == "comonotone":
-        if rho is None:
-            raise ValueError("comonotone checks need a degree rho")
-        slacks = _dots(dx, du) - rho * _norms(du) ** 2
-    elif kind == "accretive":
-        slacks = _blend(dx + du, dx, functools.partial(np.linalg.norm, ord=norm_p, axis=-1))
-    else:
-        raise ValueError(f"unknown class {kind!r}")
-    name = kind + (f"(rho={rho})" if rho is not None else "")
-    return CheckReport.from_slacks(name, slacks, tol, {"x": x[:-1], "y": x[1:]})
-
-
 def _alpha_for(op: SetValuedOperator, gamma):
     rho = op.rho if op.rho is not None else 0.0
     return 1.0 / (2.0 * (rho / gamma + 1.0))
-
-
-def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, SimpleNamespace]:
-    """The resolvent suite's sample sets, as rows tagged with their step sizes, each with
-    the columns it ``show``s for a witness.  Every point is drawn first, in a fixed order."""
-    draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
-    points, graph = [], []
-    for gamma in gammas:
-        points.append(draw(rng, samples, gamma, radius)[: samples // 2 * 2])
-        graph.append(op.graph_sampler(rng, max(10, samples // 4), radius))
-    steps = [(gamma, lam) for gamma in gammas for lam in gammas]
-    changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
-    def resolve(g, X):
-        return resolve_rows(op, g, X, tol)[0]
-
-    def resolve_values(g, X):
-        # a value lost to rounding (p finite, u NaN) is read off the box at p, as the point
-        # of it nearest (x - p) / gamma; a proximal-point run reads its value residual there
-        P, U = resolve_rows(op, g, X, tol)
-        lost = np.isnan(U).any(axis=1) & ~np.isnan(P).any(axis=1)
-        if lost.any():
-            lo, hi = op.value_box(P[lost])
-            U[lost] = np.clip((X[lost] - P[lost]) / g[lost, None], lo, hi)
-        return P, U
-
-    sets = {}
-
-    # consecutive pairs of the domain points drawn at each step size, x and y in one call
-    # with x first, so a failing x row is still the one reported
-    pg = np.repeat(gammas, [len(p) // 2 for p in points])
-    x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
-    jxy, uxy = resolve_values(np.concatenate([pg, pg]), np.concatenate([x, y]))
-    (jx, jy), (u, uy) = np.split(jxy, 2), np.split(uxy, 2)
-    dres = (x - jx) - (y - jy)
-    sets["pairs"] = SimpleNamespace(
-        gamma=pg,
-        alpha=_alpha_for(op, pg),
-        dxy=x - y,
-        dj=jx - jy,
-        dres=dres,
-        nxy=_norms(x - y),
-        nj=_norms(jx - jy),
-        nres=_norms(dres),
-        ygap=_norms(u - uy),
-        # the kernel verified u on every row it solved; a NaN row (x outside the resolvent
-        # domain) is no member
-        member=~np.isnan(u).any(axis=1),
-        show={"gamma": pg, "x": x, "y": y},
-    )
-
-    # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
-    z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
-    gg = np.repeat(gammas, len(z) // len(gammas))
-    jzw = resolve(gg, z + gg[:, None] * w)
-    sets["inclusion"] = SimpleNamespace(z=z, p=jzw, show={"gamma": gg, "z": z})
-    jz, uz = resolve_values(gg, z)
-    sets["minimality"] = SimpleNamespace(
-        nsel=_norms(_min_norm(*op.value_box(z))),
-        nu=_norms(uz),
-        show=sets["inclusion"].show,
-        keep=~np.isnan(jz).any(axis=1),  # z outside the resolvent domain is skipped
-    )
-
-    # parameter changes: resolvents at lam and, through the identity, at gamma
-    cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
-    cx = np.concatenate(changes)
-    jl = resolve(lam, cx)
-    ratio = (cg / lam)[:, None]
-    sets["changes"] = SimpleNamespace(
-        gamma=cg,
-        lam=lam,
-        x=cx,
-        nx=_norms(cx),
-        jl=jl,
-        jg=resolve(cg, ratio * cx + (1 - ratio) * jl),
-        jgx=resolve(cg, cx),
-        show={"gamma": cg, "lambda": lam, "x": cx},
-    )
-    return sets
 
 
 def _averaged(s, t):
@@ -667,66 +549,209 @@ def _displacement(s, t):
     return (2 + s.gamma / s.lam) * _norms(s.x - s.jl) - _norms(s.x - s.jgx)
 
 
+def _uniqueness(s, t):  # t * t, not t**2, which overflows for a tolerance past 1e154
+    return np.sqrt(np.maximum(0.0, 2 * s.nsel * t + t * t)) + t - _norms(s.y - s.sel)
+
+
 def _unit(s):
     return 1.0
 
 
-# The resolvent suite (Bauschke & Combettes, ch. 4 and 23) in report order: the sample
-# set each property runs on, its slack given that set and the tolerances, the factor on
-# the tolerance, and whether it also runs on instances with a negative degree rho.
-_RESOLVENT_PROPERTIES = {
-    "defining_inclusion_unique": ("inclusion", lambda s, t: t - _norms(s.p - s.z), _unit, True),
-    "firmly_nonexpansive_norm_form": ("pairs", lambda s, t: _blend(s.dxy, s.dj), _unit, False),
-    "firmly_nonexpansive_inner_form": (
-        "pairs", lambda s, t: _dots(s.dxy, s.dj) - s.nj**2, _unit, False
-    ),
-    "nonexpansive": ("pairs", lambda s, t: s.nxy - s.nj, _unit, False),
-    "averaged_form": ("pairs", _averaged, lambda s: np.maximum(1.0, s.nxy**2), True),
-    "conical_form": ("pairs", _conical, lambda s: np.maximum(1.0, s.nxy**2), True),
-    "resolvent_identity": (
-        "changes", lambda s, t: t - _norms(s.jl - s.jg), lambda s: np.maximum(1.0, s.nx), True
-    ),
-    "displacement_bound": ("changes", _displacement, lambda s: np.maximum(1.0, s.nx), False),
-    "yosida_membership": ("pairs", lambda s, t: np.where(s.member, 1.0, -1.0), _unit, True),
-    "yosida_lipschitz": (
-        "pairs", lambda s, t: 2 / s.gamma * s.nxy - s.ygap, lambda s: np.maximum(1.0, s.nxy), False
-    ),
-    "yosida_norm_minimality": (
-        "minimality", lambda s, t: s.nsel - s.nu, lambda s: np.maximum(1.0, s.nsel), False
-    ),
-}
+# The instances a check runs on in the default suite: those declaring a negative degree
+# rho (comonotone), the others (monotone), both, or neither (it runs only when asked for)
+_ANY, _MONOTONE, _COMONOTONE = ("monotone", "comonotone"), ("monotone",), ("comonotone",)
+
+# Every check of the property suite (Bauschke & Combettes, ch. 4 and 23), in report order:
+# its group and name, the sample set it reads, its slack given that set and the
+# tolerances, the factor on the tolerance, and the instances it runs on.
+_CHECKS = (
+    ("class", "monotone", "graph", lambda s, t: _dots(s.dx, s.du), _unit, _MONOTONE),
+    ("class", "comonotone", "graph",
+     lambda s, t: _dots(s.dx, s.du) - s.rho * _norms(s.du) ** 2, _unit, _COMONOTONE),
+    ("class", "accretive", "graph", lambda s, t: _blend(s.dx + s.du, s.dx, s.norm), _unit, ()),
+    ("resolvent", "defining_inclusion_unique", "inclusion",
+     lambda s, t: t - _norms(s.p - s.z), _unit, _ANY),
+    ("resolvent", "firmly_nonexpansive_norm_form", "pairs",
+     lambda s, t: _blend(s.dxy, s.dj), _unit, _MONOTONE),
+    ("resolvent", "firmly_nonexpansive_inner_form", "pairs",
+     lambda s, t: _dots(s.dxy, s.dj) - s.nj**2, _unit, _MONOTONE),
+    ("resolvent", "nonexpansive", "pairs", lambda s, t: s.nxy - s.nj, _unit, _MONOTONE),
+    ("resolvent", "averaged_form", "pairs", _averaged, lambda s: np.maximum(1.0, s.nxy**2), _ANY),
+    ("resolvent", "conical_form", "pairs", _conical, lambda s: np.maximum(1.0, s.nxy**2), _ANY),
+    ("resolvent", "resolvent_identity", "changes",
+     lambda s, t: t - _norms(s.jl - s.jg), lambda s: np.maximum(1.0, s.nx), _ANY),
+    ("resolvent", "displacement_bound", "displacement",
+     _displacement, lambda s: np.maximum(1.0, s.nx), _MONOTONE),
+    ("resolvent", "yosida_membership", "pairs",
+     lambda s, t: np.where(s.member, 1.0, -1.0), _unit, _ANY),
+    ("resolvent", "yosida_lipschitz", "pairs",
+     lambda s, t: 2 / s.gamma * s.nxy - s.ygap, lambda s: np.maximum(1.0, s.nxy), _MONOTONE),
+    ("resolvent", "yosida_norm_minimality", "minimality",
+     lambda s, t: s.nsel - s.nu, lambda s: np.maximum(1.0, s.nsel), _MONOTONE),
+    ("min_selection", "min_selection_membership", "selection",
+     lambda s, t: np.where(s.miss <= t, 1.0, -1.0), _unit, _ANY),
+    ("min_selection", "min_selection_variational", "values",
+     lambda s, t: -_dots(s.y - s.sel, -s.sel), _unit, _ANY),
+    ("min_selection", "min_selection_uniqueness", "near_values", _uniqueness, _unit, _ANY),
+    ("closedness", "graph_closedness", "sequences",
+     lambda s, t: np.where(s.miss <= 1e-4 * np.maximum(1.0, s.nu), 1.0, -1.0), _unit, _ANY),
+)
+
+# The groups of ``oplab verify``, in report order
+CHECK_GROUPS = tuple(dict.fromkeys(row[0] for row in _CHECKS))
 
 
-def check_resolvent_properties(
-    op: SetValuedOperator,
-    rng: np.random.Generator,
-    gammas: Sequence[float] = STANDARD_GAMMAS,
-    samples: int = 200,
-    radius: float = 5.0,
-    tol: float = 1e-8,
-) -> dict[str, CheckReport]:
-    """Sampled verification of the resolvent property suite.
+def _rows(op: SetValuedOperator, group: str, name: str | None = None) -> list[tuple]:
+    """The rows of ``group`` named ``name``, or else those that run on ``op``."""
+    on = "comonotone" if op.rho is not None and op.rho < 0 else "monotone"
+    return [row for row in _CHECKS
+            if row[0] == group and (row[1] == name if name else on in row[5])]
 
-    Nonexpansiveness-style checks run on monotone/accretive instances with
-    the halved averaging constant; instances declaring a negative
-    comonotonicity degree run the conical and averaged forms with their own
-    constant instead.  Parameter-change identities pair every two step sizes.
+
+def _check(op: SetValuedOperator, group: str, sets: dict, tol: float, name: str | None = None
+           ) -> dict[str, CheckReport]:
+    """Report ``_rows(op, group, name)``, each through ``CheckReport.from_slacks``.  ``sets``
+    maps each sample set to the function that builds it (the resolvent suite's resolve
+    there); only the sets these rows read are built, once each, in the order ``sets`` lists
+    them, before any row is reported."""
+    rows = _rows(op, group, name)
+    if name and not rows:
+        raise ValueError(f"unknown {group} check {name!r}")
+    reads = {row[2] for row in rows}
+    built = {key: build() for key, build in sets.items() if key in reads}
+    reports = {}
+    for _, check, key, slack, scale, _ in rows:
+        s = built[key]
+        tols = tol * scale(s)
+        keep = getattr(s, "keep", slice(None))  # the sets that skip samples say which count
+        reports[check] = CheckReport.from_slacks(check, slack(s, tols), tols, s.show, keep)
+    return reports
+
+
+def check_group(op: SetValuedOperator, group: str, rng: np.random.Generator,
+                gammas: Sequence[float] = STANDARD_GAMMAS, samples: int = 300, tol: float = 1e-8
+                ) -> list[CheckReport]:
+    """One group of ``oplab verify``: the reports of its rows that run on ``op``, in table
+    order, through the group's entry point, named at call time so that a wrapper bound to
+    the module attribute sees the call.  The class rows read the degree ``op.rho``."""
+    if group == "class":
+        return [check_operator_class(op, row[1], rng, samples, rho=op.rho, tol=tol)
+                for row in _rows(op, group)]
+    if group == "resolvent":
+        return [*check_resolvent_properties(op, rng, gammas, samples, tol=tol).values()]
+    if group == "min_selection":
+        return [*check_minimal_norm_selection(op, rng, max(20, samples // 5), tol).values()]
+    if group == "closedness":
+        return [graph_closedness_check(op, rng)]
+    raise ValueError(f"unknown check group {group!r}")
+
+
+def check_operator_class(op: SetValuedOperator, kind: str, rng: np.random.Generator,
+                         samples: int = 300, radius: float = 5.0, rho: float | None = None,
+                         norm_p: float = 2.0, tol: float = 1e-8) -> CheckReport:
+    """Sampled falsification of a monotonicity-style class inequality.
+
+    ``kind`` is ``monotone`` (inner product of differences nonnegative),
+    ``accretive`` (norm of difference nondecreasing along the graph
+    direction at each scale of ``_BLEND_GRID``, any p-norm) or ``comonotone``
+    (inner product dominates ``rho`` times the squared value gap).
     """
-    if not gammas:
-        raise ValueError("empty step-size grid")
-    comonotone_only = op.rho is not None and op.rho < 0
-    props = {n: p for n, p in _RESOLVENT_PROPERTIES.items() if p[3] or not comonotone_only}
+    x, u = op.graph_sampler(rng, samples, radius)
+    if kind == "comonotone" and rho is None:
+        raise ValueError("comonotone checks need a degree rho")
+    graph = SimpleNamespace(dx=x[:-1] - x[1:], du=u[:-1] - u[1:], rho=rho,
+                            norm=functools.partial(np.linalg.norm, ord=norm_p, axis=-1),
+                            show={"x": x[:-1], "y": x[1:]})
+    [report] = _check(op, "class", {"graph": lambda: graph}, tol, kind).values()
+    report.name += "" if rho is None else f"(rho={rho})"
+    return report
+
+
+def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, Callable]:
+    """The resolvent suite's sample sets, as rows tagged with their step sizes, each with
+    the columns it ``show``s for a witness.  Every point is drawn here, in a fixed order;
+    a set resolves its points when built, and the sets are listed in that order."""
+    draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
+    points, graph = [], []
+    for gamma in gammas:
+        points.append(draw(rng, samples, gamma, radius)[: samples // 2 * 2])
+        graph.append(op.graph_sampler(rng, max(10, samples // 4), radius))
+    steps = [(gamma, lam) for gamma in gammas for lam in gammas]
+    changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
+
+    def resolve(g, X):
+        return resolve_rows(op, g, X, tol)[0]
+
+    def resolve_values(g, X):
+        # a value lost to rounding (p finite, u NaN) is read off the box at p, as the point
+        # of it nearest (x - p) / gamma; a proximal-point run reads its value residual there
+        P, U = resolve_rows(op, g, X, tol)
+        lost = np.isnan(U).any(axis=1) & ~np.isnan(P).any(axis=1)
+        if lost.any():
+            lo, hi = op.value_box(P[lost])
+            U[lost] = np.clip((X[lost] - P[lost]) / g[lost, None], lo, hi)
+        return P, U
+
+    # consecutive pairs of the domain points drawn at each step size, x and y in one call
+    # with x first, so a failing x row is still the one reported
+    pg = np.repeat(gammas, [len(p) // 2 for p in points])
+    x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
+
+    def pairs():
+        jxy, uxy = resolve_values(np.concatenate([pg, pg]), np.concatenate([x, y]))
+        (jx, jy), (u, uy) = np.split(jxy, 2), np.split(uxy, 2)
+        dres = (x - jx) - (y - jy)
+        return SimpleNamespace(
+            gamma=pg, alpha=_alpha_for(op, pg), dxy=x - y, dj=jx - jy, dres=dres,
+            nxy=_norms(x - y), nj=_norms(jx - jy), nres=_norms(dres), ygap=_norms(u - uy),
+            # the kernel verified u on every row it solved; a NaN row (x outside the
+            # resolvent domain) is no member
+            member=~np.isnan(u).any(axis=1), show={"gamma": pg, "x": x, "y": y})
+
+    # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
+    z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
+    gg = np.repeat(gammas, len(z) // len(gammas))
+    show = {"gamma": gg, "z": z}
+
+    def minimality():
+        jz, uz = resolve_values(gg, z)  # z outside the resolvent domain is skipped
+        return SimpleNamespace(nsel=_norms(_min_norm(*op.value_box(z))), nu=_norms(uz), show=show,
+                               keep=~np.isnan(jz).any(axis=1))
+
+    # parameter changes: resolvents at lam and, through the identity, at gamma
+    cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
+    cx = np.concatenate(changes)
+
+    @functools.cache
+    def changed():
+        jl = resolve(lam, cx)
+        ratio = (cg / lam)[:, None]
+        return SimpleNamespace(gamma=cg, lam=lam, x=cx, nx=_norms(cx), jl=jl,
+                               jg=resolve(cg, ratio * cx + (1 - ratio) * jl),
+                               show={"gamma": cg, "lambda": lam, "x": cx})
+
+    sets = {
+        "pairs": pairs,
+        "inclusion": lambda: SimpleNamespace(z=z, p=resolve(gg, z + gg[:, None] * w), show=show),
+        "minimality": minimality,
+        "changes": changed,
+        # the displacement bound also reads the resolvents at gamma of the points themselves
+        "displacement": lambda: SimpleNamespace(**vars(changed()), jgx=resolve(cg, cx)),
+    }
     # at extreme step sizes a point (z + gamma * w, a blend at gamma / lambda) or a gap may
     # pass the float range: resolve_rows refuses such a point, and a gap's slack fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        sets = _suite_samples(op, rng, gammas, samples, radius, tol)
-    reports = {}
-    for name, (kind, slack, scale, _) in props.items():
-        rows = sets[kind]
-        tols = tol * scale(rows)
-        keep = getattr(rows, "keep", slice(None))  # only the minimality set skips samples
-        reports[name] = CheckReport.from_slacks(name, slack(rows, tols), tols, rows.show, keep)
-    return reports
+    return {key: np.errstate(over="ignore", invalid="ignore")(build) for key, build in sets.items()}
+
+
+def check_resolvent_properties(op: SetValuedOperator, rng: np.random.Generator,
+                               gammas: Sequence[float] = STANDARD_GAMMAS, samples: int = 200,
+                               radius: float = 5.0, tol: float = 1e-8) -> dict[str, CheckReport]:
+    """Sampled verification of the resolvent property suite: the ``resolvent`` rows of
+    ``_CHECKS`` that run on ``op``, the averaged and conical forms with the constant of
+    its degree rho.  Parameter-change identities pair every two step sizes."""
+    if not gammas:
+        raise ValueError("empty step-size grid")
+    return _check(op, "resolvent", _suite_samples(op, rng, gammas, samples, radius, tol), tol)
 
 
 def resolvent_param_modulus(b: float, l_prime: int, k: int) -> int:
@@ -790,24 +815,18 @@ def check_minimal_norm_selection(
     first = np.flatnonzero(_inside(box))[:samples]
     x, lo, hi = X[first], box[0][first], box[1][first]
     sel = _min_norm(lo, hi)
-    member = np.where(_distance(lo, hi, sel) <= tol, 1.0, -1.0)
     top = np.where(np.isinf(hi), 10.0, hi)
     bottom = np.minimum(np.where(np.isinf(lo), -10.0, lo), top)
     y = bottom[:, None] + (top - bottom)[:, None] * rng.random((len(x), 20, op.dim))
-    nsel = _norms(sel)
-    variational = -_dots(y - sel[:, None], -sel[:, None])
-    # tol * tol, not tol**2, which overflows for a tolerance past 1e154
-    gap = np.sqrt(np.maximum(0.0, 2 * nsel * tol + tol * tol))
-    near = (_norms(y) <= nsel[:, None] + tol).ravel()  # only values of near-least norm count
-    unique = gap[:, None] + tol - _norms(y - sel[:, None])
-    pairs = {"x": np.repeat(x, 20, axis=0), "y": y.reshape(-1, op.dim)}
-    slacks = {
-        "min_selection_membership": (member, {"x": x}, slice(None)),
-        "min_selection_variational": (variational, pairs, slice(None)),
-        "min_selection_uniqueness": (unique, pairs, near),
-    }
-    return {name: CheckReport.from_slacks(name, s, tol, show, keep)
-            for name, (s, show, keep) in slacks.items()}
+    values = SimpleNamespace(y=y, sel=sel[:, None], nsel=_norms(sel)[:, None],
+                             show={"x": np.repeat(x, 20, axis=0), "y": y.reshape(-1, op.dim)})
+    return _check(op, "min_selection", {
+        "selection": lambda: SimpleNamespace(miss=_distance(lo, hi, sel), show={"x": x}),
+        "values": lambda: values,
+        # only values of near-least norm count
+        "near_values": lambda: SimpleNamespace(
+            **vars(values), keep=(_norms(y) <= values.nsel + tol).ravel()),
+    }, tol)
 
 
 def uc_modulus_check(
@@ -879,13 +898,15 @@ def graph_closedness_check(op: SetValuedOperator, rng: np.random.Generator) -> C
     40 points, the last point's value within 1e-4 (relative) of the limit's value set."""
     limit, _ = op.graph_sampler(rng, 25, 3.0)
     start = limit + rng.normal(size=limit.shape)
-    # x_i = limit + (start - limit) / 2**i for i = 1..40, one sequence per row
-    seq = limit[:, None] + (start - limit)[:, None] / 2.0 ** np.arange(1, 41)[:, None]
-    seq_box = [b.reshape(seq.shape) for b in op.value_box(seq.reshape(-1, op.dim))]
-    lo, hi = op.value_box(limit)
-    # sequences that leave the domain, or whose limit lies outside it, are skipped
-    keep = _inside(seq_box).all(axis=1) & _inside((lo, hi))
-    u_last = _selection(seq_box[0][:, -1], seq_box[1][:, -1])
-    ok = _distance(lo, hi, u_last) <= 1e-4 * np.maximum(1.0, _norms(u_last))
-    return CheckReport.from_slacks("graph_closedness", np.where(ok, 1.0, -1.0), 0.0,
-                                   {"x": limit}, keep)
+
+    def sequences():
+        # x_i = limit + (start - limit) / 2**i for i = 1..40, one sequence per row
+        seq = limit[:, None] + (start - limit)[:, None] / 2.0 ** np.arange(1, 41)[:, None]
+        seq_box = [b.reshape(seq.shape) for b in op.value_box(seq.reshape(-1, op.dim))]
+        lo, hi = op.value_box(limit)
+        u_last = _selection(seq_box[0][:, -1], seq_box[1][:, -1])
+        # sequences that leave the domain, or whose limit lies outside it, are skipped
+        return SimpleNamespace(miss=_distance(lo, hi, u_last), nu=_norms(u_last), show={"x": limit},
+                               keep=_inside(seq_box).all(axis=1) & _inside((lo, hi)))
+
+    return _check(op, "closedness", {"sequences": sequences}, 0.0)["graph_closedness"]

@@ -122,9 +122,8 @@ def test_moudafi_dimension_mismatch():
 
 @pytest.mark.parametrize("name", ["abs_subdiff", "box_normal_cone", "identity"])
 def test_runs_refuse_an_infinite_step_size(name):
-    # the refusal resolve_rows makes; schedule strings cannot name one.  (mu = inf never
-    # reaches a resolvent: the shift x + mu * T(x) passes the float range, and the run
-    # reads as diverged.)
+    # the refusal resolve_rows makes; schedule strings cannot name one, and a Moudafi run
+    # refuses mu = inf before its shift x + mu * T(x) can pass the float range
     op = build_catalog(0)[name]
     x = np.full(op.dim, 2.0)
     inf_steps = GammaSchedule("inf", lambda n: math.inf, lambda n: 0)
@@ -132,6 +131,8 @@ def test_runs_refuse_an_infinite_step_size(name):
         proximal_point(op, x, inf_steps, steps=2)
     with pytest.raises(NonFiniteInput, match="step size"):
         moudafi_iteration(op, op, x, lam=math.inf, steps=2)
+    with pytest.raises(NonFiniteInput, match="step size"):
+        moudafi_iteration(op, op, x, mu=math.inf, steps=2)
 
 
 def test_moudafi_stops_at_fixed_point():

@@ -7,6 +7,7 @@ import pytest
 
 from prooflab.operator_lab import (
     CATALOG,
+    CHECK_GROUPS,
     COMONOTONE_GAMMAS,
     CheckReport,
     ComonotoneStepError,
@@ -22,6 +23,7 @@ from prooflab.operator_lab import (
     as_vector,
     box_indicator,
     build_catalog,
+    check_group,
     check_minimal_norm_selection,
     check_operator_class,
     check_resolvent_properties,
@@ -605,6 +607,95 @@ def test_conical_form_is_tight_at_degree_limit():
         op, np.random.default_rng(5), COMONOTONE_GAMMAS, samples=60
     )
     assert abs(reports["conical_form"].worst_slack) < 1e-6
+
+
+@pytest.mark.parametrize("name, calls, rows", [
+    ("identity", 6, 6750),  # pairs, inclusion, minimality, and three resolves of changes
+    ("neg_half_identity", 4, 1230),  # no minimality set, no resolvent of x at gamma
+])
+def test_suite_resolves_only_the_sets_its_checks_read(monkeypatch, name, calls, rows):
+    from prooflab import operator_lab
+
+    seen, kernel = [], operator_lab.resolve_rows
+
+    def counted(op, gammas, X, tol=1e-8):
+        seen.append(len(gammas))
+        return kernel(op, gammas, X, tol)
+
+    monkeypatch.setattr(operator_lab, "resolve_rows", counted)
+    op = build_catalog(0)[name]
+    reports = check_resolvent_properties(op, np.random.default_rng(1), CATALOG[name].gamma_grid,
+                                         samples=300)
+    assert all(rep.passed for rep in reports.values())
+    assert (len(seen), sum(seen)) == (calls, rows)
+
+
+# Oracles that do not go through the operator's own value box: the suite checks an operator
+# against itself, so 1.001 times the subdifferential of |.| passes every check of oplab
+# verify, being monotone too.
+def scaled_values(op, c):
+    """``c * op``: its values, graph samples and resolvents, scaled consistently."""
+    def graph_sampler(rng, count, radius):
+        X, U = op.graph_sampler(rng, count, radius)
+        return X, c * U
+
+    return dataclasses.replace(
+        op, name=f"{c}*{op.name}", value_box=lambda P: tuple(c * b for b in op.value_box(P)),
+        graph_sampler=graph_sampler, resolvent_fn=lambda gammas, X: op.resolvent_fn(c * gammas, X))
+
+
+def inverse_identity_residuals(op, inverse, gammas, X):
+    """``|J_{gamma A}(x) + gamma * J_{A^-1 / gamma}(x / gamma) - x|`` for one-dimensional rows
+    (Bauschke & Combettes, ch. 23), ``inverse`` standing for ``A^-1``."""
+    P = resolve_rows(op, gammas, X)[0]
+    Q = resolve_rows(inverse, 1 / gammas, X / gammas[:, None])[0]
+    return np.abs(P + gammas[:, None] * Q - X)[:, 0]
+
+
+def test_inverse_resolvent_identity_pairs_abs_subdiff_with_its_inverse():
+    # the inverse of the subdifferential of |.| is the normal cone of [-1, 1]
+    rng = np.random.default_rng(0)
+    gammas = rng.choice([*STANDARD_GAMMAS, 1e-9, 1e3], 20_000)
+    X = rng.uniform(-5.0, 5.0, size=(20_000, 1))
+    miss = inverse_identity_residuals(abs_subdifferential(), box_indicator([-1.0], [1.0]),
+                                      gammas, X)
+    assert (miss <= np.spacing(abs(X[:, 0]))).all() and miss.max() == 4.440892098500626e-16
+
+
+def test_inverse_resolvent_identity_catches_a_consistently_scaled_operator():
+    planted = scaled_values(abs_subdifferential(), 1.001)
+    for group, seed in zip(CHECK_GROUPS, np.random.SeedSequence(0).spawn(len(CHECK_GROUPS))):
+        reports = check_group(planted, group, np.random.default_rng(seed))
+        assert all(rep.passed for rep in reports), group
+    rng = np.random.default_rng(0)
+    gammas = rng.choice(STANDARD_GAMMAS, 1000)
+    X = rng.uniform(-5.0, 5.0, size=(1000, 1))
+    miss = inverse_identity_residuals(planted, box_indicator([-1.0], [1.0]), gammas, X)
+    bad = miss > np.spacing(abs(X[:, 0]))
+    # a row misses where |x| > gamma, by 0.001 * gamma once |x| > 1.001 * gamma
+    assert bad.sum() == 684 and miss.max() == pytest.approx(0.004)
+
+
+def test_identity_and_the_unit_scaled_identity_resolve_alike():
+    rng = np.random.default_rng(4)
+    gammas = rng.choice([*STANDARD_GAMMAS, 1e-9, 1e3], 2000)
+    X = rng.uniform(-5.0, 5.0, size=(2000, 2))
+    for got, want in zip(resolve_rows(identity_operator(2), gammas, X),
+                         resolve_rows(scaled_identity(1.0, 2), gammas, X)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_neg_half_has_no_inverse_resolvent_to_check_against():
+    # the inverse of x -> -x/2 is x -> -2x, comonotone of degree -1/2, whose resolvent is
+    # refused at every step at or below 1; neg_half itself needs steps past 4, whose
+    # inverses 1/gamma lie below 1/4, so the identity above cannot be checked for it
+    op, inverse = build_catalog(0)["neg_half_identity"], scaled_identity(-2.0, 2)
+    X = np.ones((1, 2))
+    for gamma in (*COMONOTONE_GAMMAS, 4.5, 1e3):
+        resolve_rows(op, np.array([gamma]), X)
+        with pytest.raises(ComonotoneStepError):
+            resolve_rows(inverse, np.array([1 / gamma]), X / gamma)
+    resolve_rows(inverse, np.array([1.5]), X)
 
 
 def test_report_as_dict():

@@ -29,7 +29,10 @@ import sys
 PREFIXES = ("operator_lab.check.", "operator_lab.resolvent.")
 METRICS = {
     "operator_lab.check.<group>.busy_s": "seconds a pass spends inside the group's entry "
-    "point (class, resolvent suite, minimal-norm selection, graph closedness)",
+    "point (class, resolvent suite, minimal-norm selection, graph closedness): its draws, "
+    "the sample sets its reported checks read, and the reports; on neg_half_identity the "
+    "resolvent suite builds neither the minimality set nor the change points' resolvents "
+    "at gamma, which none of its checks reads",
     "operator_lab.check.self_s": "seconds a pass spends in the four groups outside their "
     "traced children",
     "operator_lab.resolvent.*": "spans of the one-row resolvent(op, gamma, x); the checks call "
