@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatch, ScheduleSyntaxError, TraceFormatError
 from .operator_lab import (
-    DimensionMismatch,
     OutsideDomain,
     SetValuedOperator,
     _floor,
@@ -40,14 +40,6 @@ from .operator_lab import (
 )
 
 DIVERGENCE_GUARD = 1e12
-
-
-class ScheduleSyntaxError(ValueError):
-    """Malformed step-size schedule string."""
-
-
-class TraceFormatError(ValueError):
-    """Text that is not a trace as :meth:`IterationTrace.to_json` writes it."""
 
 
 @dataclass(frozen=True)

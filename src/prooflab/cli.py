@@ -15,25 +15,26 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-import numpy as np
-
-from . import algorithms, formula_engine, majorization, operator_lab, real_codes
-from .finite_types import TypeSyntaxError, classify, format_type, hat, parse_type, pure_index
-from .term_calculus import IllTypedApplication
+# Only the stdlib, errors and finite_types load with this module (perfbench/tracing.py wraps
+# cli.parse_type and cli.classify); each verb imports the modules it uses, so the symbolic
+# verbs run without numpy.
+from . import errors
+from .finite_types import classify, format_type, hat, parse_type, pure_index
 
 INSTANCE_ALIASES = {
     "soft_threshold": "abs_subdiff",
     "neg_half": "neg_half_identity",
     "box": "box_normal_cone",
 }
-INSTANCES = sorted([*operator_lab.CATALOG, *INSTANCE_ALIASES])
+# operator_lab.CATALOG's keys and the aliases, sorted; a test pins the two together
+INSTANCES = ("abs_subdiff", "box", "box_normal_cone", "identity", "neg_half",
+             "neg_half_identity", "psd_skew", "soft_threshold", "tan_subgradient")
 INPUT_ERRORS = (
-    OSError, UnicodeDecodeError, TypeSyntaxError, IllTypedApplication, operator_lab.NoConvergence,
-    formula_engine.FormulaSyntaxError, algorithms.ScheduleSyntaxError, algorithms.TraceFormatError,
-    operator_lab.ComonotoneStepError, operator_lab.NonPositiveGamma, operator_lab.DimensionMismatch,
-    operator_lab.NonFiniteInput,
+    OSError, UnicodeDecodeError, errors.TypeSyntaxError, errors.IllTypedApplication,
+    errors.NoConvergence, errors.FormulaSyntaxError, errors.ScheduleSyntaxError,
+    errors.TraceFormatError, errors.ComonotoneStepError, errors.NonPositiveGamma,
+    errors.DimensionMismatch, errors.NonFiniteInput,
 )
 
 
@@ -55,14 +56,19 @@ def finite(text: str) -> float:
 
 
 def tolerance(text: str) -> float:
-    return _nonnegative(finite(text), text)
+    value = finite(text)
+    if value <= 0:  # at 0, rounding alone fails correct resolvents
+        raise argparse.ArgumentTypeError(f"want a value > 0, got {text!r}")
+    return value
 
 
 def float_list(text: str) -> list[float]:
     return [finite(v) for v in text.split(",")]
 
 
-def rational(text: str) -> Fraction:
+def rational(text: str) -> "Fraction":
+    from fractions import Fraction  # only the real verb reads a rational
+
     try:
         return _nonnegative(Fraction(text), text)
     except ZeroDivisionError:
@@ -78,11 +84,15 @@ def _fail(names: list[str]) -> int:
     return 1
 
 
-def _catalog_entry(name: str) -> operator_lab.OperatorCatalogEntry:
+def _catalog_entry(name: str) -> "operator_lab.OperatorCatalogEntry":
+    from . import operator_lab
+
     return operator_lab.CATALOG[INSTANCE_ALIASES.get(name, name)]
 
 
-def _resolve_instance(name: str, seed: int) -> operator_lab.SetValuedOperator:
+def _resolve_instance(name: str, seed: int) -> "operator_lab.SetValuedOperator":
+    import numpy as np
+
     # psd_skew is the only entry that draws, so this equals build_catalog(seed)[key]
     return _catalog_entry(name).build(np.random.default_rng(seed))
 
@@ -105,6 +115,8 @@ def cmd_types(args) -> int:
 
 
 def _read_formula(path: str) -> "formula_engine.Formula":
+    from . import formula_engine
+
     with open(path, encoding="utf-8") as fh:
         f = formula_engine.parse_formula(fh.read())
     formula_engine.typecheck_formula(f)
@@ -112,6 +124,8 @@ def _read_formula(path: str) -> "formula_engine.Formula":
 
 
 def cmd_translate(args) -> int:
+    from . import formula_engine
+
     f = formula_engine.expand_defined(_read_formula(args.file))
     if args.mode == "nt":
         out = formula_engine.negative_translation(f)
@@ -131,6 +145,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from . import formula_engine
+
     f = _read_formula(args.file)
     shape = formula_engine.delta_recognize(f)
     if shape is None:
@@ -153,6 +169,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_real(args) -> int:
+    from . import real_codes
+
     rep = real_codes.canonical_rep(args.rational)
     rows = []
     for n in range(args.prec + 1):
@@ -163,6 +181,10 @@ def cmd_real(args) -> int:
 
 
 def cmd_majorant(args) -> int:
+    import numpy as np
+
+    from . import majorization, operator_lab
+
     if args.verb == "resolvent":
         maj = majorization.resolvent_majorant(args.n, args.m, args.l, args.k)
         grid = [
@@ -216,6 +238,10 @@ def _config_flags(path: str, parser: argparse.ArgumentParser):
 
 
 def cmd_oplab(args) -> int:
+    import numpy as np
+
+    from . import operator_lab
+
     op = _resolve_instance(args.instance, args.seed)
     gammas = args.gamma_grid or _catalog_entry(args.instance).gamma_grid
     groups = operator_lab.CHECK_GROUPS
@@ -243,6 +269,8 @@ def cmd_oplab(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import algorithms
+
     op = _resolve_instance(args.instance, args.seed)
     if args.algorithm == "ppa":
         trace = algorithms.proximal_point(op, args.x0, args.gamma, steps=args.steps)
@@ -266,6 +294,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import algorithms
+
     with open(args.file, encoding="utf-8") as fh:
         trace = algorithms.IterationTrace.from_json(fh.read())
     report = algorithms.trace_report(trace, zero=args.zero)

@@ -13,13 +13,11 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import TypeSyntaxError
+
 
 class TypeContainsX(ValueError):
     """Raised when a degree is requested for a type mentioning ``X``."""
-
-
-class TypeSyntaxError(ValueError):
-    """Raised when textual type syntax cannot be parsed."""
 
 
 @dataclass(frozen=True)

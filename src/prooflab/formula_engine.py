@@ -31,6 +31,7 @@ from operator import attrgetter, eq, itemgetter, le
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .errors import FormulaSyntaxError
 from .finite_types import Arrow, BaseType, FinType, ZERO, X, arrow_chain, is_admissible, pure_type
 from .term_calculus import (
     App,
@@ -775,10 +776,6 @@ def generate_corpus(seed: int, count: int = 30, budget: int = 500_000) -> list[F
             corpus.append(cand)
             seen.add(cand)
     return corpus
-
-
-class FormulaSyntaxError(ValueError):
-    pass
 
 
 # The formula text format: each head, the node it builds and the kinds of its arguments.

@@ -22,33 +22,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class NonPositiveGamma(ValueError):
-    """Resolvent and Yosida parameters must be strictly positive."""
+from .errors import (
+    ComonotoneStepError, DimensionMismatch, NoConvergence, NonFiniteInput, NonPositiveGamma,
+)
 
 
 class OutsideDomain(ValueError):
     """Point not in the relevant domain."""
 
 
-class NoConvergence(RuntimeError):
-    """A computed resolvent fails to verify its defining inclusion."""
-
-
 class PreconditionViolated(ValueError):
     """A quantitative hypothesis of a modulus statement fails."""
-
-
-class ComonotoneStepError(ValueError):
-    """The step size is incompatible with the declared comonotonicity degree."""
-
-
-class DimensionMismatch(ValueError):
-    """A point or operator does not have the dimension the call needs."""
-
-
-class NonFiniteInput(ValueError):
-    """A point with an infinite or NaN coordinate."""
 
 
 def l2(v: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .errors import IllTypedApplication
 from .finite_types import (
     Arrow,
     BaseType,
@@ -27,14 +28,6 @@ from .finite_types import (
 )
 
 DEFAULT_FUEL = 10**6
-
-
-class IllTypedApplication(TypeError):
-    """Raised when an application's argument type does not match."""
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{message} (at {path or 'root'})")
-        self.path = path
 
 
 class UnsupportedType(ValueError):

@@ -713,6 +713,30 @@ def test_tol_env_must_be_finite(monkeypatch, capsys):
         assert run_cli(capsys, ["types", "0"])[0] == 0  # only verbs that take --tol read it
 
 
+@pytest.mark.parametrize("way", ["flag", "env", "config"])
+@pytest.mark.parametrize("value", ["0", "-0.0", "-1e-9"])
+def test_a_tolerance_at_or_below_zero_is_refused(monkeypatch, capsys, tmp_path, way, value):
+    # at --tol 0 rounding alone fails correct resolvents: identity's worst slacks of the
+    # defining inclusion and the resolvent identity are -4.4e-16 and -9.9e-16 at 5 samples
+    argv = ["oplab", "verify", "identity", "--samples", "5"]
+    if way == "flag":
+        argv += [f"--tol={value}"]
+    elif way == "env":
+        monkeypatch.setenv("PROOFLAB_TOL", value)
+    else:
+        (tmp_path / "tol.cfg").write_text(f"tol = {value}\n")
+        argv += ["--config", str(tmp_path / "tol.cfg")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"want a value > 0, got '{value}'" in err and "Traceback" not in err
+
+
+def test_the_least_positive_tolerance_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, ["oplab", "verify", "identity", "--samples", "5",
+                                    "--tol", "5e-324"])
+    assert code in (0, 1) and json.loads(out)["tol"] == 5e-324
+
+
 @pytest.mark.parametrize("key", sorted(CATALOG))
 def test_oplab_default_grid_is_the_catalog_grid(capsys, key):
     code, out, _ = run_cli(capsys, ["oplab", "verify", key, "--samples", "5"])

@@ -676,6 +676,31 @@ def test_inverse_resolvent_identity_catches_a_consistently_scaled_operator():
     assert bad.sum() == 684 and miss.max() == pytest.approx(0.004)
 
 
+@pytest.mark.parametrize("gamma", [*STANDARD_GAMMAS, 1e-9, 1e3])
+def test_abs_subdiff_meets_its_inverse_resolvent_identity_at_each_step(gamma):
+    """At one step size, ``J_{gamma A}(x) + gamma J_{A^-1 / gamma}(x / gamma) = x`` within one
+    coordinate spacing of ``x``, for A the subdifferential of ``|.|`` and ``A^-1`` the normal
+    cone of [-1, 1] that ``box_indicator`` builds: a formula outside ``abs_subdiff``'s own
+    ``value_box``.  Half the rows are on the unit scale and half on the scale of ``gamma``, so
+    every step meets the kink, and 1.001 times the operator (in its value box, its graph
+    sampler and its resolvent alike) misses there by ``0.001 * gamma``.
+
+    ``neg_half`` has no such check: its inverse ``-2 I`` is hypomonotone, with a resolvent
+    only at steps below the ceiling ``1/2``, and ``_floor`` bounds a step size from below only,
+    so the lab refuses every step the identity would need
+    (``test_neg_half_has_no_inverse_resolvent_to_check_against``)."""
+    rng = np.random.default_rng(0)
+    X = np.concatenate([rng.uniform(-5.0, 5.0, (1000, 1)),
+                        gamma * rng.uniform(-5.0, 5.0, (1000, 1))])
+    gammas, spacing = np.full(len(X), gamma), np.spacing(abs(X[:, 0]))
+    inverse = box_indicator([-1.0], [1.0])
+    miss = inverse_identity_residuals(abs_subdifferential(), inverse, gammas, X)
+    assert (miss <= spacing).all()
+    planted = inverse_identity_residuals(scaled_values(abs_subdifferential(), 1.001), inverse,
+                                         gammas, X)
+    assert (planted > spacing).sum() >= 800 and planted.max() == pytest.approx(1e-3 * gamma)
+
+
 def test_identity_and_the_unit_scaled_identity_resolve_alike():
     rng = np.random.default_rng(4)
     gammas = rng.choice([*STANDARD_GAMMAS, 1e-9, 1e3], 2000)
