@@ -12,7 +12,6 @@ list of points (values of type ``X`` are indices into that list).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -326,6 +325,10 @@ class FiniteModel:
     chi: Callable[[int, int], int] | None = None
     defined: dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if isinstance(self.size, bool) or not isinstance(self.size, int) or self.size < 0:
+            raise ValueError(f"model size must be a natural number, got {self.size!r}")
+
     def carrier(self) -> range:
         return range(self.size + 1)
 
@@ -391,8 +394,9 @@ def _base_domain(t: FinType, model: FiniteModel) -> Sequence:
 def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> list:
     """All values of type ``t`` in ``model``, within a count ``budget``.
 
-    Enumerable types are the base types and arrows whose arguments are base
-    types; functions are realised as table-backed callables.
+    Enumerable types are the base types and arrows from a base type.  The budget is checked
+    before any table is built.  A function is one dict per table, exposed as its ``__getitem__``
+    (``KeyError`` outside the domain), built an argument at a time in ``itertools.product`` order.
     """
     if isinstance(t, BaseType):
         dom = _base_domain(t, model)
@@ -404,13 +408,14 @@ def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> l
         raise UnsupportedType(f"cannot enumerate functionals over {t.argument}")
     arg_dom = list(_base_domain(t.argument, model))
     results = enumerate_values(t.result, model, budget)
-    count = len(results) ** len(arg_dom)
-    if count > budget:
+    if len(results) ** len(arg_dom) > budget:
         raise UnsupportedType(
             f"{len(results)}^{len(arg_dom)} tables of type {t} exceed budget {budget}"
         )
-    tables = itertools.product(results, repeat=len(arg_dom))
-    return [dict(zip(arg_dom, table)).__getitem__ for table in tables]
+    tables: list[dict] = [{}]
+    for cells in [[{arg: r} for r in results] for arg in arg_dom]:
+        tables = [table | cell for table in tables for cell in cells]
+    return [table.__getitem__ for table in tables]
 
 
 def enumeration_size(t: FinType, model: FiniteModel) -> int:

@@ -51,12 +51,12 @@ from prooflab.term_calculus import (
     UnsupportedType,
     Var,
     ZERO_CONST,
-    enumerate_values,
     enumeration_size,
     evaluate,
     numeral,
     rat_real,
 )
+from table_reference import reference_values
 
 TYPE_ONE = parse_type("0(0)")
 
@@ -245,7 +245,7 @@ def reference_truth(f, model, env, budget):
             return left or reference_truth(f.right, model, env, budget)
         return not left or reference_truth(f.right, model, env, budget)
     try:
-        values = enumerate_values(f.vtype, model, budget)
+        values = reference_values(f.vtype, model, budget)
     except UnsupportedType as exc:
         raise EnumerationBudgetExceeded(str(exc)) from exc
     results = (reference_truth(f.body, model, {**env, f.var: v}, budget) for v in values)
@@ -259,8 +259,8 @@ def reference_dialectica(d, model, budget):
         work *= enumeration_size(t, model)
     if work > budget:
         raise EnumerationBudgetExceeded(f"witness search space exceeds budget {budget}")
-    ex = [[(n, v) for v in enumerate_values(t, model, budget)] for n, t in d.ex_vars]
-    univ = [[(n, v) for v in enumerate_values(t, model, budget)] for n, t in d.univ_vars]
+    ex = [[(n, v) for v in reference_values(t, model, budget)] for n, t in d.ex_vars]
+    univ = [[(n, v) for v in reference_values(t, model, budget)] for n, t in d.univ_vars]
     return any(
         all(reference_truth(d.matrix, model, dict(a + b), budget) for b in itertools.product(*univ))
         for a in itertools.product(*ex)

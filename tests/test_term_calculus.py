@@ -36,6 +36,7 @@ from prooflab.term_calculus import (
     typecheck,
     uncurry,
 )
+from table_reference import reference_values
 
 X_VAR = Var("x", ZERO)
 
@@ -209,6 +210,57 @@ def test_enumerated_table_refuses_arguments_outside_its_domain():
     for f in enumerate_values(TYPE_ONE, FiniteModel(2)):
         with pytest.raises(KeyError):
             f(3)
+
+
+def listing(t, model):
+    """``enumerate_values`` and the reference on ``t``: both lists, or both exceptions."""
+    out = []
+    for enumerate_fn in (enumerate_values, reference_values):
+        try:
+            out.append(enumerate_fn(t, model))
+        except UnsupportedType as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def outputs(t, value, model):
+    """The value's outputs on every domain point, recursing into function-valued results."""
+    if not isinstance(t, Arrow):
+        return value
+    return [outputs(t.result, value(a), model) for a in reference_values(t.argument, model)]
+
+
+@pytest.mark.parametrize("size", range(5))
+@pytest.mark.parametrize("spec", ["0", "X", "0(0)", "0(X)", "X(0)", "0(0)(0)"])
+def test_enumerated_tables_match_the_product_reference(spec, size):
+    t = parse_type(spec)
+    model = FiniteModel(size, x_points=[float(i) for i in range(size)])
+    got, want = listing(t, model)
+    if isinstance(want, tuple):  # past the budget: the same refusal
+        assert got == want and spec == "0(0)(0)" and size >= 3
+        return
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert outputs(t, f, model) == outputs(t, g, model)
+    if isinstance(t, Arrow):
+        assert all(type(f.__self__) is dict for f in got)
+        assert len({id(f.__self__) for f in got}) == len(got)  # every table is its own dict
+        outside = len(reference_values(t.argument, model))
+        for f in got:
+            with pytest.raises(KeyError):
+                f(outside)
+
+
+def test_enumeration_past_the_budget_refuses_before_building_a_table():
+    with pytest.raises(UnsupportedType) as exc:
+        enumerate_values(TYPE_ONE, FiniteModel(99))
+    assert str(exc.value) == "100^100 tables of type 0(0) exceed budget 200000"
+
+
+@pytest.mark.parametrize("size", [-1, -5, 2.5, 3.0, True, False, "3", None])
+def test_finite_model_refuses_a_size_that_is_not_a_natural_number(size):
+    with pytest.raises(ValueError, match="natural number"):
+        FiniteModel(size)
 
 
 def test_identity_term_is_combinator():
