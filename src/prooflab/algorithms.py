@@ -206,15 +206,12 @@ class IterationTrace:
             raise TraceFormatError(f"malformed trace: {exc!r}") from None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         points = np.array(self.points)
         n, dim = len(points), points.shape[-1] if self.points else 0
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_csv_header(dim))
         series = [["", *map(float, getattr(self, s)), *[""] * n][:n] for s in _SERIES]
-        # columns of Python floats, which csv writes as their repr
-        writer.writerows(zip(range(n), *points.T.tolist(), *series))
-        return buf.getvalue()
+        # ints, Python floats (str is their repr) and blanks, none of which csv would quote
+        rows = zip(range(n), *points.T.tolist(), *series)
+        return "".join(f"{','.join(map(str, row))}\n" for row in [_csv_header(dim), *rows])
 
     @classmethod
     def from_csv(cls, text: str, algorithm: str = "", params: dict | None = None) -> "IterationTrace":

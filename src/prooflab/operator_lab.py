@@ -208,7 +208,8 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     small ``gamma``, ``d + 1`` coordinate spacings (L2 norm) over ``gamma``; then its ``U``
     row is NaN.  One spacing is ``p`` rounding to ``x``, ``d`` the closed form's own (an LU
     solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 9; tan's last bisection step can leave its root two ulps off).
+    Algorithms*, 2002, ch. 9).  It also passes, ``U`` NaN, within ``tol * max(1, |u|)`` of the
+    box at ``p`` moved 1 or 2 ulps: tan's root can be that far off, where its value moves fast.
     """
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
@@ -217,6 +218,12 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
         return U, box, []
     tols = tol * np.maximum(1.0, _norms(U))
     good = miss <= tols + (op.dim + 1) * _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
+    if not good.all():  # or u lies within tols of the box at p moved one or two ulps
+        for way in (-math.inf, math.inf):
+            Q = P
+            for _ in range(2):
+                Q = np.nextafter(Q, way)
+                good |= _distance(*op.value_box(Q), U) <= tols
     U[~(miss <= tols)] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()
@@ -261,6 +268,8 @@ def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
     op_norm, eye = float(np.linalg.norm(mat, 2)), np.eye(dim)
 
     def resolvent_fn(gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        if len(gammas) == 1:  # one proximal-point step: the same gesv as a 2-D system, cheaper
+            return np.linalg.solve(eye + gammas[0] * mat, X[0])[None]
         return np.linalg.solve(eye + gammas[:, None, None] * mat, X[..., None])[..., 0]
 
     sym = (mat + mat.T) / 2
@@ -380,13 +389,14 @@ def scaled_identity(c: float, dim: int = 2) -> SetValuedOperator:
 
 # The least batch that tan_subgradient bisects as arrays: below it numpy's cost per step
 # outweighs the rows it serves, and rows are bisected one at a time (BENCH_resolvent.json).
-_TAN_LOCKSTEP_ROWS = 40
+_TAN_LOCKSTEP_ROWS = 96
 
 
 def tan_subgradient() -> SetValuedOperator:
     """Derivative of the tangent on (0, pi/2): monotone, single-valued,
     unbounded near the right endpoint, with a genuinely partial resolvent."""
     lo, hi = 0.0, math.pi / 2
+    top = hi - 1e-15  # the bisection's bracket is [1e-15, top]
 
     def deriv(P: np.ndarray) -> np.ndarray:
         """``1.0 / math.cos(p) ** 2`` on every entry, bit for bit: ``float_power(c, 2.0)``
@@ -398,13 +408,40 @@ def tan_subgradient() -> SetValuedOperator:
         v = deriv(np.where((lo < p) & (p < hi), p, np.nan))[:, None]
         return v, v
 
+    def sides(gamma: float, x: float) -> tuple[float, float]:
+        """Bounds ``(left, right)`` outside which ``bisect``'s midpoints lie on their side of
+        the root of ``f(p) = p + gamma / cos(p)**2 - x``, whatever its predicate rounds to;
+        ``(-inf, inf)`` where there is no root (``x <= gamma``, not finite) or Newton fails."""
+        if not 0.0 < gamma < x < math.inf:
+            return -math.inf, math.inf
+        # Newton from the right, from two bounds above the root.  Soundness: f' >= 1 on
+        # [0, pi/2), so f(m) has the sign of m - r and |f(m)| > d where |m - r| > |f(r)| + d.
+        # The predicate's x + f(m) is within 5 eps of exact and f(r) within 5 eps (x + |f(r)|)
+        # (eps = 2**-52; libm's cos and tan within an ulp, then four roundings): the margin
+        # |f(r)| + 32 eps (x + |f(r)|) covers both, and r -+ margin rounding, 3 times over.
+        tol, most = 2.0**-47 * x, min(x, top)  # 32 eps x
+        r = min(x - gamma, math.atan(math.sqrt(x / gamma - 1.0)), top)
+        for _ in range(8):
+            t = math.tan(r)
+            w = 1.0 + t * t  # 1 / cos(r)**2
+            f = r + gamma * w - x
+            step = f / (1.0 + 2.0 * gamma * t * w)
+            if abs(step) <= tol:
+                margin = abs(f) * (1.0 + 2.0**-47) + tol
+                return r - margin, r + margin
+            r -= step
+            if not 0.0 <= r <= most:
+                break
+        return -math.inf, math.inf
+
     def bisect(gamma: float, target: float) -> float:
-        a, b, cos = 1e-15, hi - 1e-15, math.cos
+        a, b, cos = 1e-15, top, math.cos
+        left, right = sides(gamma, target)
         for _ in range(200):
-            mid = (a + b) / 2
-            if mid in (a, b):  # the bracket is one ulp wide: later steps change nothing
+            mid = (a + b) * 0.5  # (a + b) / 2 to the bit, without converting the 2
+            if mid == a or mid == b:  # the bracket is one ulp wide: later steps change nothing
                 return mid
-            if mid + gamma * (1.0 / cos(mid) ** 2) <= target:  # deriv(mid), inlined
+            if mid < left or not mid > right and mid + gamma * (1.0 / cos(mid) ** 2) <= target:
                 a = mid
             else:
                 b = mid
@@ -413,7 +450,7 @@ def tan_subgradient() -> SetValuedOperator:
     def bisect_rows(gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """``bisect`` on every row in lockstep, bit for bit: once a row's midpoint meets an
         end of its bracket, later steps leave that midpoint as it is."""
-        a, b = np.full(len(gammas), 1e-15), np.full(len(gammas), hi - 1e-15)
+        a, b = np.full(len(gammas), 1e-15), np.full(len(gammas), top)
         for _ in range(200):
             mid = (a + b) / 2
             if ((mid == a) | (mid == b)).all():

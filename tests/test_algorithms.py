@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import sys
@@ -581,6 +583,52 @@ REFERENCE_CASES += [
     ("psd_skew", [2.0] * 6, "geom:1,0.5", 60),  # steps down to gamma = 1.7e-18, where p is x
     ("neg_half_identity", [1.0, 1.0], "geom:10,0.5", 60),  # ComonotoneStepError at gamma = 2.5
 ]
+
+
+def _csv_reference(trace: IterationTrace) -> str:
+    """A trace's CSV as ``csv.writer`` writes it: the reference for ``to_csv``'s joined rows."""
+    buf, points = io.StringIO(), np.array(trace.points)
+    n, dim = len(points), points.shape[-1] if trace.points else 0
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["step", *[f"x{i}" for i in range(dim)], "gamma", "step_residual",
+                     "value_residual"])
+    series = [["", *map(float, values), *[""] * n][:n]
+              for values in (trace.gammas, trace.step_residuals, trace.value_residuals)]
+    writer.writerows(zip(range(n), *points.T.tolist(), *series))
+    return buf.getvalue()
+
+
+CSV_RUNS = [  # the reference runs of every instance, a 0-step run and a run stopping at 0
+    *[(name, x0, schedule, 60) for name, (x0, schedules) in REFERENCE_RUNS.items()
+      for schedule in schedules],
+    ("psd_skew", [1.0, 2.0, 3.0, -1.0, 0.0, 5.0], "harmonic:0.7", 1000),
+    ("abs_subdiff", [-4.0], "const:0.005", 1000),
+    ("identity", [2.0, -1.5], "const:0.3", 0),
+    ("identity", [0.0, 0.0], "const:0.3", 10),  # reaches the zero at step 0
+]
+
+
+@pytest.mark.parametrize("name, x0, schedule, steps", CSV_RUNS)
+def test_csv_rows_match_the_csv_writer(name, x0, schedule, steps):
+    trace = proximal_point(build_catalog(0)[name], x0, schedule, steps)
+    assert steps or len(trace.points) == 1
+    assert x0[0] or trace.reached_zero_at == 0
+    text = trace.to_csv()
+    assert text == _csv_reference(trace)
+    back = IterationTrace.from_csv(text, algorithm=trace.algorithm, params=trace.params)
+    assert np.array(back.points).tobytes() == np.array(trace.points).tobytes()
+    assert [back.gammas, back.step_residuals, back.value_residuals] == [
+        trace.gammas, trace.step_residuals, trace.value_residuals]
+    assert back.to_csv() == text
+
+
+def test_csv_rows_match_the_csv_writer_off_the_runs():
+    # a Moudafi trace, and a trace with no point at all
+    moudafi = moudafi_iteration(build_catalog(0)["psd_skew"], identity_operator(6), [1.0] * 6,
+                                mu=0.5, lam=0.5, steps=40)
+    assert moudafi.to_csv() == _csv_reference(moudafi) and len(moudafi.points) == 41
+    empty = IterationTrace("ppa", {})
+    assert empty.to_csv() == _csv_reference(empty) == "step,gamma,step_residual,value_residual\n"
 
 
 def _outcome(run):

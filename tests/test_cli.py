@@ -313,6 +313,16 @@ def test_oplab_config_rejects_unknown_key(capsys, tmp_path):
     assert code not in (0, None)
 
 
+@pytest.mark.parametrize("tol", ["1e-13", "1e-14", "1e-15"])
+def test_tan_verify_passes_small_tolerances(capsys, tol):
+    # rows whose root lies an ulp or two off, where 1 / cos(p)^2 moves fast, were refused
+    # here (at gamma = 4.0, x = 229682.84 and at gamma = 0.25, x = 212.74)
+    argv = ["oplab", "verify", "tan_subgradient", "--samples", "300", "--seed", "0", "--tol", tol]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert all(check["passed"] for check in json.loads(out)["checks"].values())
+
+
 def test_oplab_unknown_instance(capsys):
     code, _, err = run_cli(capsys, ["oplab", "verify", "mystery"])
     assert code == 2

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab.operator_lab import (
     CATALOG,
@@ -258,11 +261,17 @@ def _tan_corpus(rng, count):
     return gammas, np.maximum(xs, np.nextafter(gammas, math.inf))  # inside the domain
 
 
+@functools.cache
+def _tan_corpus_solved():
+    """The 102,000-row corpus and its reference roots, computed once for the tests."""
+    gammas, xs = _tan_corpus(np.random.default_rng(23), 102_000)
+    return gammas, xs, np.array([*map(_tan_resolvent_by_row, gammas.tolist(), xs.tolist())])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tan_lockstep_bisection_matches_the_rows_bit_for_bit():
     resolvent_fn = tan_subgradient().resolvent_fn
-    gammas, xs = _tan_corpus(np.random.default_rng(23), 102_000)
-    want = np.array([*map(_tan_resolvent_by_row, gammas.tolist(), xs.tolist())])
+    gammas, xs, want = _tan_corpus_solved()
     assert want.min() < 1e-12 and want.max() > math.pi / 2 - 1e-9  # both ends of the bracket
     assert resolvent_fn(gammas, xs[:, None])[:, 0].tolist() == want.tolist()
     # the two sides of the cutoff, row batches and lockstep batches
@@ -278,6 +287,117 @@ def test_tan_lockstep_bisection_matches_the_rows_bit_for_bit():
     P = resolve_rows(tan_subgradient(), gammas[rows], mixed[:, None])[0][:, 0]
     assert np.isnan(P[outside]).all() and (~outside).sum() >= _TAN_LOCKSTEP_ROWS
     assert P[~outside].tolist() == want[rows][~outside].tolist()
+
+
+def _tan_rows(gammas, xs, size, singles=False):
+    """``tan_subgradient``'s resolvents of the rows, in calls of ``size`` rows; with
+    ``singles``, every other block of ``size`` rows goes one row a call."""
+    resolvent_fn = tan_subgradient().resolvent_fn
+    assert size < _TAN_LOCKSTEP_ROWS  # each call bisects its rows one at a time
+    calls = []
+    for block, start in enumerate(range(0, len(gammas), size)):
+        end = min(start + size, len(gammas))
+        calls += [(i, i + 1) for i in range(start, end)] if singles and block % 2 else [(start, end)]
+    return [p for start, end in calls
+            for p in resolvent_fn(gammas[start:end], xs[start:end, None])[:, 0].tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tan_predicted_bisection_matches_the_reference_bit_for_bit():
+    # the per-row bisection decides the midpoints far from a Newton root without its float
+    # predicate; on every row it must still end where the plain bisection does, in calls of
+    # one row and of the most rows the per-row path takes
+    gammas, xs, want = _tan_corpus_solved()
+    assert _tan_rows(gammas, xs, _TAN_LOCKSTEP_ROWS - 1, singles=True) == want.tolist()
+    # adversarial rows: x is the predicate's own sum at a random p, or a float next to it,
+    # so the predicate flips within an ulp of p; p near both ends of the bracket and between
+    rng, count, top = np.random.default_rng(29), 16_667, math.pi / 2 - 1e-15
+    p = np.concatenate([10.0 ** rng.uniform(-15.0, -1.0, count // 4),
+                        top - 10.0 ** rng.uniform(-15.0, -1.0, count // 4)])
+    p = np.concatenate([p, rng.uniform(1e-15, top, count - len(p))]).tolist()
+    g = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
+    sums = [q + gamma * (1.0 / math.cos(q) ** 2) for q, gamma in zip(p, g)]
+    adversarial = [(gamma, y) for gamma, x in zip(g, sums)
+                   for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    assert len(adversarial) >= 50_000
+    gammas, xs = np.array(adversarial).T
+    assert _tan_rows(gammas, xs, _TAN_LOCKSTEP_ROWS - 1) == [
+        *map(_tan_resolvent_by_row, gammas.tolist(), xs.tolist())]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tan_bisection_without_a_root_is_the_plain_one():
+    # x <= gamma, x = inf or NaN (and gamma <= 0): no root to predict from, today's loop
+    rows = [(gamma, x) for gamma in (1e-12, 0.25, 4.0, 1e3)
+            for x in (gamma, math.nextafter(gamma, -math.inf), 0.0, -1.0, -math.inf, math.inf,
+                      math.nan)]
+    rows += [(gamma, x) for gamma in (0.0, -0.0, -1.0, math.nan) for x in (0.5, 2.0, math.nan)]
+    gammas, xs = np.array(rows).T
+    want = [*map(_tan_resolvent_by_row, gammas.tolist(), xs.tolist())]
+    assert _tan_rows(gammas, xs, 1) == _tan_rows(gammas, xs, _TAN_LOCKSTEP_ROWS - 1) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_tan_row_bisection_matches_the_reference_on_finite_rows(gamma, x):
+    got = tan_subgradient().resolvent_fn(np.array([gamma]), np.array([[x]]))
+    assert got.tolist() == [[_tan_resolvent_by_row(gamma, x)]]
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15])
+def test_tan_wrong_resolvent_fails_closed_at_small_tolerances(tol):
+    # the box at p moved an ulp or two, which the kernel also accepts for tan's rounding,
+    # does not cover a closed form that is 1% off
+    op, rng = tan_subgradient(), np.random.default_rng(3)
+    right = op.resolvent_fn
+    op.resolvent_fn = lambda g, X: 0.99 * right(g, X)
+    X = np.concatenate([op.domain_sampler(rng, 20, gamma, 5.0) for gamma in STANDARD_GAMMAS])
+    gammas = np.repeat(STANDARD_GAMMAS, 20)
+    with pytest.raises(NoConvergence):
+        resolve_rows(op, gammas, X, tol)
+    op.resolvent_fn = right
+    assert np.isfinite(resolve_rows(op, gammas, X, tol)[0]).all()
+
+
+def _kernel_outcome(op, gammas, X):
+    """Row 0 of a ``resolve_rows`` call as bytes, or the class and message it raised."""
+    try:
+        P, U = resolve_rows(op, gammas, X)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return P[0].tobytes(), U[0].tobytes()
+
+
+@pytest.mark.parametrize("gamma", [*STANDARD_GAMMAS, 1e-300, 1.1e-16, 1e3, 1e307, 1e308])
+@pytest.mark.parametrize("name", ["identity", "psd_skew"])
+def test_matrix_one_row_solve_is_the_batched_row_bit_for_bit(name, gamma):
+    # a one-row call solves a 2-D system; it must give the batched call's row, and at 1e308,
+    # where I + gamma A overflows on psd_skew, the same NaN, warning and refusal
+    op = build_catalog(0)[name]
+    X = np.random.default_rng(31).uniform(-5.0, 5.0, size=(4, op.dim))
+    gammas = np.array([gamma, 0.5, gamma, 2.0])
+
+    def solved(g, rows):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = op.resolvent_fn(g, rows)
+        return P.tobytes(), {str(w.message) for w in caught}
+
+    batch, batch_warnings = solved(gammas, X)
+    size = len(batch) // len(X)
+    for j in range(len(X)):
+        row, row_warnings = solved(gammas[j : j + 1], X[j : j + 1])
+        assert row == batch[j * size : (j + 1) * size]
+        assert row_warnings == (batch_warnings if gammas[j] == gamma else set())
+    if gamma == 1e308 and name == "psd_skew":
+        assert np.isnan(np.frombuffer(batch, dtype=float)[0]) and batch_warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        one = _kernel_outcome(op, gammas[:1], X[:1])
+        assert one == _kernel_outcome(op, gammas, X)
+    assert (one[0] is NonFiniteInput) == (gamma == 1e308 and name == "psd_skew")
 
 
 def _mixed_batch(op, grid, rng, count=120):
@@ -356,7 +476,7 @@ def test_tan_rows_at_small_steps_are_accepted(gamma):
     # the root of tan's bisection can be two ulps off, which moves u by more than the
     # spacing of x over gamma alone; rows bisected one at a time and in lockstep
     op, rng = tan_subgradient(), np.random.default_rng(int(-math.log10(gamma)))
-    X = op.domain_sampler(rng, 195, gamma, 1.5)
+    X = op.domain_sampler(rng, 5 * (_TAN_LOCKSTEP_ROWS - 1), gamma, 1.5)
     lockstep, _ = resolve_rows(op, np.full(len(X), gamma), X)
     by_batch = [resolve_rows(op, np.full(len(b), gamma), b)[0] for b in np.split(X, 5)]
     assert len(by_batch[0]) == _TAN_LOCKSTEP_ROWS - 1
