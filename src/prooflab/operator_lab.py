@@ -102,7 +102,7 @@ class SetValuedOperator:
     name: str
     dim: int
     # P[N, d] -> (lo, hi): the value at P[i] is the box [lo[i], hi[i]], faces at -inf/inf
-    # allowed, lo == hi for a single value; a row outside the domain holds NaN
+    # allowed, lo is hi where every row has a single value; a row outside the domain holds NaN
     value_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # (gammas[N], X[N, d]) -> resolvents P[N, d], unverified: the kernel checks them
     resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -208,8 +208,9 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     small ``gamma``, ``d + 1`` coordinate spacings (L2 norm) over ``gamma``; then its ``U``
     row is NaN.  One spacing is ``p`` rounding to ``x``, ``d`` the closed form's own (an LU
     solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 9).  It also passes, ``U`` NaN, within ``tol * max(1, |u|)`` of the
-    box at ``p`` moved 1 or 2 ulps: tan's root can be that far off, where its value moves fast.
+    Algorithms*, 2002, ch. 9).  A finite ``p`` also passes, ``U`` NaN, within ``tol * max(1, |u|)``
+    of the single value (``lo is hi``) at ``p`` moved 1 or 2 ulps short of a set-valued box (a
+    kink, a face): tan's root can be that far off, where its value moves fast.
     """
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
@@ -218,12 +219,16 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
         return U, box, []
     tols = tol * np.maximum(1.0, _norms(U))
     good = miss <= tols + (op.dim + 1) * _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
-    if not good.all():  # or u lies within tols of the box at p moved one or two ulps
-        for way in (-math.inf, math.inf):
+    if not good.all() and box[0] is box[1]:  # single-valued: u may be within tols of the
+        near = ~good & np.isfinite(P).all(1) & (tols < math.inf)  # value at p moved 1 or 2
+        for way in (-math.inf, math.inf):  # ulps, short of a set-valued box (a jump)
             Q = P
             for _ in range(2):
                 Q = np.nextafter(Q, way)
-                good |= _distance(*op.value_box(Q), U) <= tols
+                lo, hi = op.value_box(Q)
+                if lo is not hi:
+                    break
+                good |= near & (_distance(lo, hi, U) <= tols)
     U[~(miss <= tols)] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()

@@ -361,6 +361,31 @@ def test_tan_wrong_resolvent_fails_closed_at_small_tolerances(tol):
     assert np.isfinite(resolve_rows(op, gammas, X, tol)[0]).all()
 
 
+def _planted(op, p):
+    op.resolvent_fn = lambda gammas, X: np.full(X.shape, p)
+    return op
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-323, -5e-324, -1e-323])
+def test_ulp_allowance_stops_at_a_kink(p):
+    # p = 0 is the resolvent of |.| at x = 0.5, gamma = 1, with u = 0.5; a p one or two ulps
+    # off 0 has the single value sign(p), and the kink's [-1, 1] next to it excuses nothing
+    with pytest.raises(NoConvergence):
+        resolve_rows(_planted(abs_subdifferential(), p), np.array([1.0]), np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_ulp_allowance_stops_at_a_face(ulps):
+    # p an ulp or two inside the face band of [-1, 1] has the value 0 there; the outward ray
+    # on the face next to it excuses no large outward u
+    p = 1.0 - 1e-9  # box_indicator's upper face band starts here
+    for _ in range(ulps):
+        p = math.nextafter(p, 0.0)
+    op = _planted(box_indicator([-1.0], [1.0]), p)
+    with pytest.raises(NoConvergence):
+        resolve_rows(op, np.array([1.0]), np.array([[p + 5.0]]))
+
+
 def _kernel_outcome(op, gammas, X):
     """Row 0 of a ``resolve_rows`` call as bytes, or the class and message it raised."""
     try:
@@ -616,6 +641,11 @@ def test_kernel_refuses_rows_past_the_float_range():
         X = np.array([[1.0, 2.0], [0.5, bad]])
         with pytest.raises(NonFiniteInput, match="finite coordinates"):
             resolve_rows(op, np.array([1.0, 1.0]), X)
+    # I - gamma / 2 is -1e-10 at this step, so p = -1e310 = -inf and u = +inf: the value at
+    # the float next to -inf is infinite, as is the tolerance, yet p passed the float range
+    doubling = matrix_operator(np.array([[-0.5]]))  # rho unset: the step is allowed
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput, match="float range"):
+        resolvent(doubling, 2.0000000002, [1e300])
 
 
 def test_alpha_constant():

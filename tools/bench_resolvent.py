@@ -42,7 +42,7 @@ import sys
 import time
 
 ROWS = 300
-SIZES = (1, 16, 32, 64, 96, 128, 300, 750)  # batch sizes of the tan_subgradient sweep
+SIZES = (1, 16, 32, 64, 300, 750)  # batch sizes of the tan_subgradient sweep
 METRICS = {
     "scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
     "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, per row",
