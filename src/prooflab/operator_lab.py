@@ -35,6 +35,9 @@ class PreconditionViolated(ValueError):
     """A quantitative hypothesis of a modulus statement fails."""
 
 
+_TINY = np.finfo(float).tiny  # a dot below the least normal float has lost digits
+
+
 def l2(v: np.ndarray) -> float:
     """``np.linalg.norm`` of a real 1-D array, bit for bit: the same dot product and root."""
     v = v.ravel()  # contiguous as in norm, where a strided view would sum in another order
@@ -52,6 +55,16 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(a, a))
 
 
+def _scaled_norms(a: np.ndarray) -> np.ndarray:
+    """``_norms``, where a finite, nonzero row whose plain dot overflows or underflows is
+    first divided by its largest coordinate, as ``math.hypot`` does."""
+    dots, big = _dots(a, a), np.abs(a).max(axis=-1)
+    redo = ((dots == math.inf) | (dots < _TINY)) & (big > 0) & (big < math.inf)
+    norms = np.sqrt(dots)
+    norms[redo] = big[redo] * _norms(a[redo] / big[redo, None])
+    return norms
+
+
 def as_vector(x, dim: int) -> np.ndarray:
     v = np.array(x, dtype=float, ndmin=1)
     if v.shape != (dim,):
@@ -66,14 +79,14 @@ def _inside(box) -> np.ndarray:
     return ~np.isnan(box[0]).any(axis=-1)
 
 
-def _distance(lo: np.ndarray, hi: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _distance(lo: np.ndarray, hi: np.ndarray, U: np.ndarray, norms=_norms) -> np.ndarray:
     """Distance from each row of ``U`` to its value box; NaN, failing every tolerance,
     on a NaN row.  ``fmax`` drops only the NaN of ``inf - inf``, so an infinite
     coordinate on an infinite face is inside.  Single values (``lo is hi``) take the
     shorter ``|U - hi|``, the same numbers."""
     if lo is hi:
-        return _norms(np.abs(U - hi))
-    return _norms(np.maximum(np.fmax(U - hi, lo - U), 0.0))
+        return norms(np.abs(U - hi))
+    return norms(np.maximum(np.fmax(U - hi, lo - U), 0.0))
 
 
 def _min_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -199,6 +212,7 @@ def _refusal(op: SetValuedOperator, gamma) -> ValueError:
     return ComonotoneStepError(f"{op.name}: rho = {op.rho} incompatible with gamma = {gamma}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN rows fail closed, unannounced
 def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np.ndarray,
                  tol: float = 1e-8):
     """The values ``U = (X - P) / gammas``, the value box at ``P``, and the first row
@@ -210,15 +224,18 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2002, ch. 9).  A finite ``p`` also passes, ``U`` NaN, within ``tol * max(1, |u|)``
     of the single value (``lo is hi``) at ``p`` moved 1 or 2 ulps short of a set-valued box (a
-    kink, a face): tan's root can be that far off, where its value moves fast.
+    kink, a face): tan's root can be that far off, where its value moves fast.  Past the
+    ``miss <= tol`` fast path, misses and spacings are ``_scaled_norms``, safe at both ends.
     """
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
     miss = _distance(*box, U)
     if miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
         return U, box, []
+    miss = _distance(*box, U, _scaled_norms)
     tols = tol * np.maximum(1.0, _norms(U))
-    good = miss <= tols + (op.dim + 1) * _norms(np.spacing(np.maximum(abs(X), abs(P)))) / gammas
+    spacings = _scaled_norms(np.spacing(np.maximum(abs(X), abs(P))))
+    good = miss <= tols + (op.dim + 1) * spacings / gammas
     if not good.all() and box[0] is box[1]:  # single-valued: u may be within tols of the
         near = ~good & np.isfinite(P).all(1) & (tols < math.inf)  # value at p moved 1 or 2
         for way in (-math.inf, math.inf):  # ulps, short of a set-valued box (a jump)
@@ -228,7 +245,7 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
                 lo, hi = op.value_box(Q)
                 if lo is not hi:
                     break
-                good |= near & (_distance(lo, hi, U) <= tols)
+                good |= near & (_distance(lo, hi, U, _scaled_norms) <= tols)
     U[~(miss <= tols)] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()

@@ -351,6 +351,11 @@ def test_run_ppa_certifies_steps_far_below_the_iterate(capsys):
     # once p rounds to x, (x - p) / gamma is noise: the value 1 at p stands in for it
     assert trace.value_residuals == pytest.approx([1.0] * 100, abs=1e-8)
     assert "proximal_point: 100 steps, final residual 0.0" in err
+    # at 5e-324 the spacing of 1e-300 squared underflows: the allowance is a scaled norm
+    argv = ["run", "ppa", "--instance", "abs_subdiff", "--x0", "1e-300", "--gamma", "5e-324",
+            "--steps", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and IterationTrace.from_json(out).points[-1].tolist() == [1e-300]
 
 
 def test_run_ppa_certifies_identity_steps_near_ulp(capsys):

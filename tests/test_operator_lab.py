@@ -568,6 +568,21 @@ def test_tolerance_covers_rounding_of_tiny_steps():
     x = np.full(2, 0.4194224417951077)
     p, u = resolvent(identity_operator(2), 2.0**-53, x, with_value=True)
     assert p.tolist() == x.tolist() and np.isnan(u).all()
+    # at the ends of the float range the miss and the allowance are taken as scaled norms:
+    # 1e154 squared overflows, and the spacing of 1e-300 squared underflows to 0
+    for op, gamma, x, want in [(identity_operator(2), 1e-17, [1e154, 1e154], [1e154, 1e154]),
+                               (abs_subdifferential(), 5e-324, [1e-300], [1e-300]),
+                               (abs_subdifferential(), 1e-310, [1e-300], [1e-300 - 1e-310])]:
+        assert resolvent(op, gamma, x).tolist() == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_acceptance_past_the_float_range_warns_nothing():
+    # the kernel fails inf and NaN rows closed, so numpy's overflow and invalid warnings
+    # on the way (u = x / 5e-324, inf - inf against the box) say nothing more
+    assert resolvent(identity_operator(2), 1e-17, [1e154, 1e154]).tolist() == [1e154] * 2
+    box = box_indicator([-1.0] * 3, [1.0] * 3)
+    assert resolvent(box, 5e-324, [2.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_values_lost_to_rounding_are_refused():
