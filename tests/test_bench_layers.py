@@ -22,10 +22,10 @@ def _d_run(scale, sweep=("1", "95", "96")):
                                 "ppa_us_per_step": 8.0, SWEEP: {n: scale for n in sweep}}}
 
 
-def _e_run(busy):
-    return {f"operator_lab.check.{group}.{metric}": {"value": value}
-            for group in operator_lab.CHECK_GROUPS
-            for metric, value in (("samples_checked", 1200), ("busy_s", busy))}
+def _e_run(seconds, checked=1200):
+    return {**{f"check_group.{group}.in_process_s": {"value": seconds}
+               for group in operator_lab.CHECK_GROUPS},
+            "samples_checked": {group: checked for group in operator_lab.CHECK_GROUPS}}
 
 
 def test_paired_ratio_is_second_over_first_over_adjacent_runs():
@@ -40,6 +40,8 @@ def test_resolvent_layer_record_keeps_its_keys():
     record = bench_layers.build_record("d", runs, "cmd", "host")
     for key in ("layer", "harness", "command", "host", "method", "rows", "unit", "metrics"):
         assert key in record
+    assert set(record["metrics"]) == {"scalar_us_per_call", "batch_us_per_row", "ppa_us_per_step",
+                                      SWEEP}
     assert record["harness"] == "tools/bench_layers.py d" and record["rows"] == 300
     identity = record["change"]["identity"]
     assert identity == {"scalar_us_per_call": 15.0, "batch_us_per_row": 3.0,
@@ -64,16 +66,20 @@ def test_check_group_layer_record_keeps_its_keys():
     record = bench_layers.build_record("e", runs, "cmd", "host")
     assert record["harness"] == "tools/bench_layers.py e" and record["unit"] == "s"
     for group in operator_lab.CHECK_GROUPS:
-        key = f"operator_lab.check.{group}"
-        assert record["change"][f"{key}.busy_s"] == {"value": 0.3, "runs": [0.1, 0.5]}
-        assert record["parent"][f"{key}.samples_checked"] == {"value": 1200, "runs": [1200, 1200]}
-        assert record["paired"][f"{key}.busy_s"]["value"] == {
+        key = f"check_group.{group}.in_process_s"
+        assert record["change"][key] == {"value": 0.3, "runs": [0.1, 0.5]}
+        assert record["paired"][key]["value"] == {
             "median": 0.875, "min": 0.5, "max": 1.25, "wins": 1}
+    # a count is recorded once per source, with no runs and no pairs
+    assert record["parent"]["samples_checked"] == dict.fromkeys(operator_lab.CHECK_GROUPS, 1200)
+    assert "samples_checked" not in record["paired"]
     # the tracer's keys are gone: self_s, and the one-row resolvent spans that read 0
-    assert set(record["metrics"]) == {"operator_lab.check.<group>.busy_s",
-                                      "operator_lab.check.<group>.samples_checked"}
+    assert set(record["metrics"]) == {"check_group.<group>.in_process_s", "samples_checked"}
     # one source: no pairs
     assert "paired" not in bench_layers.build_record("e", {"src": runs["parent"]}, "cmd", "h")
+    # a count that moves between runs is not a count
+    with pytest.raises(ValueError, match="samples_checked"):
+        bench_layers.build_record("e", {"src": [_e_run(0.2), _e_run(0.2, checked=1201)]}, "c", "h")
 
 
 def test_tan_sweep_brackets_the_lockstep_cutoff():
@@ -81,7 +87,3 @@ def test_tan_sweep_brackets_the_lockstep_cutoff():
     sizes = bench_layers.sweep_sizes(operator_lab)
     assert {cutoff - 1, cutoff, 1, 750} <= set(sizes) and sizes == sorted(sizes)
 
-
-@pytest.mark.parametrize("layer", sorted(bench_layers.LAYERS))
-def test_layer_table_names_the_metrics_it_records(layer):
-    assert bench_layers.LAYERS[layer]["record"]["metrics"]

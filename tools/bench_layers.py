@@ -7,8 +7,7 @@ order of the sources from run to run.  A source's value is the median of its
 runs, and its ``*_runs`` keys list every run in order.  With two sources the
 record adds a ``paired`` block: per metric, the median, min and max of the
 ratio second/first over the adjacent runs, and ``wins``, the pairs in which the
-second source is lower.  Adjacent runs share the host's state, so on a shared
-host the paired ratio resolves a change that the medians do not.
+second source is lower; their min and max show how far the host's drift moves one pair.
 
 Layer ``d``, per catalog instance, over 300 rows ``(gamma, x)`` cycling the
 instance's step-size grid (half drawn from the resolvent domain, each followed by
@@ -22,9 +21,11 @@ its next proximal-point iterate where that stays in the domain, the rest drawn):
   first rows of a larger draw, at sizes that bracket the measured package's
   ``_TAN_LOCKSTEP_ROWS`` cutoff between its two bisections.
 
-Layer ``e``, per group of ``operator_lab.CHECK_GROUPS``: one ``check_group(op, group,
-rng, gamma_grid, 300, 1e-8)`` call per catalog instance, ``rng`` spawned per group as
-``prooflab oplab verify`` does, timed in-process, with the samples the reports check.
+Layer ``e``, per group of ``operator_lab.CHECK_GROUPS``: the ``check_group(op, group, rng,
+gamma_grid, samples, 1e-8)`` calls of ``prooflab oplab verify`` at the sample sizes the
+``oplab_verify`` workload runs (30, 60 and ``LARGE_SAMPLES`` per instance of
+``perfbench/workloads.py``), ``rng`` spawned per group as the verb does, timed in-process;
+``samples_checked``, the sum of the reports' ``checks``, is a count recorded once per source.
 
 Each time is the median of ``--repeats`` timed passes after a warm-up.  Usage, from
 the root of a checkout, the JSON record on stdout::
@@ -38,6 +39,7 @@ import argparse
 import gc
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -47,6 +49,7 @@ import time
 ROWS = 300
 SIZES = (1, 16, 32, 64, 300, 750)  # tan sweep sizes next to the two at the cutoff
 SWEEP = "batch_us_per_row_by_rows"
+COUNTS = "samples_checked"  # a run's counts: one per group, the same in every run
 PPA_STEPS = 1000
 PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload draws them
     "identity": ([2.0, -3.0], "const:0.006"),
@@ -133,22 +136,25 @@ def measure_d(repeats: int, seed: int) -> dict:
 def measure_e(repeats: int, seed: int) -> dict:
     import numpy as np
 
-    from prooflab import operator_lab
+    from prooflab import cli, operator_lab
+
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
 
     ops, groups = operator_lab.build_catalog(seed), operator_lab.CHECK_GROUPS
-    out = {}
-    for i, group in enumerate(groups):
-        child = np.random.SeedSequence(seed).spawn(len(groups))[i]
+    calls = [(ops[name], operator_lab.CATALOG[name].gamma_grid, samples)
+             for inst in workloads.INSTANCES for name in [cli.INSTANCE_ALIASES.get(inst, inst)]
+             for samples in (30, 60, workloads.LARGE_SAMPLES[inst])]  # as oplab_verify runs them
+    out, counts = {}, {}
+    for group, child in zip(groups, np.random.SeedSequence(seed).spawn(len(groups))):
 
-        def calls():  # every instance draws from the group's child of seed, as oplab verify does
-            return [report for name, op in ops.items() for report in operator_lab.check_group(
-                op, group, np.random.default_rng(child), operator_lab.CATALOG[name].gamma_grid,
-                ROWS, 1e-8)]
+        def run():  # every call draws from the group's child of seed, as oplab verify does
+            return [report for op, grid, samples in calls for report in operator_lab.check_group(
+                op, group, np.random.default_rng(child), grid, samples, 1e-8)]
 
-        key = f"operator_lab.check.{group}"
-        out[f"{key}.samples_checked"] = {"value": sum(r.checks for r in calls())}
-        out[f"{key}.busy_s"] = {"value": round(_median_s(calls, repeats), 6)}
-    return out
+        counts[group] = sum(report.checks for report in run())
+        out[f"check_group.{group}.in_process_s"] = {"value": round(_median_s(run, repeats), 6)}
+    return {**out, COUNTS: counts}
 
 
 LAYERS = {
@@ -181,13 +187,13 @@ LAYERS = {
         "record": {
             "unit": "s",
             "metrics": {
-                "operator_lab.check.<group>.busy_s": "seconds of one check_group(op, group, "
-                "rng, gamma_grid, 300, 1e-8) call per catalog instance, summed over the six, "
-                "rng spawned per group from SeedSequence(seed) as oplab verify does: the "
-                "group's draws, the sample sets its checks read (resolvents included), and "
-                "the reports",
-                "operator_lab.check.<group>.samples_checked": "the sum of those reports' "
-                "checks; it does not depend on the machine",
+                "check_group.<group>.in_process_s": "seconds of the check_group(op, group, rng, "
+                "gamma_grid, samples, 1e-8) calls of oplab_verify, at 30, 60 and LARGE_SAMPLES "
+                "samples per instance, rng spawned per group from SeedSequence(seed) as oplab "
+                "verify does: the group's draws, the sample sets its checks read (resolvents "
+                "included), and the reports; not the tracer's operator_lab.check.*.busy_s",
+                COUNTS: "per group, the sum of those reports' checks; it does not depend on the "
+                "machine, so it is recorded once per source",
             },
         },
     },
@@ -219,12 +225,19 @@ def build_record(layer: str, runs: dict[str, list], command: str, host: str) -> 
               "the runs (each a median over --repeats timed passes), *_runs lists every run "
               "in order, and paired gives the ratio second/first over adjacent runs",
               **spec["record"]}
-    columns = {label: _tree(lambda *xs: list(xs), *per_run) for label, per_run in runs.items()}
-    for label, column in columns.items():
+    columns = {}
+    for label, per_run in runs.items():
+        counts = [run.get(COUNTS) for run in per_run]
+        if any(count != counts[0] for count in counts):
+            raise ValueError(f"{label}: {COUNTS} differs between runs: {counts}")
+        columns[label] = column = _tree(lambda *xs: list(xs), *(
+            {key: value for key, value in run.items() if key != COUNTS} for run in per_run))
         record[label] = {
             top: {**_tree(lambda xs: round(statistics.median(xs), 6), entry),
                   **{spec["runs_key"](key): value for key, value in entry.items()}}
             for top, entry in column.items()}
+        if counts[0] is not None:
+            record[label][COUNTS] = counts[0]
     if len(columns) == 2:
         first, second = columns.values()
         record["paired"] = {"ratio": "/".join(reversed(columns)),
