@@ -279,16 +279,17 @@ def cmd_run(args) -> int:
         trace = algorithms.moudafi_iteration(
             op, other, args.x0, mu=args.mu, lam=args.lam, steps=args.steps
         )
-    summary = algorithms.trace_report(trace, zero=args.zero)
+    if args.zero is not None:  # refused before any output, as report refuses it
+        algorithms.as_vector(args.zero, len(trace.final))
     text = trace.to_csv() if args.format == "csv" else trace.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    residual = trace.step_residuals[-1] if trace.step_residuals else None
     sys.stderr.write(
-        f"{trace.algorithm}: {summary['iterations']} steps, "
-        f"final residual {summary['final_step_residual']}\n"
+        f"{trace.algorithm}: {max(0, len(trace.points) - 1)} steps, final residual {residual}\n"
     )
     return _fail(["divergence_guard"]) if trace.diverged else 0
 

@@ -26,7 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from operator import attrgetter, eq, itemgetter, le
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -586,13 +585,15 @@ def eval_formula(
             if domain:  # reached now: the first value is tried as the body is built for it
                 if (not build(g.body, {**scope, g.var: (True, domain[0])}, False)[1]) is not want:
                     return True, want
-            bc, body = build(g.body, {**scope, g.var: (False, itemgetter(i))}, True)
-            body, start = (lambda s, v=body: v) if bc else body, 0 if hot else 1
+                domain = domain[1:]
+            bc, body = build(g.body, {**scope, g.var: (False, i)}, True)
+            body = (lambda s, v=body: v) if bc else body
 
             def code(s):  # stops at the first value that decides, as any() and all() do
                 nonlocal domain
-                domain = domain or _domain(g.vtype, model, budget)
-                for s[i] in islice(domain, start, None):
+                if domain is None:
+                    domain = _domain(g.vtype, model, budget)
+                for s[i] in domain:
                     if (not body(s)) is not want:
                         return want
                 return not want
@@ -610,8 +611,15 @@ def eval_formula(
     return build(f, scope, False)[1]
 
 
+def _slot(t: Term, scope: dict) -> int | None:
+    """The frame slot of ``t`` when it is a variable that a quantifier binds, else ``None``."""
+    entry = scope.get(t.name) if isinstance(t, Var) else None
+    return entry[1] if entry and not entry[0] else None
+
+
 def _term(t: Term, scope: dict, model: FiniteModel) -> tuple[bool, object]:
-    """``(True, value)`` for a folded term, else ``(False, fn of a frame)``."""
+    """``(True, value)`` for a folded term, else ``(False, fn of a frame)``.  A bound variable
+    is ``(False, slot)`` in ``scope``; as an argument it is read from the frame in place."""
     if isinstance(t, App):
         fc, fn = _term(t.fun, scope, model)
         ac, arg = _term(t.arg, scope, model)
@@ -620,6 +628,12 @@ def _term(t: Term, scope: dict, model: FiniteModel) -> tuple[bool, object]:
                 return True, fn(arg)
             except Exception:  # a closed term that fails, fails when reached
                 return False, lambda s: fn(arg)
+        j = _slot(t.arg, scope)
+        if j is not None:
+            i = _slot(t.fun, scope)
+            if i is not None:
+                return False, lambda s: s[i](s[j])
+            return False, (lambda s: fn(s[j])) if fc else (lambda s: fn(s)(s[j]))
         if fc or ac:
             return False, (lambda s: fn(arg(s))) if fc else (lambda s: fn(s)(arg))
         return False, lambda s: fn(s)(arg(s))
@@ -628,7 +642,11 @@ def _term(t: Term, scope: dict, model: FiniteModel) -> tuple[bool, object]:
             return True, const_value(t, model)
         except UnsupportedType:
             return False, lambda s: const_value(t, model)
-    return scope.get(t.name) or (False, lambda s: evaluate(t, model))  # unbound: KeyError
+    entry = scope.get(t.name)
+    if entry is None:
+        return False, lambda s: evaluate(t, model)  # unbound: raises KeyError when reached
+    folded, value = entry
+    return entry if folded else (False, itemgetter(value))
 
 
 def _domain(vtype: FinType, model: FiniteModel, budget: int) -> list:

@@ -12,6 +12,7 @@ list of points (values of type ``X`` are indices into that list).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -209,26 +210,47 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
     return t
 
 
+def _stack_path(todo: list) -> str:
+    """The path from the root to the node :func:`typecheck` is at, read off its stack.  Each
+    ``None`` there closes an application around that node, root first, and has its ``arg``
+    still pending right above it while the walk is in its ``fun``."""
+    return "".join("fun." if i + 1 < len(todo) and todo[i + 1] is not None else "arg."
+                   for i, s in enumerate(todo) if s is None)
+
+
 def typecheck(t: Term, ctx: Mapping[str, FinType] | None = None, _path: str = "") -> FinType:
-    """Infer the type of ``t``; applications must match argument types exactly."""
-    if isinstance(t, Var):
-        if ctx is not None and t.name in ctx and ctx[t.name] != t.type:
-            raise IllTypedApplication(
-                f"variable {t.name} declared {ctx[t.name]} but annotated {t.type}", _path
-            )
-        return t.type
-    if isinstance(t, Const):
-        return t.type
-    assert isinstance(t, App)
-    fun_t = typecheck(t.fun, ctx, _path + "fun.")
-    arg_t = typecheck(t.arg, ctx, _path + "arg.")
-    if not isinstance(fun_t, Arrow):
-        raise IllTypedApplication(f"applied non-arrow type {fun_t}", _path)
-    if fun_t.argument != arg_t:
-        raise IllTypedApplication(
-            f"expected argument of type {fun_t.argument}, got {arg_t}", _path
-        )
-    return fun_t.result
+    """Infer the type of ``t``; applications must match argument types exactly.
+
+    A loop over an explicit stack, in post-order (``fun``, ``arg``, then the application),
+    so the first error is the one a recursive walk meets, at the same ``fun.``/``arg.`` path.
+    """
+    done: list[FinType] = []  # types of the finished subterms, in post-order
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            arg_t = done.pop()
+            fun_t = done[-1]
+            if not isinstance(fun_t, Arrow):
+                raise IllTypedApplication(f"applied non-arrow type {fun_t}",
+                                          _path + _stack_path(todo))
+            if fun_t.argument != arg_t:
+                raise IllTypedApplication(
+                    f"expected argument of type {fun_t.argument}, got {arg_t}",
+                    _path + _stack_path(todo))
+            done[-1] = fun_t.result
+        elif type(s) is App:  # exact types: the three node classes have no subclasses
+            todo += (None, s.arg, s.fun)
+        elif type(s) is Const:
+            done.append(s.type)
+        else:
+            assert type(s) is Var
+            if ctx is not None and s.name in ctx and ctx[s.name] != s.type:
+                raise IllTypedApplication(
+                    f"variable {s.name} declared {ctx[s.name]} but annotated {s.type}",
+                    _path + _stack_path(todo))
+            done.append(s.type)
+    return done[0]
 
 
 def identity_term(rho: FinType) -> Term:
@@ -336,12 +358,32 @@ class FiniteModel:
         return min(n + 1, self.size)
 
 
+class _SuccTable(dict):
+    """``FiniteModel.succ`` as a lookup: ``n -> min(n + 1, size)``, a carrier value stored
+    the first time it is read, any other argument computed each time."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, n):
+        value = min(n + 1, self.size)
+        if type(n) is int and 0 <= n <= self.size:
+            self[n] = value
+        return value
+
+
+@functools.lru_cache(maxsize=16)
+def _succ(size: int):
+    return _SuccTable(size).__getitem__
+
+
 def const_value(c: Const, model: FiniteModel):
     kind = c.kind
     if kind == "zero":
         return 0
-    if kind == "succ":
-        return model.succ
+    if kind == "succ":  # a C call per successor, where model.succ is a Python frame
+        return _succ(model.size)
     if kind == "proj":
         return lambda kept: lambda _dropped: kept
     if kind == "sigma":

@@ -82,6 +82,33 @@ def test_check_group_layer_record_keeps_its_keys():
         bench_layers.build_record("e", {"src": [_e_run(0.2), _e_run(0.2, checked=1201)]}, "c", "h")
 
 
+STRATA = ("flat", "huge-False", "refused")
+
+
+def _b_run(seconds, tuples=562500):
+    return {**{f"oracle.{stratum}.in_process_s": {"value": seconds} for stratum in STRATA},
+            "oracle_counts": {stratum: {"decided": 36, "refusals": 0, "witness_tuples": tuples}
+                              for stratum in STRATA}}
+
+
+def test_oracle_layer_record_keeps_its_keys():
+    runs = {"parent": [_b_run(0.2), _b_run(0.4)], "change": [_b_run(0.1), _b_run(0.3)]}
+    record = bench_layers.build_record("b", runs, "cmd", "host")
+    assert record["harness"] == "tools/bench_layers.py b" and record["unit"] == "s"
+    assert set(record["metrics"]) == {"oracle.<stratum>.in_process_s", "oracle_counts"}
+    for stratum in STRATA:
+        key = f"oracle.{stratum}.in_process_s"
+        assert record["change"][key] == {"value": 0.2, "runs": [0.1, 0.3]}
+        assert record["paired"][key]["value"] == {"median": 0.625, "min": 0.5, "max": 0.75,
+                                                  "wins": 2}
+    # the counts are recorded once per source, with no runs and no pairs
+    assert record["parent"]["oracle_counts"]["huge-False"] == {
+        "decided": 36, "refusals": 0, "witness_tuples": 562500}
+    assert "oracle_counts" not in record["paired"]
+    with pytest.raises(ValueError, match="oracle_counts"):
+        bench_layers.build_record("b", {"src": [_b_run(0.2), _b_run(0.2, tuples=1)]}, "c", "h")
+
+
 def test_tan_sweep_brackets_the_lockstep_cutoff():
     cutoff = operator_lab._TAN_LOCKSTEP_ROWS
     sizes = bench_layers.sweep_sizes(operator_lab)

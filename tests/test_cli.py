@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prooflab import cli
-from prooflab.algorithms import IterationTrace
+from prooflab.algorithms import IterationTrace, trace_report
 from prooflab.cli import INSTANCE_ALIASES, main
 from prooflab.majorization import bobs_uniform_majorant
 from prooflab.operator_lab import CATALOG, l2
@@ -456,6 +456,32 @@ def test_run_dimension_mismatch_is_usage_error(capsys):
         capsys, ["run", "ppa", "--instance", "identity", "--x0", "8"]
     )
     assert code not in (0, None)
+
+
+def test_run_refuses_a_zero_of_the_wrong_dimension(capsys, tmp_path):
+    path = tmp_path / "trace.json"
+    for out_flags in ([], ["--out", str(path)]):
+        argv = ["run", "ppa", "--instance", "identity", "--x0", "2,2", "--zero", "0", *out_flags]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and "dimension 2" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("run", [
+    ["ppa", "--instance", "soft_threshold", "--x0", "3.5"],
+    ["ppa", "--instance", "psd_skew", "--x0", "1,2,3,-1,0,5", "--zero", "0,0,0,0,0,0"],
+    ["ppa", "--instance", "identity", "--x0", "2,2", "--steps", "0", "--zero", "0,0"],
+    ["moudafi", "--instance", "identity", "--x0", "8,0", "--steps", "3", "--zero", "0,0"],
+], ids=["ppa", "ppa-zero", "no-steps", "moudafi"])
+def test_run_summary_line_reads_the_trace_report(capsys, run):
+    code, out, err = run_cli(capsys, ["run", *run])
+    assert code == 0
+    trace = IterationTrace.from_json(out)
+    summary = trace_report(trace)
+    assert err == (f"{trace.algorithm}: {summary['iterations']} steps, "
+                   f"final residual {summary['final_step_residual']}\n")
+    if run[0] == "ppa" and run[2] == "soft_threshold":
+        assert err == "proximal_point: 4 steps, final residual 0.5\n"
 
 
 def test_run_rejects_malformed_x0(capsys):

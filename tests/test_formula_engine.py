@@ -51,6 +51,7 @@ from prooflab.term_calculus import (
     UnsupportedType,
     Var,
     ZERO_CONST,
+    const_value,
     enumeration_size,
     evaluate,
     numeral,
@@ -230,6 +231,23 @@ def test_eval_formula_examples():
     gt = neg(leq(v0("x"), v0("y")))
     assert not eval_formula(Forall("y", ZERO, Exists("x", ZERO, gt)), m)
     assert not eval_formula(FALSE, m)
+
+
+def test_successor_table_agrees_with_the_model():
+    x, y = v0("x"), v0("y")
+    for n in range(6):
+        m = FiniteModel(n)
+        succ = const_value(SUCC, m)
+        for _ in range(2):  # the second pass reads the values the first one stored
+            for k in range(-3, n + 4):
+                assert succ(k) == m.succ(k) and type(succ(k)) is int
+                assert evaluate(App(SUCC, x), m, {"x": k}) == m.succ(k)
+                # a free argument, then a bound one, with env values outside the carrier
+                assert eval_formula(Prime(App(SUCC, x), y), m, {"x": k, "y": m.succ(k)})
+                assert eval_formula(Exists("y", ZERO, Prime(App(SUCC, x), y)), m, {"x": k}) == (
+                    m.succ(k) in m.carrier())
+                assert eval_formula(Exists("y", ZERO, Prime(App(SUCC, y), x)), m, {"x": k}) == (
+                    any(m.succ(j) == k for j in m.carrier()))
 
 
 def reference_truth(f, model, env, budget):
@@ -438,3 +456,31 @@ def test_exists_leq_shape():
     assert isinstance(f, Exists)
     assert isinstance(f.body, And)
     assert isinstance(f.body.left, Preceq)
+
+
+# Matrices of forall x forall y exists z shapes: their Dialectica witness is a two-argument
+# Skolem function F, applied to the bound x and y, and, in the second formula, to closed terms
+SKOLEM_MATRICES = ["(= {z} {x})", "(= {z} {y})", "(<= (succ {z}) {x})", "(<= {z} (succ {x}))",
+                   "(and (<= {x} {z}) (<= {y} {z}))", "(or (= {z} {x}) (<= (succ {y}) {z}))"]
+
+
+def test_two_argument_skolem_functions_match_the_reference_evaluator():
+    budget = 20_000  # 0(0)(0) has 16 tables at carrier 1 and 19683 at carrier 2
+    for matrix in SKOLEM_MATRICES:
+        f = parse_formula("(forall (x 0) (forall (y 0) (exists (z 0) "
+                          + matrix.format(x="x", y="y", z="z") + ")))")
+        d = dialectica(f)
+        assert {str(t) for _, t in d.ex_vars} == {"0(0)(0)"}  # "or" adds a Skolem case flag
+        closed = parse_formula("(exists (F ((0 0) 0)) (and "
+                               + matrix.format(x="0", y="1", z="(F 0 1)")
+                               + " (forall (x 0) (forall (y 0) "
+                               + matrix.format(x="x", y="y", z="(F x y)") + "))))")
+        for size in (1, 2, 3):
+            m = FiniteModel(size)
+            got = [outcome(lambda: eval_formula(f, m, budget=budget)),
+                   outcome(lambda: eval_dialectica(d, m, budget=budget)),
+                   outcome(lambda: eval_formula(closed, m, budget=budget))]
+            want = [outcome(lambda: reference_truth(f, m, {}, budget)),
+                    outcome(lambda: reference_dialectica(d, m, budget)),
+                    outcome(lambda: reference_truth(closed, m, {}, budget))]
+            assert got == want, (matrix, size)

@@ -96,6 +96,55 @@ def test_typecheck_rejects_bad_application():
         assert e.path
 
 
+def reference_typecheck(t, ctx=None, path=""):
+    """The recursive walk: the order and the errors that ``typecheck`` keeps."""
+    if isinstance(t, Var):
+        if ctx is not None and t.name in ctx and ctx[t.name] != t.type:
+            raise IllTypedApplication(
+                f"variable {t.name} declared {ctx[t.name]} but annotated {t.type}", path)
+        return t.type
+    if isinstance(t, Const):
+        return t.type
+    fun_t = reference_typecheck(t.fun, ctx, path + "fun.")
+    arg_t = reference_typecheck(t.arg, ctx, path + "arg.")
+    if not isinstance(fun_t, Arrow):
+        raise IllTypedApplication(f"applied non-arrow type {fun_t}", path)
+    if fun_t.argument != arg_t:
+        raise IllTypedApplication(f"expected argument of type {fun_t.argument}, got {arg_t}", path)
+    return fun_t.result
+
+
+def typecheck_outcome(check, *args):
+    try:
+        return check(*args)
+    except IllTypedApplication as exc:
+        return str(exc), exc.path
+
+
+def test_typecheck_finds_the_first_error_of_the_recursive_walk():
+    rng = random.Random(3)
+    atoms = [ZERO_CONST, SUCC, PRED, proj_const(ZERO, TYPE_ONE), rec_const(ZERO),
+             Var("x", ZERO), Var("x", TYPE_ONE), Var("f", TYPE_ONE)]
+
+    def grow(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(atoms)
+        return App(grow(depth - 1), grow(depth - 1))
+
+    errors = 0
+    for _ in range(1500):
+        t = grow(6)
+        for ctx, path in ((None, ""), ({"x": ZERO, "f": TYPE_ONE}, "arg.")):
+            want = typecheck_outcome(reference_typecheck, t, ctx, path)
+            assert typecheck_outcome(typecheck, t, ctx, path) == want, t
+            errors += isinstance(want, tuple)
+    assert 500 < errors < 2900  # both outcomes are common
+
+
+def test_typecheck_of_a_deep_numeral_does_not_recurse():
+    assert typecheck(numeral(100_000)) is ZERO
+
+
 def test_reduction_rules():
     a, b = numeral(2), numeral(1)
     pi = proj_const(ZERO, ZERO)

@@ -1,4 +1,4 @@
-"""Layer harness: the resolvent kernel (d) and the property-suite check groups (e).
+"""Layer harness: the soundness oracle (b), the resolvent kernel (d) and the check groups (e).
 
 ``python tools/bench_layers.py LAYER --src LABEL=DIR ...`` measures one layer of
 each ``prooflab`` package named by ``--src`` (a directory holding the package),
@@ -8,6 +8,12 @@ runs, and its ``*_runs`` keys list every run in order.  With two sources the
 record adds a ``paired`` block: per metric, the median, min and max of the
 ratio second/first over the adjacent runs, and ``wins``, the pairs in which the
 second source is lower; their min and max show how far the host's drift moves one pair.
+
+Layer ``b``, per stratum of the ``symbolic_oracle`` workload of ``perfbench/workloads.py``:
+its oracle ops on the corpus it draws at ``--seed``, one ``check_interpretation_soundness``
+call per formula (``"refused"`` past the budget), timed in-process; the formulas decided,
+the refusals and the witness tuples (the sum of ``search_size``) are counts recorded once
+per source.
 
 Layer ``d``, per catalog instance, over 300 rows ``(gamma, x)`` cycling the
 instance's step-size grid (half drawn from the resolvent domain, each followed by
@@ -50,6 +56,7 @@ ROWS = 300
 SIZES = (1, 16, 32, 64, 300, 750)  # tan sweep sizes next to the two at the cutoff
 SWEEP = "batch_us_per_row_by_rows"
 COUNTS = "samples_checked"  # a run's counts: one per group, the same in every run
+ORACLE_COUNTS = "oracle_counts"  # likewise, one per stratum
 PPA_STEPS = 1000
 PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload draws them
     "identity": ([2.0, -3.0], "const:0.006"),
@@ -133,14 +140,50 @@ def measure_d(repeats: int, seed: int) -> dict:
     return out
 
 
+def _workloads():
+    """``perfbench/workloads.py``, read for its sizes and corpora, not run as a benchmark."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def measure_b(repeats: int, seed: int) -> dict:
+    import random
+    import tempfile
+
+    from prooflab import cli, formula_engine, term_calculus
+
+    workloads, m = _workloads(), {"cli": cli, "formula_engine": formula_engine,
+                                  "term_calculus": term_calculus}
+    with tempfile.TemporaryDirectory() as tmp:  # the workload writes files for its CLI ops
+        ops, _ = workloads.symbolic_oracle(random.Random(f"symbolic_oracle:{seed}"), m,
+                                           pathlib.Path(tmp))
+    strata = {}
+    for op in ops:  # an oracle op's formula is the default argument of its run
+        if op.id.startswith("oracle-"):
+            strata.setdefault(op.group, []).append(op.run.__defaults__[0])
+    model = term_calculus.FiniteModel(workloads.ORACLE_CARRIER)
+    out, counts = {}, {}
+    for stratum, formulas in sorted(strata.items()):
+
+        def run():  # the ops' own call: check_interpretation_soundness, or "refused"
+            return [workloads._oracle_call(m, f) for f in formulas]
+
+        decided = [f for f, got in zip(formulas, run()) if got != "refused"]
+        counts[stratum] = {"decided": len(decided), "refusals": len(formulas) - len(decided),
+                           "witness_tuples": sum(formula_engine.dialectica(f).search_size(model)
+                                                 for f in decided)}
+        out[f"oracle.{stratum}.in_process_s"] = {"value": round(_median_s(run, repeats), 6)}
+    return {**out, ORACLE_COUNTS: counts}
+
+
 def measure_e(repeats: int, seed: int) -> dict:
     import numpy as np
 
     from prooflab import cli, operator_lab
 
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
+    workloads = _workloads()
     ops, groups = operator_lab.build_catalog(seed), operator_lab.CHECK_GROUPS
     calls = [(ops[name], operator_lab.CATALOG[name].gamma_grid, samples)
              for inst in workloads.INSTANCES for name in [cli.INSTANCE_ALIASES.get(inst, inst)]
@@ -158,6 +201,24 @@ def measure_e(repeats: int, seed: int) -> dict:
 
 
 LAYERS = {
+    "b": {
+        "measure": measure_b,
+        "runs_key": lambda key: "runs",
+        "counts": ORACLE_COUNTS,
+        "layer": "(b) the translation-soundness oracle, per symbolic_oracle stratum",
+        "record": {
+            "unit": "s",
+            "metrics": {
+                "oracle.<stratum>.in_process_s": "seconds of the stratum's oracle ops of the "
+                "symbolic_oracle workload, on the corpus it draws from Random('symbolic_oracle:"
+                "<seed>'): one check_interpretation_soundness(f, FiniteModel(ORACLE_CARRIER), "
+                "budget=ORACLE_BUDGET) call per formula, a refusal being EnumerationBudgetExceeded",
+                ORACLE_COUNTS: "per stratum, formulas decided, refusals, and witness tuples (the "
+                "sum of search_size of the decided formulas' Dialectica forms); they do not "
+                "depend on the machine, so they are recorded once per source",
+            },
+        },
+    },
     "d": {
         "measure": measure_d,
         "runs_key": lambda key: f"{key}_runs" if key == SWEEP else key.split("_")[0] + "_runs",
@@ -183,6 +244,7 @@ LAYERS = {
     "e": {
         "measure": measure_e,
         "runs_key": lambda key: "runs",
+        "counts": COUNTS,
         "layer": "(e) property-suite check groups, with the resolvent kernel they call",
         "record": {
             "unit": "s",
@@ -225,19 +287,19 @@ def build_record(layer: str, runs: dict[str, list], command: str, host: str) -> 
               "the runs (each a median over --repeats timed passes), *_runs lists every run "
               "in order, and paired gives the ratio second/first over adjacent runs",
               **spec["record"]}
-    columns = {}
+    columns, counted = {}, spec.get("counts")
     for label, per_run in runs.items():
-        counts = [run.get(COUNTS) for run in per_run]
+        counts = [run.get(counted) for run in per_run]
         if any(count != counts[0] for count in counts):
-            raise ValueError(f"{label}: {COUNTS} differs between runs: {counts}")
+            raise ValueError(f"{label}: {counted} differs between runs: {counts}")
         columns[label] = column = _tree(lambda *xs: list(xs), *(
-            {key: value for key, value in run.items() if key != COUNTS} for run in per_run))
+            {key: value for key, value in run.items() if key != counted} for run in per_run))
         record[label] = {
             top: {**_tree(lambda xs: round(statistics.median(xs), 6), entry),
                   **{spec["runs_key"](key): value for key, value in entry.items()}}
             for top, entry in column.items()}
         if counts[0] is not None:
-            record[label][COUNTS] = counts[0]
+            record[label][counted] = counts[0]
     if len(columns) == 2:
         first, second = columns.values()
         record["paired"] = {"ratio": "/".join(reversed(columns)),
