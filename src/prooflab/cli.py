@@ -366,7 +366,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--mu", type=finite, default=1.0)
     p.add_argument("--lam", type=finite, default=1.0)
     p.add_argument("--steps", type=natural, default=100)
-    p.add_argument("--zero", type=float_list, help="known zero for the stderr summary")
+    p.add_argument("--zero", type=float_list, help="known zero, only checked for dimension "
+                   "and finiteness; report --zero prints the distance to it and the Fejer verdict")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_run)

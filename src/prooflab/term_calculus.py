@@ -433,12 +433,19 @@ def _base_domain(t: FinType, model: FiniteModel) -> Sequence:
     raise UnsupportedType(f"{t} is not a base type")
 
 
+_TABLE_CAP = 8_192  # tables kept over all keys; a larger enumeration is built per call
+_tables: dict[tuple, list] = {}
+
+
 def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> list:
     """All values of type ``t`` in ``model``, within a count ``budget``.
 
     Enumerable types are the base types and arrows from a base type.  The budget is checked
-    before any table is built.  A function is one dict per table, exposed as its ``__getitem__``
-    (``KeyError`` outside the domain), built an argument at a time in ``itertools.product`` order.
+    before any table is built or looked up.  A function is one dict per table, exposed as its
+    ``__getitem__`` (``KeyError`` outside the domain), built an argument at a time in
+    ``itertools.product`` order.  The tables hold carrier values and ``X`` indices only, so they
+    are kept, read-only, per type, ``model.size`` and number of ``X`` points (``None`` without
+    them), while at most ``_TABLE_CAP`` tables are kept in all; each call returns a fresh list.
     """
     if isinstance(t, BaseType):
         dom = _base_domain(t, model)
@@ -454,10 +461,16 @@ def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> l
         raise UnsupportedType(
             f"{len(results)}^{len(arg_dom)} tables of type {t} exceed budget {budget}"
         )
-    tables: list[dict] = [{}]
-    for cells in [[{arg: r} for r in results] for arg in arg_dom]:
-        tables = [table | cell for table in tables for cell in cells]
-    return [table.__getitem__ for table in tables]
+    key = (t, model.size, None if model.x_points is None else len(model.x_points))
+    kept = _tables.get(key)
+    if kept is None:
+        tables: list[dict] = [{}]
+        for cells in [[{arg: r} for r in results] for arg in arg_dom]:
+            tables = [table | cell for table in tables for cell in cells]
+        kept = [table.__getitem__ for table in tables]
+        if len(kept) + sum(map(len, _tables.values())) <= _TABLE_CAP:
+            _tables[key] = kept
+    return kept.copy()
 
 
 def enumeration_size(t: FinType, model: FiniteModel) -> int:

@@ -467,6 +467,14 @@ def test_run_refuses_a_zero_of_the_wrong_dimension(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_run_zero_help_points_to_report(capsys):
+    code, out, _ = run_cli(capsys, ["run", "--help"])
+    assert code == 0
+    assert ("--zero ZERO known zero, only checked for dimension and finiteness; report --zero "
+            "prints the distance to it and the Fejer verdict") in " ".join(out.split())
+    assert "stderr summary" not in out
+
+
 @pytest.mark.parametrize("run", [
     ["ppa", "--instance", "soft_threshold", "--x0", "3.5"],
     ["ppa", "--instance", "psd_skew", "--x0", "1,2,3,-1,0,5", "--zero", "0,0,0,0,0,0"],
