@@ -4,7 +4,8 @@ All sampling is driven by one seed per invocation; reports are JSON with
 sorted keys on stdout so identical configs produce byte-identical output.
 Human-oriented one-liners go to stderr.  Exit status: 0 all checks in scope
 pass, 1 a check failed (names on stderr), 2 bad input (nothing on stdout): a
-flag value its argparse converter refuses, or an ``INPUT_ERRORS`` exception.
+flag value its argparse converter refuses, an ``INPUT_ERRORS`` exception, or input nested
+past Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"prooflab: error: {exc}\n")
+        return 2
+    except RecursionError as exc:  # the readers recurse once per level of nesting
+        sys.stderr.write(f"prooflab: error: input nested too deeply: {exc}\n")
         return 2
 
 

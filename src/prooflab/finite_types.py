@@ -9,9 +9,8 @@ pure types: ``n+1`` stands for ``0(n)``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import TypeSyntaxError
 
@@ -144,58 +143,48 @@ def hat(t: FinType) -> FinType:
     return Arrow(hat(t.result), hat(t.argument))
 
 
-_TOKEN = re.compile(r"\s*([0-9]+|X|\(|\))")
-
-
-def _tokenize(text: str) -> Iterator[str]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise TypeSyntaxError(f"bad type syntax at {text[pos:]!r}")
-        yield m.group(1)
-        pos = m.end()
+def read_nested(text: str, error: type[ValueError], what: str) -> list:
+    """The tokens of ``text``, split at spaces and parentheses, with each parenthesised group
+    as a nested list.  An unbalanced parenthesis raises ``error``, whose message calls the
+    text ``what``."""
+    stack: list[list] = [[]]
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            stack[-2].append(stack.pop())
+        else:
+            raise error("unexpected ')'")
+    if len(stack) > 1:
+        raise error(f"unbalanced parenthesis: unexpected end of {what}")
+    return stack[0]
 
 
 def parse_type(text: str) -> FinType:
     """Parse ``0``, ``X``, numerals and left-nested arrows like ``X(X)(1)``."""
-    tokens = list(_tokenize(text))
-    pos = 0
+    return _from_tokens(read_nested(text, TypeSyntaxError, "type"))
 
-    def atom() -> FinType:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TypeSyntaxError("unexpected end of type")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "X":
-            return X
-        if tok.isdigit():
-            return pure_type(int(tok))
-        if tok == "(":
-            inner = typ()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise TypeSyntaxError("unbalanced parenthesis")
-            pos += 1
-            return inner
-        raise TypeSyntaxError(f"unexpected token {tok!r}")
 
-    def typ() -> FinType:
-        nonlocal pos
-        t = atom()
-        while pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            arg = typ()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise TypeSyntaxError("unbalanced parenthesis")
-            pos += 1
-            t = Arrow(t, arg)
-        return t
-
-    result = typ()
-    if pos != len(tokens):
-        raise TypeSyntaxError(f"trailing tokens in {text!r}")
-    return result
+def _from_tokens(tokens: list) -> FinType:
+    """A base type or a parenthesised group, then one parenthesised argument after another."""
+    if not tokens:
+        raise TypeSyntaxError("unexpected end of type")
+    head, *args = tokens
+    if isinstance(head, list):
+        t = _from_tokens(head)
+    elif head == "X":
+        t = X
+    elif head.isascii() and head.isdigit():  # int() refuses "²", which isdigit() accepts
+        t = pure_type(int(head))
+    else:
+        raise TypeSyntaxError(f"unexpected token {head!r}")
+    for arg in args:
+        if not isinstance(arg, list):
+            raise TypeSyntaxError(f"trailing token {arg!r}")
+        t = Arrow(t, _from_tokens(arg))
+    return t
 
 
 def format_type(t: FinType, pure_shorthand: bool = False) -> str:

@@ -31,7 +31,9 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import FormulaSyntaxError
-from .finite_types import Arrow, BaseType, FinType, ZERO, X, arrow_chain, is_admissible, pure_type
+from .finite_types import (
+    Arrow, BaseType, FinType, ZERO, X, arrow_chain, is_admissible, pure_type, read_nested,
+)
 from .term_calculus import (
     App,
     CHI_A,
@@ -541,16 +543,16 @@ def eval_formula(
     """Classical truth in the finite model by exhaustive quantification.
 
     ``f`` is compiled once per call, in one pass, to closures over a frame of slots (Feeley
-    and Lapalme, "Using closures for code generation", 1987): a bound variable becomes its
-    binder's slot index, and a node free of bound variables is folded to its value.  A node
-    outside every quantifier runs at most once, so it is evaluated as it is built; there, a
-    quantifier tries its first value so and compiles its body for the rest.  Nothing is
-    evaluated out of order: connectives stop at a deciding left operand, and an unbound
-    variable, a real atom or a type past the budget raises only when reached.
+    and Lapalme, "Using closures for code generation", 1987), and the compiled root runs once
+    on a fresh frame.  A bound variable becomes its binder's slot index, and a node free of
+    bound variables is folded to its value, so a folded left operand that decides cuts its
+    right one at compile time.  Nothing is evaluated out of order: connectives stop at a
+    deciding left operand, a quantifier enumerates its domain when first reached, and an
+    unbound variable, a real atom or a type past the budget raises only when reached.
     """
     slots = 0  # frame positions handed out to binders so far
 
-    def build(g: Formula, scope: dict, hot: bool) -> tuple[bool, object]:
+    def build(g: Formula, scope: dict) -> tuple[bool, object]:
         """``(True, truth)`` for a folded node, else ``(False, test of a frame)``."""
         nonlocal slots
         if isinstance(g, (Prime, Leq0)):
@@ -567,12 +569,12 @@ def eval_formula(
             else:
                 code = lambda s: cmp(lhs(s), rhs(s))
         elif isinstance(g, (And, Or, Implies)):
-            lc, left = build(g.left, scope, hot)
+            lc, left = build(g.left, scope)
             if lc:  # a known left operand decides, or hands the value on to the right one
                 if isinstance(g, Or) == bool(left):
                     return True, bool(left) or isinstance(g, Implies)
-                return build(g.right, scope, hot)
-            rc, right = build(g.right, scope, hot)
+                return build(g.right, scope)
+            rc, right = build(g.right, scope)
             right = (lambda s, v=right: v) if rc else right
             if isinstance(g, And):
                 return False, lambda s: left(s) and right(s)
@@ -581,12 +583,8 @@ def eval_formula(
             return False, lambda s: not left(s) or right(s)
         elif isinstance(g, (Forall, Exists)):
             i, slots, want = slots, slots + 1, isinstance(g, Exists)
-            domain = None if hot else _domain(g.vtype, model, budget)  # enumerated when reached
-            if domain:  # reached now: the first value is tried as the body is built for it
-                if (not build(g.body, {**scope, g.var: (True, domain[0])}, False)[1]) is not want:
-                    return True, want
-                domain = domain[1:]
-            bc, body = build(g.body, {**scope, g.var: (False, i)}, True)
+            domain = None  # enumerated when first reached
+            bc, body = build(g.body, {**scope, g.var: (False, i)})
             body = (lambda s, v=body: v) if bc else body
 
             def code(s):  # stops at the first value that decides, as any() and all() do
@@ -598,17 +596,18 @@ def eval_formula(
                         return want
                 return not want
         elif isinstance(g, DEFINED):
-            return build(expand_defined(g), scope, hot)
+            return build(expand_defined(g), scope)
         else:  # a real atom, or not a formula: raises when reached
 
             def code(s):
                 raise (UnsupportedType("real comparison atoms have no finite-model value")
                        if isinstance(g, RealCmp) else TypeError(f"unknown formula node {g}"))
 
-        return (False, code) if hot else (True, code([None] * slots))
+        return False, code
 
     scope = {name: (True, value) for name, value in env.items()} if env else {}
-    return build(f, scope, False)[1]
+    folded, root = build(f, scope)
+    return root if folded else root([None] * slots)
 
 
 def _slot(t: Term, scope: dict) -> int | None:
@@ -896,22 +895,11 @@ def _read_formula(node, ctx: Mapping[str, Var]) -> Formula:
 
 def _parse(text: str, read):
     """Read ``text`` as one s-expression of nested token lists and build it with ``read``."""
-    stack = [[]]
-    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
-        if tok == "(":
-            stack.append([])
-        elif tok != ")":
-            stack[-1].append(tok)
-        elif len(stack) > 1:
-            stack[-2].append(stack.pop())
-        else:
-            raise FormulaSyntaxError("unexpected ')'")
-    if len(stack) > 1:
-        raise FormulaSyntaxError("unbalanced parenthesis")
-    if len(stack[0]) != 1:
-        raise FormulaSyntaxError("trailing tokens" if stack[0] else "unexpected end of input")
+    nodes = read_nested(text, FormulaSyntaxError, "input")
+    if len(nodes) != 1:
+        raise FormulaSyntaxError("trailing tokens" if nodes else "unexpected end of input")
     try:
-        return read(stack[0][0], {})
+        return read(nodes[0], {})
     except FormulaSyntaxError:
         raise
     except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Callable
 
@@ -125,24 +126,13 @@ def real_from_canonical(r: Fraction | int) -> RealCode:
     return RealCode(canonical_rep(r))
 
 
-def _memoised(fn: Callable[[int], RatCode]) -> Callable[[int], RatCode]:
-    cache: dict[int, RatCode] = {}
-
-    def at(n: int) -> RatCode:
-        if n not in cache:
-            cache[n] = fn(n)
-        return cache[n]
-
-    return at
-
-
 def real_add(x: RealCode, y: RealCode) -> RealCode:
     """Sum; reads both inputs one position deeper."""
-    return RealCode(_memoised(lambda n: rat_code(x.value_at(n + 1) + y.value_at(n + 1))))
+    return RealCode(cache(lambda n: rat_code(x.value_at(n + 1) + y.value_at(n + 1))))
 
 
 def real_neg(x: RealCode) -> RealCode:
-    return RealCode(_memoised(lambda n: rat_code(-x.value_at(n))))
+    return RealCode(cache(lambda n: rat_code(-x.value_at(n))))
 
 
 def real_sub(x: RealCode, y: RealCode) -> RealCode:
@@ -150,7 +140,7 @@ def real_sub(x: RealCode, y: RealCode) -> RealCode:
 
 
 def real_abs(x: RealCode) -> RealCode:
-    return RealCode(_memoised(lambda n: rat_code(abs(x.value_at(n)))))
+    return RealCode(cache(lambda n: rat_code(abs(x.value_at(n)))))
 
 
 def _int_bound(x: RealCode) -> int:
@@ -168,7 +158,7 @@ def real_mul(x: RealCode, y: RealCode) -> RealCode:
         k = n + shift
         return rat_code(x.value_at(k) * y.value_at(k))
 
-    return RealCode(_memoised(at))
+    return RealCode(cache(at))
 
 
 def real_arith(op: str, x: RealCode, y: RealCode | None = None) -> RealCode:
@@ -207,7 +197,7 @@ def guarded_recip(x: RealCode, l: int) -> RealCode:
         q = x.value_at(n + 2 * l + 3)
         return rat_code(1 / q)
 
-    return RealCode(_memoised(at))
+    return RealCode(cache(at))
 
 
 class CompareResult(enum.Enum):

@@ -743,6 +743,27 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, named):
         assert err.count("\n") == 1
 
 
+# Nesting deeper than Python's recursion limit: the readers recurse once per level
+DEEP_INPUTS = {"types-depth-1500": ["types", "0(" * 1500 + "0" + ")" * 1500],
+               "translate-depth-3000": ["translate", "--nt", "{d}/deep.sexp"]}
+
+
+@pytest.mark.parametrize("argv", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_deep_input_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "deep.sexp").write_text("(not " * 3000 + "(= 0 0)" + ")" * 3000)
+    code, out, err = run_cli(capsys, [a.format(d=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("prooflab: error: input nested too deeply")
+    assert err.count("\n") == 1
+
+
+def test_types_refuses_digits_int_cannot_read(capsys):
+    assert "²".isdigit()  # so a reader that trusts isdigit() would call int("²") and fail
+    code, out, err = run_cli(capsys, ["types", "²"])
+    assert (code, out) == (2, "")
+    assert err.startswith("prooflab: error:") and err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, grid, want", [
     ("box", "1e308", 2), ("box", "1e-300,1e300", 2), ("identity", "1e308", 2),

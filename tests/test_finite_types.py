@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prooflab.finite_types import (
     Arrow,
@@ -21,6 +23,7 @@ from prooflab.finite_types import (
     pure_index,
     pure_type,
 )
+from type_reference import reference_parse_type
 
 types = st.recursive(
     st.sampled_from([ZERO, X]),
@@ -62,6 +65,35 @@ def test_parse_rejects_garbage():
 def test_parse_print_roundtrip(t):
     assert parse_type(str(t)) == t
     assert parse_type(format_type(t, pure_shorthand=True)) == t
+
+
+# Type text from the reader's alphabet and outside it, numerals cut to two digits: the
+# numeral n reads as n nested arrows, so a long digit run would cost time and memory
+TYPE_TEXT = st.text(alphabet="0123456789X() Y²", max_size=16).map(
+    lambda s: re.sub(r"([0-9]{2})[0-9]+", r"\1", s))
+
+
+def _reading(parse, text):
+    try:
+        return parse(text)
+    except TypeSyntaxError:
+        return TypeSyntaxError
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(TYPE_TEXT, types.map(str), types.map(lambda t: format_type(t, True))))
+def test_parse_type_matches_the_reference_reader(text):
+    # the reference refuses trailing spaces, where its regex wants one more token; the
+    # reader takes spaces as separators anywhere, as formula text does
+    assert _reading(parse_type, text) == _reading(reference_parse_type, text.rstrip())
+
+
+def test_parse_type_reads_spaces_as_separators():
+    assert parse_type(" X (0) ( 1 )\t\n") == Arrow(Arrow(X, ZERO), pure_type(1))
+    for bad, message in (("X((", "end of type"), ("0)", "unexpected ')'"), ("0 0", "'0'"),
+                         ("²", "'²'"), ("()", "end of type"), ("X Y", "'Y'")):
+        with pytest.raises(TypeSyntaxError, match=re.escape(message)):
+            parse_type(bad)
 
 
 def test_pure_types_degree():
