@@ -549,6 +549,11 @@ def eval_formula(
     right one at compile time.  Nothing is evaluated out of order: connectives stop at a
     deciding left operand, a quantifier enumerates its domain when first reached, and an
     unbound variable, a real atom or a type past the budget raises only when reached.
+
+    A quantifier over an arrow from a base type walks its tables in ``itertools.product`` order,
+    skipping each that agrees with an evaluated one on the points the body read (``_Table``), so
+    the deciding table and the first raising one stay the same.  Each table is a fresh dict:
+    function values compare by identity, and ``=`` on them is outside the typed fragment.
     """
     slots = 0  # frame positions handed out to binders so far
 
@@ -582,19 +587,43 @@ def eval_formula(
                 return False, lambda s: left(s) or right(s)
             return False, lambda s: not left(s) or right(s)
         elif isinstance(g, (Forall, Exists)):
-            i, slots, want = slots, slots + 1, isinstance(g, Exists)
+            i, slots, want, t = slots, slots + 1, isinstance(g, Exists), g.vtype
             domain = None  # enumerated when first reached
             bc, body = build(g.body, {**scope, g.var: (False, i)})
             body = (lambda s, v=body: v) if bc else body
+            if not (isinstance(t, Arrow) and isinstance(t.argument, BaseType)):
 
-            def code(s):  # stops at the first value that decides, as any() and all() do
-                nonlocal domain
-                if domain is None:
-                    domain = _domain(g.vtype, model, budget)
-                for s[i] in domain:
-                    if (not body(s)) is not want:
-                        return want
-                return not want
+                def code(s):  # stops at the first value that decides, as any() and all() do
+                    nonlocal domain
+                    if domain is None:
+                        domain = _domain(t, model, budget)
+                    for s[i] in domain:
+                        if (not body(s)) is not want:
+                            return want
+                    return not want
+            else:
+
+                def code(s):  # the same over the tables, in product order, one per read prefix
+                    nonlocal domain
+                    if domain is None:
+                        domain = _domain(t, model, budget)
+                    points, results = domain
+                    if points and not results:  # no tables
+                        return not want
+                    digits, last = [0] * len(points), len(results) - 1
+                    search = points, results, digits
+                    while True:
+                        table = _Table()
+                        table.search = search
+                        s[i] = table.__getitem__
+                        if (not body(s)) is not want:
+                            return want
+                        p = len(table) - 1  # the tables up to the next digit at p read alike
+                        while p >= 0 and digits[p] == last:
+                            digits[p], p = 0, p - 1
+                        if p < 0:
+                            return not want
+                        digits[p] += 1
         elif isinstance(g, DEFINED):
             return build(expand_defined(g), scope)
         else:  # a real atom, or not a formula: raises when reached
@@ -648,11 +677,32 @@ def _term(t: Term, scope: dict, model: FiniteModel) -> tuple[bool, object]:
     return entry if folded else (False, itemgetter(value))
 
 
-def _domain(vtype: FinType, model: FiniteModel, budget: int) -> list:
+def _domain(vtype: FinType, model: FiniteModel, budget: int):
+    """A quantifier's values after the budget check; for a searched arrow, points and results."""
     try:
+        if isinstance(vtype, Arrow) and isinstance(vtype.argument, BaseType):
+            enumeration_size(vtype, model, budget)
+            return (range(enumeration_size(vtype.argument, model)),
+                    enumerate_values(vtype.result, model, budget))
         return enumerate_values(vtype, model, budget)
     except UnsupportedType as exc:
         raise EnumerationBudgetExceeded(str(exc)) from exc
+
+
+class _Table(dict):
+    """A table of the search, filled as it is read: the first read of point ``p`` fills points
+    ``len(self)..p`` from the digits, so each table that shares the first ``len(self)`` digits
+    reads the same values and gives the same verdict, or raises the same way."""
+
+    __slots__ = ("search",)
+
+    def __missing__(self, key):
+        points, results, digits = self.search
+        if key not in points:
+            raise KeyError(key)
+        for p in range(len(self), points.index(key) + 1):
+            self[p] = results[digits[p]]
+        return self[key]
 
 
 def eval_dialectica(

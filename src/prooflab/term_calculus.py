@@ -13,6 +13,7 @@ list of points (values of type ``X`` are indices into that list).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -424,63 +425,51 @@ def evaluate(t: Term, model: FiniteModel, env: Mapping[str, object] | None = Non
 
 
 def _base_domain(t: FinType, model: FiniteModel) -> Sequence:
-    if t == ZERO:
+    if t is ZERO or t == ZERO:  # a dataclass == builds two tuples; types share the singletons
         return model.carrier()
-    if t == X:
+    if t is X or t == X:
         if model.x_points is None:
             raise UnsupportedType("model carries no X points")
         return range(len(model.x_points))
     raise UnsupportedType(f"{t} is not a base type")
 
 
-_TABLE_CAP = 8_192  # tables kept over all keys; a larger enumeration is built per call
-_tables: dict[tuple, list] = {}
-
-
 def enumerate_values(t: FinType, model: FiniteModel, budget: int = 200_000) -> list:
     """All values of type ``t`` in ``model``, within a count ``budget``.
 
-    Enumerable types are the base types and arrows from a base type.  The budget is checked
-    before any table is built or looked up.  A function is one dict per table, exposed as its
-    ``__getitem__`` (``KeyError`` outside the domain), built an argument at a time in
-    ``itertools.product`` order.  The tables hold carrier values and ``X`` indices only, so they
-    are kept, read-only, per type, ``model.size`` and number of ``X`` points (``None`` without
-    them), while at most ``_TABLE_CAP`` tables are kept in all; each call returns a fresh list.
+    Enumerable types are the base types, whose values are ``0..n-1`` (carrier values or ``X``
+    indices), and arrows from a base type.  The budget is checked before any table is built.
+    A function is one fresh dict per table, exposed as its ``__getitem__`` (``KeyError``
+    outside the domain), built an argument at a time in ``itertools.product`` order.
     """
+    size = enumeration_size(t, model, budget)
     if isinstance(t, BaseType):
-        dom = _base_domain(t, model)
-        if len(dom) > budget:
+        return list(range(size))
+    values, points = enumerate_values(t.result, model, budget), enumeration_size(t.argument, model)
+    tables: list[dict] = [{}]
+    for cells in [[{arg: r} for r in values] for arg in range(points)]:
+        tables = [table | cell for table in tables for cell in cells]
+    return [table.__getitem__ for table in tables]
+
+
+def enumeration_size(t: FinType, model: FiniteModel, budget: float = math.inf) -> int:
+    """Number of values :func:`enumerate_values` would produce (may be huge without a
+    ``budget``).  :class:`UnsupportedType` if ``t`` is not enumerable or its count, or that of
+    a result type within it, passes ``budget``."""
+    if isinstance(t, BaseType):
+        size = len(_base_domain(t, model))
+        if size > budget:
             raise UnsupportedType(f"carrier of {t} exceeds budget")
-        return list(dom)
+        return size
     assert isinstance(t, Arrow)
     if not isinstance(t.argument, BaseType):
         raise UnsupportedType(f"cannot enumerate functionals over {t.argument}")
-    arg_dom = list(_base_domain(t.argument, model))
-    results = enumerate_values(t.result, model, budget)
-    if len(results) ** len(arg_dom) > budget:
-        raise UnsupportedType(
-            f"{len(results)}^{len(arg_dom)} tables of type {t} exceed budget {budget}"
-        )
-    key = (t, model.size, None if model.x_points is None else len(model.x_points))
-    kept = _tables.get(key)
-    if kept is None:
-        tables: list[dict] = [{}]
-        for cells in [[{arg: r} for r in results] for arg in arg_dom]:
-            tables = [table | cell for table in tables for cell in cells]
-        kept = [table.__getitem__ for table in tables]
-        if len(kept) + sum(map(len, _tables.values())) <= _TABLE_CAP:
-            _tables[key] = kept
-    return kept.copy()
-
-
-def enumeration_size(t: FinType, model: FiniteModel) -> int:
-    """Number of values :func:`enumerate_values` would produce (may be huge)."""
-    if isinstance(t, BaseType):
-        return len(_base_domain(t, model))
-    assert isinstance(t, Arrow)
-    if not isinstance(t.argument, BaseType):
-        raise UnsupportedType(f"cannot enumerate functionals over {t.argument}")
-    return enumeration_size(t.result, model) ** len(_base_domain(t.argument, model))
+    points = len(_base_domain(t.argument, model))
+    results = enumeration_size(t.result, model, budget)
+    size = results ** points
+    if size > budget:
+        raise UnsupportedType(f"{results}^{points} tables of type {t} exceed budget {budget}")
+    return size
 
 
 # closed terms definable from the recursor, used for arithmetic atoms

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,7 @@ from prooflab.term_calculus import (
     Var,
     ZERO_CONST,
     const_value,
+    defined_const,
     enumeration_size,
     evaluate,
     numeral,
@@ -252,6 +254,8 @@ def test_successor_table_agrees_with_the_model():
 
 def reference_truth(f, model, env, budget):
     """Tree-walking truth: evaluates terms and enumerates a domain at every visit."""
+    if isinstance(f, RealCmp):
+        raise UnsupportedType("real comparison atoms have no finite-model value")
     if isinstance(f, (Prime, Leq0)):
         lhs, rhs = evaluate(f.lhs, model, env), evaluate(f.rhs, model, env)
         return lhs == rhs if isinstance(f, Prime) else lhs <= rhs
@@ -484,3 +488,108 @@ def test_two_argument_skolem_functions_match_the_reference_evaluator():
                     outcome(lambda: reference_dialectica(d, m, budget)),
                     outcome(lambda: reference_truth(closed, m, {}, budget))]
             assert got == want, (matrix, size)
+
+
+def verdict(thunk):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return thunk()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+UNBOUND = Prime(v0("a"), ZERO_CONST)
+
+
+def table_bodies(t, rng, count):
+    """Bodies over ``F : t`` that read ``F`` at bound points and numerals (outside the domain
+    too) and reach a real atom or an unbound variable on some tables only."""
+    f = Var("F", t)
+    args = [Var("x", t.argument)] + [numeral(k) for k in range(4)]
+    ends = [numeral(k) for k in range(4)] + ([Var("y", t.result)] if t.result in (ZERO, X) else [])
+
+    def value(arg=None):
+        v = App(f, arg or rng.choice(args))
+        return App(v, rng.choice(args)) if isinstance(t.result, Arrow) else v
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice([Prime, Leq0])(value(), rng.choice(ends + [value()]))
+        if roll < 0.4:
+            return rng.choice([REAL_ATOM, UNBOUND])
+        return rng.choice([And, Or, Implies])(formula(depth - 1), formula(depth - 1))
+
+    for _ in range(count):
+        body = formula(3)
+        if t.result in (ZERO, X):
+            body = rng.choice([Forall, Exists])("y", t.result, body)
+        yield rng.choice([Forall, Exists])("x", t.argument, body)
+    trap = Implies(Prime(value(numeral(2)), numeral(3)), rng.choice([REAL_ATOM, UNBOUND]))
+    yield trap  # reached only on the tables with F 2 = 3
+    yield Or(Prime(value(numeral(0)), numeral(1)), trap)
+    yield And(Leq0(value(numeral(1)), numeral(1)), trap)
+
+
+TABLE_MODELS = ([(spec, size, points) for spec in ("0(0)", "X(0)", "0(X)")
+                 for size in (1, 2, 3) for points in range(4)]
+                + [("0(0)(0)", size, 0) for size in (1, 2)])
+
+
+@pytest.mark.parametrize("spec, size, points", TABLE_MODELS)
+def test_table_search_decides_and_raises_as_the_product_order_does(spec, size, points):
+    """A quantifier over tables skips those that read as one already evaluated.  It must
+    reach the same deciding table, or the same first raising one, as the full walk does."""
+    t, budget = parse_type(spec), 20_000
+    model = FiniteModel(size, x_points=[float(i) for i in range(points)])
+    rng = random.Random(f"{spec}:{size}:{points}")
+    seen = set()
+    for body in table_bodies(t, rng, 12 if spec == "0(0)(0)" else 40):
+        for quantifier in (Exists, Forall):
+            f = quantifier("F", t, body)
+            got = verdict(lambda: eval_formula(f, model, budget=budget))
+            assert got == verdict(lambda: reference_truth(f, model, {}, budget)), format_formula(f)
+            seen.add(got if isinstance(got, bool) else got[0])
+    assert {True, False} <= seen, seen
+    if points or spec != "X(0)":  # X(0) without X points has no table, so nothing to read
+        assert {UnsupportedType, KeyError} & seen, seen
+
+
+@pytest.mark.parametrize("spec, size, budget, message", [
+    ("0(0)", 4, 1000, "5^5 tables of type 0(0) exceed budget 1000"),
+    ("0(0)(0)", 2, 20, "3^3 tables of type 0(0) exceed budget 20"),  # the result type first
+    ("0(0)(0)", 2, 30, "27^3 tables of type 0(0)(0) exceed budget 30"),
+    ("0(X)", 2, 1000, "model carries no X points"),
+    ("0(0(0))", 1, 1000, "cannot enumerate functionals over 0(0)"),
+])
+def test_a_table_search_refuses_before_building_as_the_enumeration_does(spec, size, budget,
+                                                                       message):
+    t, model = parse_type(spec), FiniteModel(size)
+    for quantifier in (Exists, Forall):
+        f = And(TRUE, quantifier("F", t, Prime(App(Var("F", t), ZERO_CONST), ZERO_CONST)))
+        want = verdict(lambda: reference_truth(f, model, {}, budget))
+        assert verdict(lambda: eval_formula(f, model, budget=budget)) == want
+        assert want == (EnumerationBudgetExceeded, message)
+
+
+def counting(size):
+    """A model whose ``count`` constant of type ``0(0)`` returns 0 and counts its calls."""
+    calls = []
+    return FiniteModel(size, defined={"count": lambda n: calls.append(n) or 0}), calls
+
+
+COUNT = defined_const("count", TYPE_ONE)
+
+
+def test_a_witness_the_body_never_reads_costs_one_evaluation():
+    model, calls = counting(4)  # 5^5 = 3125 tables of type 0(0)
+    body = Forall("x0", ZERO, Prime(App(COUNT, v0("x0")), numeral(1)))  # false at x0 = 0
+    assert eval_formula(Exists("_F2", TYPE_ONE, body), model) is False
+    assert calls == [0]
+
+
+def test_a_false_body_reading_one_point_costs_one_table_per_prefix_read():
+    model, calls = counting(4)
+    read = App(COUNT, App(Var("F", TYPE_ONE), numeral(2)))  # fills F 0, F 1 and F 2
+    assert eval_formula(Exists("F", TYPE_ONE, Prime(read, numeral(1))), model) is False
+    assert calls == list(range(5)) * 25  # 5^3 tables, F 2 read last and fastest

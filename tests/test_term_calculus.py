@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prooflab import term_calculus
 from prooflab.finite_types import Arrow, X, ZERO, parse_type
 from prooflab.term_calculus import (
     App,
@@ -308,7 +307,7 @@ def test_enumeration_past_the_budget_refuses_before_building_a_table():
     assert str(exc.value) == "100^100 tables of type 0(0) exceed budget 200000"
 
 
-def test_kept_tables_come_in_product_order_in_a_fresh_list_per_call():
+def test_tables_come_in_product_order_in_a_fresh_list_per_call():
     model = FiniteModel(3)
     first = enumerate_values(TYPE_ONE, model)
     rows = [outputs(TYPE_ONE, f, model) for f in first]
@@ -320,7 +319,7 @@ def test_kept_tables_come_in_product_order_in_a_fresh_list_per_call():
 
 
 @pytest.mark.parametrize("spec", ["X(0)", "0(X)"])
-def test_kept_tables_are_keyed_by_the_number_of_x_points(spec):
+def test_tables_follow_the_number_of_x_points(spec):
     t = parse_type(spec)
     for points in (2, 3, 2, 1):
         model = FiniteModel(2, x_points=[float(i) for i in range(points)])
@@ -328,17 +327,11 @@ def test_kept_tables_are_keyed_by_the_number_of_x_points(spec):
         assert [outputs(t, f, model) for f in got] == [outputs(t, g, model) for g in want]
 
 
-def test_a_lower_budget_refuses_a_kept_type():
+def test_a_lower_budget_refuses_a_type_enumerated_before():
     assert len(enumerate_values(TYPE_ONE, FiniteModel(4), budget=20_000)) == 5**5
     with pytest.raises(UnsupportedType) as exc:
         enumerate_values(TYPE_ONE, FiniteModel(4), budget=1_000)
     assert str(exc.value) == "5^5 tables of type 0(0) exceed budget 1000"
-
-
-def test_an_enumeration_past_the_cap_is_built_but_not_kept():
-    assert len(enumerate_values(TYPE_ONE, FiniteModel(5), budget=10**5)) == 6**6
-    assert (TYPE_ONE, 5, None) not in term_calculus._tables
-    assert sum(map(len, term_calculus._tables.values())) <= term_calculus._TABLE_CAP
 
 
 @pytest.mark.parametrize("size", [-1, -5, 2.5, 3.0, True, False, "3", None])
