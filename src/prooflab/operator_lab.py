@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -280,19 +280,41 @@ def _single_valued(image: Callable[[np.ndarray], np.ndarray], dim: int) -> dict:
 
 
 def identity_operator(dim: int = 1) -> SetValuedOperator:
-    eye = np.eye(dim)
-    return matrix_operator(eye, name=f"identity_{dim}d" if dim > 1 else "identity")
+    """The identity on ``R^dim``: ``scaled_identity(1.0, dim)``'s closed forms, the resolvent
+    ``X / (1 + gammas[:, None])`` and the values ``1.0 * X``, under its own name, with
+    ``rho=None`` and the classes ``matrix_operator`` declares for ``I``.  Each resolvent row
+    is the one ``gesv`` gives for ``(1 + gamma) I``: its LU is the matrix itself, and the back
+    substitution divides.  One sign differs: ``gesv``'s substitutions subtract zero products,
+    which turn an exact ``-0.0`` coordinate into ``+0.0`` ([-0.0, -1.0] at gamma 0.5 gives
+    [+0.0, -2/3]), where the division keeps the true ``-0.0``."""
+    return replace(scaled_identity(1.0, dim), name=f"identity_{dim}d" if dim > 1 else "identity",
+                   rho=None, declared_classes=("monotone", "accretive"))
 
 
 def matrix_operator(mat: np.ndarray, name: str = "matrix") -> SetValuedOperator:
+    """``x -> {A x}``, resolved by ``np.linalg.solve(I + gamma A, x)``, LAPACK's ``gesv``.  A
+    one-row call keeps the last ``(gamma, I + gamma A)`` and reuses the matrix while ``gamma``
+    repeats (a const schedule, Moudafi's lambda and mu): the same array goes to the same
+    ``gesv``, so the bits are those of a fresh solve.  ``I + gamma A`` past the float range
+    holds inf, which ``gesv`` turns into NaN rows that the kernel refuses; the overflow is not
+    announced."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     dim = mat.shape[0]
     op_norm, eye = float(np.linalg.norm(mat, 2)), np.eye(dim)
+    kept = (math.nan, eye)  # the last one-row step size and its I + gamma A
+
+    @np.errstate(over="ignore")
+    def system(gammas: np.ndarray) -> np.ndarray:
+        return eye + gammas * mat
 
     def resolvent_fn(gammas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        nonlocal kept
         if len(gammas) == 1:  # one proximal-point step: the same gesv as a 2-D system, cheaper
-            return np.linalg.solve(eye + gammas[0] * mat, X[0])[None]
-        return np.linalg.solve(eye + gammas[:, None, None] * mat, X[..., None])[..., 0]
+            gamma, M = kept
+            if gammas[0] != gamma:
+                kept = gamma, M = gammas[0], system(gammas[0])
+            return np.linalg.solve(M, X[0])[None]
+        return np.linalg.solve(system(gammas[:, None, None]), X[..., None])[..., 0]
 
     sym = (mat + mat.T) / 2
     monotone = bool(np.all(np.linalg.eigvalsh(sym) >= -1e-12))
@@ -471,11 +493,13 @@ def tan_subgradient() -> SetValuedOperator:
 
     def bisect_rows(gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """``bisect`` on every row in lockstep, bit for bit: once a row's midpoint meets an
-        end of its bracket, later steps leave that midpoint as it is."""
+        end of its bracket, later steps leave that midpoint as it is.  So the test that all
+        have met one waits until step 50: a bracket starts 1.57 wide and a float below pi/2
+        is at most 2**-52 from the next, so no midpoint meets an end before step 52."""
         a, b = np.full(len(gammas), 1e-15), np.full(len(gammas), top)
-        for _ in range(200):
+        for step in range(200):
             mid = (a + b) / 2
-            if ((mid == a) | (mid == b)).all():
+            if step >= 50 and ((mid == a) | (mid == b)).all():
                 return mid
             go = mid + gammas * deriv(mid) <= targets
             a, b = np.where(go, mid, a), np.where(go, b, mid)

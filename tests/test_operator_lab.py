@@ -399,7 +399,7 @@ def _kernel_outcome(op, gammas, X):
 @pytest.mark.parametrize("name", ["identity", "psd_skew"])
 def test_matrix_one_row_solve_is_the_batched_row_bit_for_bit(name, gamma):
     # a one-row call solves a 2-D system; it must give the batched call's row, and at 1e308,
-    # where I + gamma A overflows on psd_skew, the same NaN, warning and refusal
+    # where I + gamma A overflows on psd_skew, the same NaN and refusal, neither announced
     op = build_catalog(0)[name]
     X = np.random.default_rng(31).uniform(-5.0, 5.0, size=(4, op.dim))
     gammas = np.array([gamma, 0.5, gamma, 2.0])
@@ -415,14 +415,41 @@ def test_matrix_one_row_solve_is_the_batched_row_bit_for_bit(name, gamma):
     for j in range(len(X)):
         row, row_warnings = solved(gammas[j : j + 1], X[j : j + 1])
         assert row == batch[j * size : (j + 1) * size]
-        assert row_warnings == (batch_warnings if gammas[j] == gamma else set())
+        assert row_warnings == batch_warnings == set()
     if gamma == 1e308 and name == "psd_skew":
-        assert np.isnan(np.frombuffer(batch, dtype=float)[0]) and batch_warnings
+        assert np.isnan(np.frombuffer(batch, dtype=float)[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         one = _kernel_outcome(op, gammas[:1], X[:1])
         assert one == _kernel_outcome(op, gammas, X)
     assert (one[0] is NonFiniteInput) == (gamma == 1e308 and name == "psd_skew")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 2])
+def test_an_overflowing_matrix_step_fails_closed_unannounced(rows):
+    # I + gamma A passes the float range at gamma = 1.7e308: the kernel refuses the NaN rows
+    # that gesv makes of it, and numpy's overflow warning on the way says nothing more
+    op = build_catalog(0)["psd_skew"]
+    with pytest.raises(NonFiniteInput, match="float range"):
+        resolve_rows(op, np.full(rows, 1.7e308), np.ones((rows, 6)))
+
+
+def _psd_skew_matrix(seed):
+    """The matrix of catalog instance ``psd_skew`` built at ``seed``, as its builder draws it."""
+    rng = np.random.default_rng(seed)
+    c, s = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
+    return c @ c.T / 6 + (s - s.T) / 2
+
+
+def test_a_kept_matrix_step_is_a_fresh_solve_bit_for_bit():
+    # a one-row step keeps I + gamma A while gamma repeats; each gamma change replaces it
+    op, mat = build_catalog(0)["psd_skew"], _psd_skew_matrix(0)
+    x = np.array([1.0, 2.0, 3.0, -1.0, 0.0, 5.0])
+    for gamma in (0.5, 0.25, 0.5, 0.5, 1e-9):
+        p = resolvent(op, gamma, x)
+        assert p.tobytes() == np.linalg.solve(np.eye(6) + gamma * mat, x).tobytes()
+        x = p
 
 
 def _mixed_batch(op, grid, rng, count=120):
@@ -512,9 +539,7 @@ def _reference_distance(name, p, u):
     """The distance from ``u`` to the value set of catalog instance ``name`` (built at
     seed 4) at ``p``, one row at a time in plain Python; None outside the domain."""
     if name in ("identity", "psd_skew", "neg_half_identity"):
-        rng = np.random.default_rng(4)  # psd_skew's two draws, as its builder makes them
-        c, s = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-        mat = {"identity": 1.0, "neg_half_identity": -0.5}.get(name, c @ c.T / 6 + (s - s.T) / 2)
+        mat = {"identity": 1.0, "neg_half_identity": -0.5}.get(name, _psd_skew_matrix(4))
         return l2(np.dot(mat, p) - u)
     if name == "abs_subdiff":
         return abs(u[0] - math.copysign(1.0, p[0])) if p[0] != 0 else max(abs(u[0]) - 1.0, 0.0)
@@ -866,13 +891,20 @@ def test_abs_subdiff_meets_its_inverse_resolvent_identity_at_each_step(gamma):
     assert (planted > spacing).sum() >= 800 and planted.max() == pytest.approx(1e-3 * gamma)
 
 
-def test_identity_and_the_unit_scaled_identity_resolve_alike():
-    rng = np.random.default_rng(4)
+def test_identity_resolves_as_gesv_on_one_plus_gamma_times_i():
+    # division by 1 + gamma gives LAPACK's solve of (1 + gamma) I, bit for bit, batched and
+    # one row at a time; only an exact -0.0 differs, which gesv turns into +0.0
+    op, rng = identity_operator(2), np.random.default_rng(4)
     gammas = rng.choice([*STANDARD_GAMMAS, 1e-9, 1e3], 2000)
     X = rng.uniform(-5.0, 5.0, size=(2000, 2))
-    for got, want in zip(resolve_rows(identity_operator(2), gammas, X),
-                         resolve_rows(scaled_identity(1.0, 2), gammas, X)):
-        assert got.tobytes() == want.tobytes()
+    want = [np.linalg.solve((1 + gamma) * np.eye(2), x) for gamma, x in zip(gammas, X)]
+    assert resolve_rows(op, gammas, X)[0].tobytes() == np.array(want).tobytes()
+    for gamma, x, p in zip(gammas, X, want):
+        assert resolvent(op, gamma, x).tobytes() == p.tobytes()
+    x = np.array([-0.0, -1.0])
+    assert math.copysign(1.0, np.linalg.solve(1.5 * np.eye(2), x)[0]) == 1.0
+    p = resolvent(op, 0.5, x)
+    assert p.tolist() == [0.0, -2 / 3] and math.copysign(1.0, p[0]) == -1.0
 
 
 def test_neg_half_has_no_inverse_resolvent_to_check_against():
