@@ -40,7 +40,7 @@ class Arrow(FinType):
     argument: FinType
 
     def __str__(self) -> str:
-        return f"{self.result}({self.argument})"
+        return format_type(self)
 
 
 ZERO = BaseType("0")
@@ -64,23 +64,32 @@ def argument_types(t: FinType) -> tuple[list[FinType], FinType]:
 
 
 def contains_x(t: FinType) -> bool:
-    if isinstance(t, BaseType):
-        return t is X or t.name == "X"
-    assert isinstance(t, Arrow)
-    return contains_x(t.result) or contains_x(t.argument)
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Arrow):
+            todo += (s.argument, s.result)
+        elif s is X or s.name == "X":
+            return True
+    return False
 
 
 def degree(t: FinType) -> int:
     """Nesting depth of arguments for an ``X``-free type.
 
-    ``degree(0) = 0`` and ``degree(t(s)) = max(degree(t), degree(s) + 1)``.
+    ``degree(0) = 0`` and ``degree(t(s)) = max(degree(t), degree(s) + 1)``: the most
+    argument positions on a path from the root to a base type.
     """
     if contains_x(t):
         raise TypeContainsX(f"degree undefined for {t}")
-    if isinstance(t, BaseType):
-        return 0
-    assert isinstance(t, Arrow)
-    return max(degree(t.result), degree(t.argument) + 1)
+    most, todo = 0, [(t, 0)]
+    while todo:
+        s, d = todo.pop()
+        if isinstance(s, Arrow):
+            todo += ((s.result, d), (s.argument, d + 1))
+        else:
+            most = max(most, d)
+    return most
 
 
 def pure_type(n: int) -> FinType:
@@ -137,10 +146,18 @@ def classify(t: FinType) -> TypeClass:
 
 def hat(t: FinType) -> FinType:
     """Collapse ``X`` to ``0`` everywhere, preserving the arrow structure."""
-    if isinstance(t, BaseType):
-        return ZERO
-    assert isinstance(t, Arrow)
-    return Arrow(hat(t.result), hat(t.argument))
+    done: list[FinType] = []  # the collapsed subtypes, in post-order
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:  # both sides of an arrow are done
+            argument = done.pop()
+            done[-1] = Arrow(done[-1], argument)
+        elif isinstance(s, Arrow):
+            todo += (None, s.argument, s.result)
+        else:
+            done.append(ZERO)
+    return done[0]
 
 
 def read_nested(text: str, error: type[ValueError], what: str) -> list:
@@ -168,32 +185,48 @@ def parse_type(text: str) -> FinType:
 
 
 def _from_tokens(tokens: list) -> FinType:
-    """A base type or a parenthesised group, then one parenthesised argument after another."""
-    if not tokens:
-        raise TypeSyntaxError("unexpected end of type")
-    head, *args = tokens
-    if isinstance(head, list):
-        t = _from_tokens(head)
-    elif head == "X":
-        t = X
-    elif head.isascii() and head.isdigit():  # int() refuses "²", which isdigit() accepts
-        t = pure_type(int(head))
-    else:
-        raise TypeSyntaxError(f"unexpected token {head!r}")
-    for arg in args:
-        if not isinstance(arg, list):
-            raise TypeSyntaxError(f"trailing token {arg!r}")
-        t = Arrow(t, _from_tokens(arg))
-    return t
+    """A base type or a parenthesised group, then one parenthesised argument after another.
+
+    A loop over an explicit stack of the open groups, each with its type so far (``None``
+    before its head) and its tokens left, so the first error is the one a recursive reading
+    meets."""
+    stack: list[tuple] = []
+    t, rest = None, iter(tokens)
+    while True:
+        tok = next(rest, None)
+        if tok is None:  # the end of a group
+            if t is None:
+                raise TypeSyntaxError("unexpected end of type")
+            if not stack:
+                return t
+            done = t
+            t, rest = stack.pop()
+            t = done if t is None else Arrow(t, done)
+        elif isinstance(tok, list):
+            stack.append((t, rest))
+            t, rest = None, iter(tok)
+        elif t is not None:
+            raise TypeSyntaxError(f"trailing token {tok!r}")
+        elif tok == "X":
+            t = X
+        elif tok.isascii() and tok.isdigit():  # int() refuses "²", which isdigit() accepts
+            t = pure_type(int(tok))
+        else:
+            raise TypeSyntaxError(f"unexpected token {tok!r}")
 
 
 def format_type(t: FinType, pure_shorthand: bool = False) -> str:
-    """Render ``t``; with ``pure_shorthand`` pure types print as numerals."""
-    if pure_shorthand:
-        n = pure_index(t)
-        if n is not None and n > 0:
-            return str(n)
-    if isinstance(t, BaseType):
-        return t.name
-    assert isinstance(t, Arrow)
-    return f"{format_type(t.result, pure_shorthand)}({format_type(t.argument, pure_shorthand)})"
+    """Render ``t``; with ``pure_shorthand`` pure types print as numerals.  A loop over an
+    explicit stack of the subtypes and parentheses still to print."""
+    out, todo = [], [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif pure_shorthand and (n := pure_index(s)):
+            out.append(str(n))
+        elif isinstance(s, BaseType):
+            out.append(s.name)
+        else:
+            todo += (")", s.argument, "(", s.result)
+    return "".join(out)

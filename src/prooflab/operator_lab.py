@@ -344,6 +344,20 @@ def random_monotone_matrix(rng: np.random.Generator, dim: int) -> SetValuedOpera
     return matrix_operator(psd + skew, name=f"psd_skew_{dim}d")
 
 
+def _abs_graph_loop(rng, count, radius):
+    """Graph samples of the subdifferential of ``|.|``, one at a time: a quarter at the kink
+    0 with a value uniform in [-1, 1], the rest uniform in [-radius, radius] but not 0."""
+    X, U = np.zeros((count, 1)), np.zeros((count, 1))
+    for x, u in zip(X, U):
+        if rng.random() < 0.25:  # the kink, with any value in [-1, 1]
+            u[0] = rng.uniform(-1.0, 1.0)
+        else:
+            while x[0] == 0.0:
+                x[0] = rng.uniform(-radius, radius)
+            u[0] = np.sign(x[0])
+    return X, U
+
+
 def abs_subdifferential() -> SetValuedOperator:
     """Sign at nonzero points, the full interval [-1, 1] at zero."""
 
@@ -352,15 +366,20 @@ def abs_subdifferential() -> SetValuedOperator:
         return (sign - kink, sign + kink) if kink.any() else (sign, sign)
 
     def sampler(rng, count, radius):
-        X, U = np.zeros((count, 1)), np.zeros((count, 1))
-        for x, u in zip(X, U):
-            if rng.random() < 0.25:  # the kink, with any value in [-1, 1]
-                u[0] = rng.uniform(-1.0, 1.0)
-            else:
-                while x[0] == 0.0:
-                    x[0] = rng.uniform(-radius, radius)
-                u[0] = np.sign(x[0])
-        return X, U
+        """``_abs_graph_loop``'s samples from one draw: each row of ``rng.random((count, 2))``
+        is a sample's roll and value, the doubles the loop's ``random()`` and ``uniform()``
+        take, mapped as ``uniform`` maps them, so the stream goes on as after the loop.  A
+        point at exactly 0.0 off the kink (chance 2**-53), which the loop draws again, or a
+        span past the float range, which ``uniform`` refuses, replays the loop from the
+        generator's state before the draw."""
+        state = rng.bit_generator.state
+        roll, v = rng.random((count, 2)).T
+        kink, span = roll < 0.25, radius - -radius
+        x = np.where(kink, 0.0, -radius + span * v)
+        if math.isfinite(span) and ((x != 0.0) | kink).all():
+            return x[:, None], np.where(kink, -1.0 + 2.0 * v, np.sign(x))[:, None]
+        rng.bit_generator.state = state
+        return _abs_graph_loop(rng, count, radius)
 
     return SetValuedOperator(
         name="abs_subdiff",
@@ -678,9 +697,9 @@ def _rows(op: SetValuedOperator, group: str, name: str | None = None) -> list[tu
 def _check(op: SetValuedOperator, group: str, sets: dict, tol: float, name: str | None = None
            ) -> dict[str, CheckReport]:
     """Report ``_rows(op, group, name)``, each through ``CheckReport.from_slacks``.  ``sets``
-    maps each sample set to the function that builds it (the resolvent suite's resolve
-    there); only the sets these rows read are built, once each, in the order ``sets`` lists
-    them, before any row is reported."""
+    maps each sample set to the function that builds it (the resolvent suite's first one
+    resolves them all); only the sets these rows read are built, once each, in the order
+    ``sets`` lists them, before any row is reported."""
     rows = _rows(op, group, name)
     if name and not rows:
         raise ValueError(f"unknown {group} check {name!r}")
@@ -734,10 +753,29 @@ def check_operator_class(op: SetValuedOperator, kind: str, rng: np.random.Genera
     return report
 
 
-def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, Callable]:
+def _resolve_round(op: SetValuedOperator, requests: list, tol: float) -> list[tuple]:
+    """``resolve_rows(op, gammas, X, tol)`` of each ``(gammas, X)`` in ``requests``, from one
+    call over all their rows: the kernel resolves each row on its own, so a request's rows
+    are those its own call gives.  A call that raises is replayed a request at a time, and
+    so raises what the first request to fail raises in a call of its own."""
+    gammas, X = (np.concatenate(column) for column in zip(*requests))
+    try:
+        P, U = resolve_rows(op, gammas, X, tol)
+    except Exception:
+        return [resolve_rows(op, g, Y, tol) for g, Y in requests]
+    cuts = np.cumsum([len(g) for g, _ in requests[:-1]])
+    return [*zip(np.split(P, cuts), np.split(U, cuts))]
+
+
+def _suite_samples(op, rng, gammas, samples, radius, tol, reads) -> dict[str, Callable]:
     """The resolvent suite's sample sets, as rows tagged with their step sizes, each with
-    the columns it ``show``s for a witness.  Every point is drawn here, in a fixed order;
-    a set resolves its points when built, and the sets are listed in that order."""
+    the columns it ``show``s for a witness.  Every point is drawn here, in a fixed order.
+    The first set built resolves the points of every set in ``reads`` in two
+    ``_resolve_round``s, each in the order of a call per set: first the pairs (x, then y),
+    the inclusion points, the minimality points and the change points at lambda; then the
+    blends at gamma, which read the first round's resolvents, and the change points at
+    gamma if ``displacement`` is read.  So a failing suite raises what the first failing call
+    of that order, a call per set, raises."""
     draw = op.domain_sampler or (lambda rng, n, gamma, r: rng.uniform(-r, r, size=(n, op.dim)))
     points, graph = [], []
     for gamma in gammas:
@@ -746,26 +784,49 @@ def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, Callable]
     steps = [(gamma, lam) for gamma in gammas for lam in gammas]
     changes = [draw(rng, max(10, samples // 5), max(step), radius) for step in steps]
 
-    def resolve(g, X):
-        return resolve_rows(op, g, X, tol)[0]
-
-    def resolve_values(g, X):
-        # a value lost to rounding (p finite, u NaN) is read off the box at p, as the point
-        # of it nearest (x - p) / gamma; a proximal-point run reads its value residual there
-        P, U = resolve_rows(op, g, X, tol)
-        lost = np.isnan(U).any(axis=1) & ~np.isnan(P).any(axis=1)
-        if lost.any():
-            lo, hi = op.value_box(P[lost])
-            U[lost] = np.clip((X[lost] - P[lost]) / g[lost, None], lo, hi)
-        return P, U
-
-    # consecutive pairs of the domain points drawn at each step size, x and y in one call
+    # consecutive pairs of the domain points drawn at each step size, x and y in one request
     # with x first, so a failing x row is still the one reported
     pg = np.repeat(gammas, [len(p) // 2 for p in points])
     x, y = np.concatenate(points)[0::2], np.concatenate(points)[1::2]
+    # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
+    z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
+    gg = np.repeat(gammas, len(z) // len(gammas))
+    show = {"gamma": gg, "z": z}
+    # parameter changes: resolvents at lam and, through the identity, at gamma
+    cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
+    cx = np.concatenate(changes)
+    # the requests to resolve: the sets read, where the change points at lambda and the
+    # blends at gamma serve both changes and displacement
+    need = {*reads, *(("changes", "blends") if {"changes", "displacement"} & {*reads} else ())}
+
+    def resolve(requests: dict) -> dict:
+        keys = [key for key in requests if key in need]
+        return dict(zip(keys, _resolve_round(op, [requests[key] for key in keys], tol)))
+
+    @functools.cache
+    def resolved() -> dict:
+        """Each request's ``(P, U)``, the two rounds over the sets in ``need``."""
+        requests = {"pairs": (np.concatenate([pg, pg]), np.concatenate([x, y])),
+                    "inclusion": (gg, z + gg[:, None] * w), "minimality": (gg, z),
+                    "changes": (lam, cx)}
+        out = resolve(requests)
+        if "blends" in need:
+            ratio = (cg / lam)[:, None]
+            out |= resolve({"blends": (cg, ratio * cx + (1 - ratio) * out["changes"][0]),
+                            "displacement": (cg, cx)})
+        # a value lost to rounding (p finite, u NaN) is read off the box at p, as the point
+        # of it nearest (x - p) / gamma; a proximal-point run reads its value residual there
+        for key in ("pairs", "minimality"):
+            if key in out:
+                (g, X), (P, U) = requests[key], out[key]
+                lost = np.isnan(U).any(axis=1) & ~np.isnan(P).any(axis=1)
+                if lost.any():
+                    lo, hi = op.value_box(P[lost])
+                    U[lost] = np.clip((X[lost] - P[lost]) / g[lost, None], lo, hi)
+        return out
 
     def pairs():
-        jxy, uxy = resolve_values(np.concatenate([pg, pg]), np.concatenate([x, y]))
+        jxy, uxy = resolved()["pairs"]
         (jx, jy), (u, uy) = np.split(jxy, 2), np.split(uxy, 2)
         dres = (x - jx) - (y - jy)
         return SimpleNamespace(
@@ -775,35 +836,25 @@ def _suite_samples(op, rng, gammas, samples, radius, tol) -> dict[str, Callable]
             # resolvent domain) is no member
             member=~np.isnan(u).any(axis=1), show={"gamma": pg, "x": x, "y": y})
 
-    # graph points (z, w): z + gamma*w resolves to z, and z lies in dom A
-    z, w = np.concatenate(graph, axis=1)  # each step size's (Z, W) batch, one after another
-    gg = np.repeat(gammas, len(z) // len(gammas))
-    show = {"gamma": gg, "z": z}
-
     def minimality():
-        jz, uz = resolve_values(gg, z)  # z outside the resolvent domain is skipped
+        jz, uz = resolved()["minimality"]  # z outside the resolvent domain is skipped
         return SimpleNamespace(nsel=_norms(_min_norm(*op.value_box(z))), nu=_norms(uz), show=show,
                                keep=~np.isnan(jz).any(axis=1))
 
-    # parameter changes: resolvents at lam and, through the identity, at gamma
-    cg, lam = np.repeat(steps, [len(c) for c in changes], axis=0).T
-    cx = np.concatenate(changes)
-
     @functools.cache
     def changed():
-        jl = resolve(lam, cx)
-        ratio = (cg / lam)[:, None]
-        return SimpleNamespace(gamma=cg, lam=lam, x=cx, nx=_norms(cx), jl=jl,
-                               jg=resolve(cg, ratio * cx + (1 - ratio) * jl),
-                               show={"gamma": cg, "lambda": lam, "x": cx})
+        r = resolved()
+        return SimpleNamespace(gamma=cg, lam=lam, x=cx, nx=_norms(cx), jl=r["changes"][0],
+                               jg=r["blends"][0], show={"gamma": cg, "lambda": lam, "x": cx})
 
     sets = {
         "pairs": pairs,
-        "inclusion": lambda: SimpleNamespace(z=z, p=resolve(gg, z + gg[:, None] * w), show=show),
+        "inclusion": lambda: SimpleNamespace(z=z, p=resolved()["inclusion"][0], show=show),
         "minimality": minimality,
         "changes": changed,
         # the displacement bound also reads the resolvents at gamma of the points themselves
-        "displacement": lambda: SimpleNamespace(**vars(changed()), jgx=resolve(cg, cx)),
+        "displacement": lambda: SimpleNamespace(**vars(changed()),
+                                                jgx=resolved()["displacement"][0]),
     }
     # at extreme step sizes a point (z + gamma * w, a blend at gamma / lambda) or a gap may
     # pass the float range: resolve_rows refuses such a point, and a gap's slack fails
@@ -818,7 +869,9 @@ def check_resolvent_properties(op: SetValuedOperator, rng: np.random.Generator,
     its degree rho.  Parameter-change identities pair every two step sizes."""
     if not gammas:
         raise ValueError("empty step-size grid")
-    return _check(op, "resolvent", _suite_samples(op, rng, gammas, samples, radius, tol), tol)
+    reads = {row[2] for row in _rows(op, "resolvent")}
+    return _check(op, "resolvent", _suite_samples(op, rng, gammas, samples, radius, tol, reads),
+                  tol)
 
 
 def resolvent_param_modulus(b: float, l_prime: int, k: int) -> int:

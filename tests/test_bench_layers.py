@@ -25,7 +25,9 @@ def _d_run(scale, sweep=("1", "95", "96")):
 def _e_run(seconds, checked=1200):
     return {**{f"check_group.{group}.in_process_s": {"value": seconds}
                for group in operator_lab.CHECK_GROUPS},
-            "samples_checked": {group: checked for group in operator_lab.CHECK_GROUPS}}
+            "check_counts": {group: {"samples_checked": checked, "resolve_rows_calls": 2,
+                                     "resolve_rows_rows": 6750}
+                             for group in operator_lab.CHECK_GROUPS}}
 
 
 def test_paired_ratio_is_second_over_first_over_adjacent_runs():
@@ -70,15 +72,16 @@ def test_check_group_layer_record_keeps_its_keys():
         assert record["change"][key] == {"value": 0.3, "runs": [0.1, 0.5]}
         assert record["paired"][key]["value"] == {
             "median": 0.875, "min": 0.5, "max": 1.25, "wins": 1}
-    # a count is recorded once per source, with no runs and no pairs
-    assert record["parent"]["samples_checked"] == dict.fromkeys(operator_lab.CHECK_GROUPS, 1200)
-    assert "samples_checked" not in record["paired"]
+    # the counts are recorded once per source, with no runs and no pairs
+    assert record["parent"]["check_counts"] == dict.fromkeys(operator_lab.CHECK_GROUPS, {
+        "samples_checked": 1200, "resolve_rows_calls": 2, "resolve_rows_rows": 6750})
+    assert "check_counts" not in record["paired"]
     # the tracer's keys are gone: self_s, and the one-row resolvent spans that read 0
-    assert set(record["metrics"]) == {"check_group.<group>.in_process_s", "samples_checked"}
+    assert set(record["metrics"]) == {"check_group.<group>.in_process_s", "check_counts"}
     # one source: no pairs
     assert "paired" not in bench_layers.build_record("e", {"src": runs["parent"]}, "cmd", "h")
     # a count that moves between runs is not a count
-    with pytest.raises(ValueError, match="samples_checked"):
+    with pytest.raises(ValueError, match="check_counts"):
         bench_layers.build_record("e", {"src": [_e_run(0.2), _e_run(0.2, checked=1201)]}, "c", "h")
 
 

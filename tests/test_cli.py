@@ -743,9 +743,19 @@ def test_bad_input_exits_2(capsys, tmp_path, argv, named):
         assert err.count("\n") == 1
 
 
-# Nesting deeper than Python's recursion limit: the readers recurse once per level
-DEEP_INPUTS = {"types-depth-1500": ["types", "0(" * 1500 + "0" + ")" * 1500],
-               "translate-depth-3000": ["translate", "--nt", "{d}/deep.sexp"]}
+def test_deep_type_prints_and_classifies(capsys):
+    # the type walks loop over explicit stacks: nesting past Python's recursion limit reads
+    text = "0(" * 1500 + "0" + ")" * 1500
+    code, out, err = run_cli(capsys, ["types", text])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["degree"], payload["shorthand"], payload["pure_index"]) == (1500, "1500", 1500)
+    assert payload["parsed"] == payload["hat"] == text
+    assert (payload["small"], payload["admissible"]) == (False, False)
+
+
+# Nesting deeper than Python's recursion limit: the formula reader recurses once per level
+DEEP_INPUTS = {"translate-depth-3000": ["translate", "--nt", "{d}/deep.sexp"]}
 
 
 @pytest.mark.parametrize("argv", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())

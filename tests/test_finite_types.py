@@ -162,3 +162,20 @@ def test_base_type_identity():
     assert BaseType("X") == X
     assert contains_x(Arrow(ZERO, X))
     assert not contains_x(pure_type(4))
+
+
+def test_deep_types_walk_without_recursion():
+    # nesting past Python's recursion limit in the argument (a pure type) and in the result:
+    # printing, parsing, the degree, the hat and the X test loop over explicit stacks
+    deep = 5000
+    pure = pure_type(deep)
+    text = "0(" * deep + "0" + ")" * deep
+    assert str(pure) == text and format_type(pure, pure_shorthand=True) == str(deep)
+    assert pure_index(parse_type(text)) == deep and degree(pure) == deep
+    assert not contains_x(pure) and str(hat(pure)) == text
+    left = X
+    for _ in range(deep):
+        left = Arrow(left, ZERO)
+    assert str(left) == "X" + "(0)" * deep == str(parse_type(str(left)))
+    assert contains_x(left) and str(hat(left)) == "0" + "(0)" * deep
+    assert degree(hat(left)) == 1 and classify(left).admissible

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -800,8 +801,10 @@ def test_conical_form_is_tight_at_degree_limit():
 
 
 @pytest.mark.parametrize("name, calls, rows", [
-    ("identity", 6, 6750),  # pairs, inclusion, minimality, and three resolves of changes
-    ("neg_half_identity", 4, 1230),  # no minimality set, no resolvent of x at gamma
+    # pairs, inclusion, minimality and the change points at lambda; the blends and the
+    # change points at gamma
+    ("identity", 2, 6750),
+    ("neg_half_identity", 2, 1230),  # no minimality set, no change points at gamma
 ])
 def test_suite_resolves_only_the_sets_its_checks_read(monkeypatch, name, calls, rows):
     from prooflab import operator_lab
@@ -818,6 +821,112 @@ def test_suite_resolves_only_the_sets_its_checks_read(monkeypatch, name, calls, 
                                          samples=300)
     assert all(rep.passed for rep in reports.values())
     assert (len(seen), sum(seen)) == (calls, rows)
+
+
+def _suite_outcome(op, grid):
+    """The class and message a resolvent suite at 60 samples raises, or ``None``."""
+    try:
+        check_resolvent_properties(op, np.random.default_rng(1), grid, samples=60)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("planted", STANDARD_GAMMAS),  # every row misses: the first pair's x is reported
+    ("planted", (1e308,)),  # pairs miss, and z + gamma * w, read later, passes the float range
+    ("identity", (1e308,)), ("box_normal_cone", (1e308,)),
+    ("identity", (1e-300, 1e300)), ("box_normal_cone", (1e-300, 1e300)),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_failing_suite_raises_what_a_call_per_request_raises(monkeypatch, name, grid):
+    from prooflab import operator_lab
+
+    def build():
+        op = build_catalog(0)["identity" if name == "planted" else name]
+        return _planted(op, 1.0) if name == "planted" else op
+
+    merged = _suite_outcome(build(), grid)
+    monkeypatch.setattr(operator_lab, "_resolve_round", lambda op, requests, tol: [
+        operator_lab.resolve_rows(op, g, X, tol) for g, X in requests])
+    assert merged is not None and merged == _suite_outcome(build(), grid)
+
+
+def test_the_blends_at_gamma_raise_before_the_points_at_gamma(monkeypatch):
+    # at 1e-300 and 1e300 the identity's first round passes, and a blend at gamma / lambda =
+    # 1e600 is inf - inf, NaN: the blends raise, and the change points at gamma, which
+    # displacement_bound reads, are never resolved
+    from prooflab import operator_lab
+
+    calls, kernel = [], operator_lab.resolve_rows
+
+    def counted(op, gammas, X, tol=1e-8):
+        calls.append(len(gammas))
+        return kernel(op, gammas, X, tol)
+
+    monkeypatch.setattr(operator_lab, "resolve_rows", counted)
+    op, grid = build_catalog(0)["identity"], (1e-300, 1e300)
+    assert _suite_outcome(op, grid) == (NonFiniteInput, "expected finite coordinates, got [nan nan]")
+    points = 4 * 12  # the change points: 12 per pair of step sizes
+    # the two rounds (x and y of 60 points, 15 inclusion and 15 minimality points per step
+    # size, the change points at lambda; the blends and the change points at gamma), then the
+    # blends alone, the first request of the second round
+    assert calls == [2 * 60 + 2 * 15 + 2 * 15 + points, 2 * points, points]
+
+
+class _Scripted:
+    """A generator that yields the doubles of ``stream`` in order; its state is the
+    position in the stream."""
+
+    def __init__(self, stream):
+        self.stream, self.bit_generator = stream, SimpleNamespace(state=0)
+
+    def _take(self, n):
+        at = self.bit_generator.state
+        self.bit_generator.state = at + n
+        return self.stream[at:at + n]
+
+    def random(self, size=None):
+        return self._take(1)[0] if size is None else np.reshape(self._take(np.prod(size)), size)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._take(1)[0]
+
+
+def _sampled(sampler, rng, count, radius):
+    """The samples as bytes and the generator's next draw, or the class that was raised."""
+    try:
+        X, U = sampler(rng, count, radius)
+    except OverflowError:
+        return OverflowError
+    return X.tobytes(), U.tobytes(), X.shape, U.shape, rng.random()
+
+
+def test_abs_graph_samples_in_one_draw_are_the_loop_s():
+    from prooflab.operator_lab import _abs_graph_loop
+
+    sampler = abs_subdifferential().graph_sampler
+    for seed in range(40):
+        for count in (0, 1, 2, 7, 60, 301):
+            for radius in (5.0, 3, 0.5, 1e-300, 5e-324, 1e300, 1e308):
+                got = _sampled(sampler, np.random.default_rng(seed), count, radius)
+                want = _sampled(_abs_graph_loop, np.random.default_rng(seed), count, radius)
+                assert got == want, (seed, count, radius)
+
+
+def test_abs_graph_samples_replay_the_loop_on_a_point_at_zero():
+    # row 0 is off the kink and its value maps to 0.0 at radius 5: the loop draws again (0.7
+    # gives 2.0), so every later row takes the next double of the stream
+    from prooflab.operator_lab import _abs_graph_loop
+
+    stream = [0.9, 0.5, 0.7, 0.1, 0.3, 0.6, 0.25, 0.2]
+    rng = _Scripted(stream)
+    X, U = abs_subdifferential().graph_sampler(rng, 3, 5.0)
+    loop = _Scripted(stream)
+    want = _abs_graph_loop(loop, 3, 5.0)
+    assert (X.tolist(), U.tolist()) == ([[2.0], [0.0], [-2.5]], [[1.0], [-0.4], [-1.0]])
+    assert X.tobytes() + U.tobytes() == want[0].tobytes() + want[1].tobytes()
+    assert rng.bit_generator.state == loop.bit_generator.state == 7
 
 
 # Oracles that do not go through the operator's own value box: the suite checks an operator

@@ -31,7 +31,8 @@ Layer ``e``, per group of ``operator_lab.CHECK_GROUPS``: the ``check_group(op, g
 gamma_grid, samples, 1e-8)`` calls of ``prooflab oplab verify`` at the sample sizes the
 ``oplab_verify`` workload runs (30, 60 and ``LARGE_SAMPLES`` per instance of
 ``perfbench/workloads.py``), ``rng`` spawned per group as the verb does, timed in-process;
-``samples_checked``, the sum of the reports' ``checks``, is a count recorded once per source.
+``samples_checked``, the sum of the reports' ``checks``, and the ``resolve_rows`` calls and
+rows the group makes are counts recorded once per source.
 
 Each time is the median of ``--repeats`` timed passes after a warm-up.  Usage, from
 the root of a checkout, the JSON record on stdout::
@@ -55,7 +56,7 @@ import time
 ROWS = 300
 SIZES = (1, 16, 32, 64, 300, 750)  # tan sweep sizes next to the two at the cutoff
 SWEEP = "batch_us_per_row_by_rows"
-COUNTS = "samples_checked"  # a run's counts: one per group, the same in every run
+CHECK_COUNTS = "check_counts"  # a run's counts: one set per group, the same in every run
 ORACLE_COUNTS = "oracle_counts"  # likewise, one per stratum
 PPA_STEPS = 1000
 PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload draws them
@@ -188,6 +189,18 @@ def measure_e(repeats: int, seed: int) -> dict:
     calls = [(ops[name], operator_lab.CATALOG[name].gamma_grid, samples)
              for inst in workloads.INSTANCES for name in [cli.INSTANCE_ALIASES.get(inst, inst)]
              for samples in (30, 60, workloads.LARGE_SAMPLES[inst])]  # as oplab_verify runs them
+    kernel, tally = operator_lab.resolve_rows, {}
+
+    def counted(op, gammas, X, tol=1e-8):  # the outermost calls: a partial domain recurses
+        outermost = not tally["open"]
+        tally["resolve_rows_calls"] += outermost
+        tally["resolve_rows_rows"] += outermost * len(gammas)
+        tally["open"] += 1
+        try:
+            return kernel(op, gammas, X, tol)
+        finally:
+            tally["open"] -= 1
+
     out, counts = {}, {}
     for group, child in zip(groups, np.random.SeedSequence(seed).spawn(len(groups))):
 
@@ -195,9 +208,17 @@ def measure_e(repeats: int, seed: int) -> dict:
             return [report for op, grid, samples in calls for report in operator_lab.check_group(
                 op, group, np.random.default_rng(child), grid, samples, 1e-8)]
 
-        counts[group] = sum(report.checks for report in run())
+        tally.update(open=0, resolve_rows_calls=0, resolve_rows_rows=0)
+        operator_lab.resolve_rows = counted
+        try:
+            checked = sum(report.checks for report in run())
+        finally:
+            operator_lab.resolve_rows = kernel
+        counts[group] = {"samples_checked": checked,
+                         "resolve_rows_calls": tally["resolve_rows_calls"],
+                         "resolve_rows_rows": tally["resolve_rows_rows"]}
         out[f"check_group.{group}.in_process_s"] = {"value": round(_median_s(run, repeats), 6)}
-    return {**out, COUNTS: counts}
+    return {**out, CHECK_COUNTS: counts}
 
 
 LAYERS = {
@@ -244,7 +265,7 @@ LAYERS = {
     "e": {
         "measure": measure_e,
         "runs_key": lambda key: "runs",
-        "counts": COUNTS,
+        "counts": CHECK_COUNTS,
         "layer": "(e) property-suite check groups, with the resolvent kernel they call",
         "record": {
             "unit": "s",
@@ -254,8 +275,10 @@ LAYERS = {
                 "samples per instance, rng spawned per group from SeedSequence(seed) as oplab "
                 "verify does: the group's draws, the sample sets its checks read (resolvents "
                 "included), and the reports; not the tracer's operator_lab.check.*.busy_s",
-                COUNTS: "per group, the sum of those reports' checks; it does not depend on the "
-                "machine, so it is recorded once per source",
+                CHECK_COUNTS: "per group, samples_checked, the sum of those reports' checks, and "
+                "resolve_rows_calls and resolve_rows_rows, the outermost operator_lab.resolve_rows "
+                "calls the group makes and their rows; they do not depend on the machine, so they "
+                "are recorded once per source",
             },
         },
     },
