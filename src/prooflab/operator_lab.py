@@ -35,7 +35,7 @@ class PreconditionViolated(ValueError):
     """A quantitative hypothesis of a modulus statement fails."""
 
 
-_TINY = np.finfo(float).tiny  # a dot below the least normal float has lost digits
+_TINY = float(np.finfo(float).tiny)  # a dot below the least normal float has lost digits
 
 
 def l2(v: np.ndarray) -> float:
@@ -83,7 +83,7 @@ def _distance(lo: np.ndarray, hi: np.ndarray, U: np.ndarray, norms=_norms) -> np
     """Distance from each row of ``U`` to its value box; NaN, failing every tolerance,
     on a NaN row.  ``fmax`` drops only the NaN of ``inf - inf``, so an infinite
     coordinate on an infinite face is inside.  Single values (``lo is hi``) take the
-    shorter ``|U - hi|``, the same numbers."""
+    shorter ``|U - hi|``, the same numbers: a speed path, the one reader of that identity."""
     if lo is hi:
         return norms(np.abs(U - hi))
     return norms(np.maximum(np.fmax(U - hi, lo - U), 0.0))
@@ -115,7 +115,7 @@ class SetValuedOperator:
     name: str
     dim: int
     # P[N, d] -> (lo, hi): the value at P[i] is the box [lo[i], hi[i]], faces at -inf/inf
-    # allowed, lo is hi where every row has a single value; a row outside the domain holds NaN
+    # allowed, a row outside the domain NaN; lo is hi (every row single) is only a speed hint
     value_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     # (gammas[N], X[N, d]) -> resolvents P[N, d], unverified: the kernel checks them
     resolvent_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -215,43 +215,42 @@ def _refusal(op: SetValuedOperator, gamma) -> ValueError:
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN rows fail closed, unannounced
 def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np.ndarray,
                  tol: float = 1e-8):
-    """The values ``U = (X - P) / gammas``, the value box at ``P``, and the first row
-    failing the defining inclusion as ``[(row, NoConvergence)]`` (``[]`` if none), or as
-    ``NonFiniteInput`` if its ``p`` passed the float range.  A row passes when the distance
-    from ``u`` to the box at ``p`` is at most ``tol * max(1, |u|)``, plus, for rounding at
-    small ``gamma``, ``d + 1`` coordinate spacings (L2 norm) over ``gamma``; then its ``U``
-    row is NaN.  One spacing is ``p`` rounding to ``x``, ``d`` the closed form's own (an LU
-    solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 9).  A finite ``p`` also passes, ``U`` NaN, within ``tol * max(1, |u|)``
-    of the single value (``lo is hi``) at ``p`` moved 1 or 2 ulps short of a set-valued box (a
-    kink, a face): tan's root can be that far off, where its value moves fast.  Past the
-    ``miss <= tol`` fast path, misses and spacings are ``_scaled_norms``, safe at both ends.
-    """
+    """The values ``U = (X - P) / gammas``, the value box at ``P``, and the first failing
+    row as ``[(row, NoConvergence)]`` (``[]`` if none; ``NonFiniteInput`` if its ``p`` passed
+    the float range).  Each row is judged alone, by one rule: it passes when ``u`` is within
+    ``allow = tol * max(1, |u|) + (d + 1) * |spacing(max(|x|, |p|))| / gamma`` of the value box
+    at ``p``, or at ``p`` moved one or two ulps one way through single-valued boxes (``lo ==
+    hi`` in that row); its ``U`` row is NaN, noise, where the distance at ``p`` exceeds ``tol *
+    max(1, |u|)``.  Distances and spacings are ``_scaled_norms``.  One spacing is ``p`` rounding
+    to ``x``, ``d`` the closed form's (an LU solve's backward error grows with ``d``: Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9); the ulp moves are tan's
+    root.  A plain miss within ``tol`` settles its row where its dot cannot have underflowed."""
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
     miss = _distance(*box, U)
-    if miss.max(initial=0.0) <= tol:  # tol is the least row tolerance: passing it settles all
+    floor = 0.0 if tol >= (op.dim * _TINY) ** 0.5 else _TINY**0.5  # plain squares underflow below
+    if miss.max(initial=0.0) <= tol and (not floor or miss.min(initial=math.inf) >= floor):
         return U, box, []
-    miss = _distance(*box, U, _scaled_norms)
-    tols = tol * np.maximum(1.0, _norms(U))
-    spacings = _scaled_norms(np.spacing(np.maximum(abs(X), abs(P))))
-    good = miss <= tols + (op.dim + 1) * spacings / gammas
-    if not good.all() and box[0] is box[1]:  # single-valued: u may be within tols of the
-        near = ~good & np.isfinite(P).all(1) & (tols < math.inf)  # value at p moved 1 or 2
-        for way in (-math.inf, math.inf):  # ulps, short of a set-valued box (a jump)
-            Q = P
-            for _ in range(2):
-                Q = np.nextafter(Q, way)
-                lo, hi = op.value_box(Q)
-                if lo is not hi:
-                    break
-                good |= near & (_distance(lo, hi, U, _scaled_norms) <= tols)
-    U[~(miss <= tols)] = np.nan
+    rows = np.flatnonzero(~((miss <= tol) & (miss >= floor)))
+    x, p, u, lo, hi = X[rows], P[rows], U[rows], box[0][rows], box[1][rows]
+    tols = tol * np.maximum(1.0, _norms(u))
+    spacings = _scaled_norms(np.spacing(np.maximum(abs(x), abs(p))))
+    allow = tols + (op.dim + 1) * spacings / gammas[rows]
+    miss = _distance(lo, hi, u, _scaled_norms)
+    good = miss <= allow
+    for way in (-math.inf, math.inf) if not good.all() else ():
+        q, single = p, (lo == hi).all(1)
+        for _ in range(2):
+            q = np.nextafter(q, way)
+            lo_q, hi_q = op.value_box(q)
+            single &= (lo_q == hi_q).all(1)
+            good |= single & (_distance(lo_q, hi_q, u, _scaled_norms) <= allow)
+    U[rows[~(miss <= tols)]] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()
                      else NonFiniteInput(f"{op.name}: the resolvent at gamma = {gammas[j]} passes "
                                          f"the float range, x = {X[j]}"))
-                    for j in np.flatnonzero(~good)[:1]]
+                    for j in rows[~good][:1]]
 
 
 def yosida(op: SetValuedOperator, gamma: float, x, tol: float = 1e-8) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -48,10 +49,12 @@ from prooflab.operator_lab import (
     verify_resolvent_param_modulus,
     yosida,
 )
+from prooflab.cli import INPUT_ERRORS
 from prooflab.operator_lab import (
     _TAN_LOCKSTEP_ROWS,
     _alpha_for,
     _distance,
+    _floor,
     _min_norm,
     _norms,
     _selection,
@@ -480,6 +483,55 @@ def test_batch_resolvent_matches_scalar_bit_for_bit(name):
         assert 0 < np.isnan(got[:, 0]).sum() < len(got)
     else:
         assert not np.isnan(got).any()
+
+
+# Step sizes and coordinates of the row-independence fuzz: both ends of the float range,
+# where a plain dot overflows or underflows, and the unit scale
+_FUZZ_GAMMAS = (1e-300, 1e-160, 1e-17, 1e-9, 0.25, 1.0, 4.5, 8.0, 1e9, 1e154, 1e300)
+_FUZZ_COORDS = (0.0, 1e-300, -1e-300, 1e-160, 0.3, -0.7, 1.0, 2.5, -4.0, 1e16, -1e16, 1e154,
+                -1e154)
+
+
+def _rows_outcome(op, gammas, X, tol):
+    """A ``resolve_rows`` call as the bytes of ``P`` and ``U``, or the class and message of
+    the input error it raised; any other exception propagates."""
+    try:
+        P, U = resolve_rows(op, gammas, X, tol)
+    except INPUT_ERRORS as exc:
+        return type(exc), str(exc)
+    return P.tobytes(), U.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1e-8, 1e-200])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_each_row_is_resolved_as_if_alone(name, tol):
+    # 150 seeded batches of 2 to 5 rows at step sizes the instance accepts: a batch gives each
+    # row the P and U bytes of its one-row call, or raises what its first row failing alone
+    # raises.  At 1e-200, a miss near 1e-170 squares to 0 in a plain dot (gamma 1e154 on the
+    # unit scale), so only a rule read row by row keeps that row's U in every batch.
+    op, rng = build_catalog(0)[name], np.random.default_rng(0)
+    grid = np.array([g for g in _FUZZ_GAMMAS if g > _floor(op)])
+    for _ in range(150):
+        n = rng.integers(2, 6)
+        gammas = rng.choice(grid, n)
+        X = rng.choice(_FUZZ_COORDS, (n, op.dim)) * rng.choice([1.0, 1.0 + 2**-20], (n, op.dim))
+        alone = [_rows_outcome(op, gammas[i : i + 1], X[i : i + 1], tol) for i in range(n)]
+        failed = [out for out in alone if isinstance(out[0], type)]
+        want = failed[0] if failed else tuple(map(b"".join, zip(*alone)))
+        assert _rows_outcome(op, gammas, X, tol) == want
+
+
+def test_a_miss_whose_plain_square_underflows_is_refused_alone_and_in_a_batch():
+    # p = 1e-160 for x = 2e-160 + 1e-170 at gamma 1 misses the identity's value by 1e-170,
+    # whose square is 0 in a plain dot, and no rounding of x or p covers it at tol 1e-200
+    op, x = identity_operator(1), 2e-160 + 1e-170
+    right = op.resolvent_fn
+    op.resolvent_fn = lambda gammas, X: np.where(X == x, 1e-160, right(gammas, X))
+    for X in ([[x]], [[x], [0.5]], [[0.5], [x]]):
+        with pytest.raises(NoConvergence, match=re.escape(f"x = {np.array([x])}")):
+            resolve_rows(op, np.ones(len(X)), np.array(X), 1e-200)
+    assert resolve_rows(op, np.ones(1), np.array([[0.5]]), 1e-200)[0].tolist() == [[0.25]]
 
 
 def test_batch_refusals_name_the_first_bad_row():
@@ -1027,6 +1079,41 @@ def test_neg_half_has_no_inverse_resolvent_to_check_against():
         with pytest.raises(ComonotoneStepError):
             resolve_rows(inverse, np.array([1 / gamma]), X / gamma)
     resolve_rows(inverse, np.array([1.5]), X)
+
+
+def tan_equation_misses(op, gammas, X):
+    """``|p + gamma (1 + tan(p)^2) - x|`` at the resolvents ``p`` of one-dimensional rows, over
+    a bound on its rounding: the derivative of tan on (0, pi/2) written with ``1 + tan^2``, not
+    ``1 / cos^2`` as ``tan_subgradient``'s value box has it.  The root may be two ulps off,
+    each moving the left side by ``f'(p) = 1 + 2 gamma tan(p) (1 + tan(p)^2)``, and the sum
+    rounds within 8 eps of ``x + gamma (1 + tan(p)^2)``; below 1 is within the bound."""
+    p = resolve_rows(op, gammas, X)[0][:, 0]
+    t, x = np.tan(p), X[:, 0]
+    w = 1.0 + t * t
+    bound = 2.0 * (1.0 + 2.0 * gammas * t * w) * np.spacing(p) + 2.0**-49 * (x + gammas * w)
+    return np.abs(p + gammas * w - x) / bound
+
+
+def _tan_equation_rows(count):
+    """Step sizes and points of the tan oracle: at least ``1.01 gamma``, so 1.001 times the
+    operator has a resolvent too, and up to ``1e8`` past it."""
+    rng = np.random.default_rng(0)
+    gammas = rng.choice([*STANDARD_GAMMAS, 1e-3, 1e3], count)
+    radii = rng.choice([5.0, 1e3, 1e8], count)
+    return gammas, (1.01 * gammas + rng.uniform(0.0, radii))[:, None]
+
+
+def test_tan_resolvents_meet_their_equation_written_with_tan_squared():
+    assert tan_equation_misses(tan_subgradient(), *_tan_equation_rows(3000)).max() <= 1.0
+
+
+def test_tan_equation_catches_a_consistently_scaled_operator():
+    # 1.001 times tan's derivative, in its value box, graph sampler and resolvent alike,
+    # passes the kernel, whose test reads that value box, and misses the equation everywhere
+    gammas, X = _tan_equation_rows(3000)
+    planted = scaled_values(tan_subgradient(), 1.001)
+    assert np.isfinite(resolve_rows(planted, gammas, X)[0]).all()
+    assert tan_equation_misses(planted, gammas, X).min() > 1e3
 
 
 def test_report_as_dict():
