@@ -221,10 +221,11 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
     ``allow = tol * max(1, |u|) + (d + 1) * |spacing(max(|x|, |p|))| / gamma`` of the value box
     at ``p``, or at ``p`` moved one or two ulps one way through single-valued boxes (``lo ==
     hi`` in that row); its ``U`` row is NaN, noise, where the distance at ``p`` exceeds ``tol *
-    max(1, |u|)``.  Distances and spacings are ``_scaled_norms``.  One spacing is ``p`` rounding
-    to ``x``, ``d`` the closed form's (an LU solve's backward error grows with ``d``: Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9); the ulp moves are tan's
-    root.  A plain miss within ``tol`` settles its row where its dot cannot have underflowed."""
+    max(1, |u|)``; a row whose ``u`` is not finite fails.  Distances and spacings are
+    ``_scaled_norms``.  One spacing is ``p`` rounding to ``x``, ``d`` the closed form's (an LU
+    solve's backward error grows with ``d``: Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 9); the ulp moves are tan's root.  A plain miss within ``tol``
+    settles its row where its dot cannot have underflowed."""
     U = (X - P) / gammas[:, None]
     box = op.value_box(P)
     miss = _distance(*box, U)
@@ -245,6 +246,7 @@ def _verify_rows(op: SetValuedOperator, gammas: np.ndarray, X: np.ndarray, P: np
             lo_q, hi_q = op.value_box(q)
             single &= (lo_q == hi_q).all(1)
             good |= single & (_distance(lo_q, hi_q, u, _scaled_norms) <= allow)
+    good &= np.isfinite(u).all(1)  # an infinite u makes tol * max(1, |u|) cover any miss
     U[rows[~(miss <= tols)]] = np.nan
     return U, box, [(int(j), NoConvergence(f"{op.name}: defining inclusion fails at gamma = "
                                            f"{gammas[j]}, x = {X[j]}") if np.isfinite(P[j]).all()

@@ -1,7 +1,12 @@
-"""The layer harness's record, over synthetic runs: its keys and the paired statistic."""
+"""The layer harness, without timing: its request order, bootstrap, verdict and record over
+synthetic timings, its refusals, and the workers it leaves behind."""
 
+import contextlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,101 +20,88 @@ _SPEC.loader.exec_module(bench_layers)
 SWEEP = bench_layers.SWEEP
 
 
-def _d_run(scale, sweep=("1", "95", "96")):
-    return {"identity": {"scalar_us_per_call": 10.0 * scale, "batch_us_per_row": 2.0 * scale,
-                         "ppa_us_per_step": 5.0 * scale},
-            "tan_subgradient": {"scalar_us_per_call": 20.0 * scale, "batch_us_per_row": 4.0,
-                                "ppa_us_per_step": 8.0, SWEEP: {n: scale for n in sweep}}}
+def _record(layer, cases, counts, seconds, calls=2):
+    """``build_record`` over rounds of pairs ``{label: seconds}``, the same for every case."""
+    head = {"cases": cases, "counts": counts}
+    return bench_layers.build_record(layer, head, dict.fromkeys(cases, calls),
+                                     dict.fromkeys(cases, seconds), "cmd", "host")
 
 
-def _e_run(seconds, checked=1200):
-    return {**{f"check_group.{group}.in_process_s": {"value": seconds}
-               for group in operator_lab.CHECK_GROUPS},
-            "check_counts": {group: {"samples_checked": checked, "resolve_rows_calls": 2,
-                                     "resolve_rows_rows": 6750}
-                             for group in operator_lab.CHECK_GROUPS}}
+# two rounds of three pairs; the ratios change/parent are 0.5, 1.5, 1.0 and 2.0, 1.0, 0.75
+ROUNDS = [[{"parent": 2e-6, "change": 1e-6}, {"parent": 2e-6, "change": 3e-6},
+           {"parent": 4e-6, "change": 4e-6}],
+          [{"parent": 1e-6, "change": 2e-6}, {"parent": 4e-6, "change": 4e-6},
+           {"parent": 4e-6, "change": 3e-6}]]
+
+
+def _lists(tree):
+    """Every list in a record."""
+    if isinstance(tree, dict):
+        return [found for value in tree.values() for found in _lists(value)]
+    return [tree] if isinstance(tree, list) else []
 
 
 def test_paired_ratio_is_second_over_first_over_adjacent_runs():
-    # ratios 0.5, 1.5, 0.5, 1.0: the second source is lower in two pairs
-    assert bench_layers.paired([1.0, 2.0, 4.0, 2.0], [0.5, 3.0, 2.0, 2.0]) == {
-        "median": 0.75, "min": 0.5, "max": 1.5, "wins": 2}
+    record = _record("e", {"check_group.class": 1}, {}, ROUNDS)
+    entry = record["cases"]["check_group.class"]
+    assert record["ratio"] == "change/parent" and record["rounds"] == 2
+    # medians over every request, in us per call: 3 us over 2 calls a request for both
+    assert entry["parent"] == 1.5 and entry["change"] == 1.5
+    assert entry["ratio"] == 1.0  # the median of 0.5, 1.5, 1.0, 2.0, 1.0, 0.75
+    low, high = entry["interval"]
+    assert low <= 1.0 <= high and entry["width"] == round(high - low, 4)
+    assert entry["verdict"] == "level" and entry["calls_per_request"] == 2
 
 
 def test_resolvent_layer_record_keeps_its_keys():
-    runs = {"parent": [_d_run(1.0), _d_run(2.0), _d_run(3.0)],
-            "change": [_d_run(scale, sweep=("1", "127", "128")) for scale in (0.5, 3.0, 1.5)]}
-    record = bench_layers.build_record("d", runs, "cmd", "host")
-    for key in ("layer", "harness", "command", "host", "method", "rows", "unit", "metrics"):
+    cases = {"identity.scalar_us_per_call": 300, "identity.ppa_us_per_step": 1000,
+             f"tan_subgradient.{SWEEP}.96": 96}
+    record = _record("d", cases, {}, ROUNDS)
+    for key in ("layer", "harness", "command", "host", "method", "rows", "rows_drawn", "unit",
+                "metrics", "rounds", "pairs", "counts", "cases"):
         assert key in record
-    assert set(record["metrics"]) == {"scalar_us_per_call", "batch_us_per_row", "ppa_us_per_step",
-                                      SWEEP}
     assert record["harness"] == "tools/bench_layers.py d" and record["rows"] == 300
-    identity = record["change"]["identity"]
-    assert identity == {"scalar_us_per_call": 15.0, "batch_us_per_row": 3.0,
-                        "ppa_us_per_step": 7.5, "scalar_runs": [5.0, 30.0, 15.0],
-                        "batch_runs": [1.0, 6.0, 3.0], "ppa_runs": [2.5, 15.0, 7.5]}
-    tan = record["parent"]["tan_subgradient"]
-    assert tan[SWEEP] == {"1": 2.0, "95": 2.0, "96": 2.0}
-    assert tan[SWEEP + "_runs"] == {"1": [1.0, 2.0, 3.0], "95": [1.0, 2.0, 3.0],
-                                    "96": [1.0, 2.0, 3.0]}
-    paired = record["paired"]
-    assert paired["ratio"] == "change/parent"
-    assert paired["identity"]["scalar_us_per_call"] == {
-        "median": 0.5, "min": 0.5, "max": 1.5, "wins": 2}
-    # a source whose cutoff moved sweeps other sizes; only the shared ones are paired
-    assert set(record["change"]["tan_subgradient"][SWEEP]) == {"1", "127", "128"}
-    assert paired["tan_subgradient"][SWEEP] == {"1": paired["identity"]["scalar_us_per_call"]}
-    assert paired["tan_subgradient"]["batch_us_per_row"]["median"] == 1.0
+    assert set(record["metrics"]) == {"<instance>.scalar_us_per_call",
+                                      "<instance>.batch_us_per_row", "<instance>.ppa_us_per_step",
+                                      f"tan_subgradient.{SWEEP}.<n>"}
+    assert "ABBA" in record["method"] and "cases" not in record["metrics"]
+    # a case's time is per row, step or call: 3 us a request of 2 calls over 300 rows
+    assert record["cases"]["identity.scalar_us_per_call"]["parent"] == 0.005
+    assert record["cases"][f"tan_subgradient.{SWEEP}.96"]["per"] == 96
+    # no per-run list: the intervals are the record's only lists
+    assert all(len(found) == 2 for found in _lists(record))
+    assert len(_lists(record)) == len(cases)
 
 
 def test_check_group_layer_record_keeps_its_keys():
-    runs = {"parent": [_e_run(0.2), _e_run(0.4)], "change": [_e_run(0.1), _e_run(0.5)]}
-    record = bench_layers.build_record("e", runs, "cmd", "host")
-    assert record["harness"] == "tools/bench_layers.py e" and record["unit"] == "s"
-    for group in operator_lab.CHECK_GROUPS:
-        key = f"check_group.{group}.in_process_s"
-        assert record["change"][key] == {"value": 0.3, "runs": [0.1, 0.5]}
-        assert record["paired"][key]["value"] == {
-            "median": 0.875, "min": 0.5, "max": 1.25, "wins": 1}
-    # the counts are recorded once per source, with no runs and no pairs
-    assert record["parent"]["check_counts"] == dict.fromkeys(operator_lab.CHECK_GROUPS, {
+    counts = dict.fromkeys(operator_lab.CHECK_GROUPS, {
         "samples_checked": 1200, "resolve_rows_calls": 2, "resolve_rows_rows": 6750})
-    assert "check_counts" not in record["paired"]
-    # the tracer's keys are gone: self_s, and the one-row resolvent spans that read 0
-    assert set(record["metrics"]) == {"check_group.<group>.in_process_s", "check_counts"}
-    # one source: no pairs
-    assert "paired" not in bench_layers.build_record("e", {"src": runs["parent"]}, "cmd", "h")
-    # a count that moves between runs is not a count
-    with pytest.raises(ValueError, match="check_counts"):
-        bench_layers.build_record("e", {"src": [_e_run(0.2), _e_run(0.2, checked=1201)]}, "c", "h")
+    cases = {f"check_group.{group}": 1 for group in operator_lab.CHECK_GROUPS}
+    record = _record("e", cases, counts, ROUNDS)
+    assert record["harness"] == "tools/bench_layers.py e"
+    assert set(record["metrics"]) == {"check_group.<group>", "counts"}
+    assert set(record["cases"]) == set(cases)
+    # the counts are recorded once, not per source or per case
+    assert record["counts"] == counts and "counts" not in record["cases"]["check_group.class"]
+    # one source: its medians, no pairs
+    alone = _record("e", cases, counts, [[{"src": 1e-6}] * 3])
+    assert alone["cases"]["check_group.class"] == {"per": 1, "calls_per_request": 2, "src": 0.5}
+    assert alone["ratio"] is None
 
 
 STRATA = ("flat", "huge-False", "refused")
 
 
-def _b_run(seconds, tuples=562500):
-    return {**{f"oracle.{stratum}.in_process_s": {"value": seconds} for stratum in STRATA},
-            "oracle_counts": {stratum: {"decided": 36, "refusals": 0, "witness_tuples": tuples}
-                              for stratum in STRATA}}
-
-
 def test_oracle_layer_record_keeps_its_keys():
-    runs = {"parent": [_b_run(0.2), _b_run(0.4)], "change": [_b_run(0.1), _b_run(0.3)]}
-    record = bench_layers.build_record("b", runs, "cmd", "host")
-    assert record["harness"] == "tools/bench_layers.py b" and record["unit"] == "s"
-    assert set(record["metrics"]) == {"oracle.<stratum>.in_process_s", "oracle_counts"}
-    for stratum in STRATA:
-        key = f"oracle.{stratum}.in_process_s"
-        assert record["change"][key] == {"value": 0.2, "runs": [0.1, 0.3]}
-        assert record["paired"][key]["value"] == {"median": 0.625, "min": 0.5, "max": 0.75,
-                                                  "wins": 2}
-    # the counts are recorded once per source, with no runs and no pairs
-    assert record["parent"]["oracle_counts"]["huge-False"] == {
-        "decided": 36, "refusals": 0, "witness_tuples": 562500}
-    assert "oracle_counts" not in record["paired"]
-    with pytest.raises(ValueError, match="oracle_counts"):
-        bench_layers.build_record("b", {"src": [_b_run(0.2), _b_run(0.2, tuples=1)]}, "c", "h")
+    counts = {stratum: {"decided": 36, "refusals": 0, "witness_tuples": 562500}
+              for stratum in STRATA}
+    record = _record("b", {**{f"oracle.{stratum}": 36 for stratum in STRATA}, "roundtrip": 1704},
+                     counts, ROUNDS)
+    assert record["harness"] == "tools/bench_layers.py b"
+    assert set(record["metrics"]) == {"oracle.<stratum>", "roundtrip", "counts"}
+    assert record["counts"]["huge-False"] == {"decided": 36, "refusals": 0,
+                                              "witness_tuples": 562500}
+    assert record["cases"]["roundtrip"]["per"] == 1704
 
 
 def test_tan_sweep_brackets_the_lockstep_cutoff():
@@ -117,3 +109,67 @@ def test_tan_sweep_brackets_the_lockstep_cutoff():
     sizes = bench_layers.sweep_sizes(operator_lab)
     assert {cutoff - 1, cutoff, 1, 750} <= set(sizes) and sizes == sorted(sizes)
 
+
+def test_requests_alternate_abba():
+    assert bench_layers.abba(["p", "c"], 4) == ["p", "c", "c", "p", "p", "c", "c", "p"]
+    assert bench_layers.abba(["src"], 3) == ["src"] * 3
+    assert len(bench_layers.abba(["p", "c"])) == 2 * bench_layers.PAIRS
+
+
+def test_two_level_bootstrap_is_seeded():
+    # one round reads 4% slow, another 2% fast: resampling the pairs alone, without their
+    # rounds, would give [0.99, 1.02] on this input
+    rounds = [[1.00, 1.02, 0.98, 1.01, 0.99], [1.05, 1.04, 1.06, 1.03, 1.05],
+              [0.97, 0.99, 0.98, 0.96, 0.98], [1.01, 1.00, 1.02, 1.01, 1.00]]
+    assert bench_layers.interval(rounds) == [0.98, 1.04] == bench_layers.interval(rounds)
+    assert bench_layers.interval(rounds, resamples=200) == [0.98, 1.045]
+    assert bench_layers.interval([[1.04] * 5] * 3) == [1.04, 1.04]
+    # rounds are resampled whole: one round far off widens the interval past it
+    low, high = bench_layers.interval([[1.0] * 30] * 4 + [[1.5] * 30])
+    assert low == 1.0 and high == 1.5
+
+
+def test_verdict_is_gain_defect_or_level():
+    assert bench_layers.verdict(0.90, 0.99) == "gain"
+    assert bench_layers.verdict(1.11, 1.30) == "defect"
+    for low, high in ((0.97, 1.03), (0.90, 1.00), (1.03, 1.08), (1.10, 1.20)):
+        assert bench_layers.verdict(low, high) == "level"
+
+
+def test_sources_whose_cases_or_counts_differ_are_refused():
+    head = {"cases": {"identity.batch_us_per_row": 300, "tan.ppa_us_per_step": 604},
+            "counts": {"flat": {"decided": 360}}}
+    assert bench_layers.agreed({"parent": head, "change": dict(head)}) is head
+    moved = {**head, "cases": {**head["cases"], "tan.ppa_us_per_step": 603}}
+    with pytest.raises(SystemExit, match=r"change and parent differ .*tan\.ppa_us_per_step"):
+        bench_layers.agreed({"parent": head, "change": moved})
+    renamed = {**head, "cases": {"identity.batch": 300, "tan.ppa_us_per_step": 604}}
+    with pytest.raises(SystemExit, match=r"\['identity\.batch', 'identity\.batch_us_per_row'\]"):
+        bench_layers.agreed({"parent": head, "change": renamed})
+    counted = {**head, "counts": {"flat": {"decided": 359}}}
+    with pytest.raises(SystemExit, match=r"parent \(round 2\) and parent \(round 1\).*flat"):
+        bench_layers.agreed({"parent (round 1)": head, "parent (round 2)": counted})
+
+
+def _running(marker: bytes) -> list:
+    found = []
+    for path in pathlib.Path("/proc").glob("[0-9]*/cmdline"):
+        with contextlib.suppress(OSError):
+            found += [path] if marker in path.read_bytes() else []
+    return found
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/cmdline").exists(), reason="needs /proc")
+def test_a_source_without_the_package_fails_and_leaves_no_worker(tmp_path):
+    good, empty = tmp_path / "good", tmp_path / "empty"
+    good.symlink_to(_PATH.parents[1] / "src")
+    empty.mkdir()
+    # with the package on PYTHONPATH, the empty source would import it from there
+    env = {**os.environ, "PYTHONPATH": str(_PATH.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, str(_PATH), "e", "--src", f"good={good}", "--src",
+                           f"bad={empty}", "--runs", "1"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"{empty} holds no prooflab package" in proc.stderr
+    assert "the worker of source bad exited with 1" in proc.stderr
+    assert not _running(str(tmp_path).encode())

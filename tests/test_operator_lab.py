@@ -534,6 +534,12 @@ def test_a_miss_whose_plain_square_underflows_is_refused_alone_and_in_a_batch():
     assert resolve_rows(op, np.ones(1), np.array([[0.5]]), 1e-200)[0].tolist() == [[0.25]]
 
 
+def test_an_infinite_value_is_refused():
+    # u = (1e300 - p) / 1e-300 overflows, and tol * max(1, |u|) = inf would cover any miss
+    with pytest.raises(NoConvergence, match="gamma = 1e-300"):
+        resolvent(tan_subgradient(), 1e-300, 1e300, with_value=True)
+
+
 def test_batch_refusals_name_the_first_bad_row():
     op = scaled_identity(-0.5, 2)
     X = np.ones((3, 2))

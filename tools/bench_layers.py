@@ -1,53 +1,37 @@
-"""Layer harness: the soundness oracle (b), the resolvent kernel (d) and the check groups (e).
+"""Layer harness: the cases of term reduction (a), the soundness oracle (b), the resolvent
+kernel (d) and the check groups (e), as ``LAYERS`` describes them.
 
-``python tools/bench_layers.py LAYER --src LABEL=DIR ...`` measures one layer of
-each ``prooflab`` package named by ``--src`` (a directory holding the package),
-``--runs`` times per source, each run in a fresh interpreter, alternating the
-order of the sources from run to run.  A source's value is the median of its
-runs, and its ``*_runs`` keys list every run in order.  With two sources the
-record adds a ``paired`` block: per metric, the median, min and max of the
-ratio second/first over the adjacent runs, and ``wins``, the pairs in which the
-second source is lower; their min and max show how far the host's drift moves one pair.
+Each of ``--runs`` rounds starts one resident worker per ``--src`` package, alternating the
+launch order by round, warms every case, then times ``PAIRS`` pairs of requests per case in
+ABBA order, one worker at a time.  A request is ``calls_per_request`` back-to-back calls with
+gc off, as many for both sources, set in the first round so that it lasts about ``REQUEST_S``.
+Rounds of fresh processes are resampled because a process's memory layout biases its timings
+for its whole life (Mytkowicz et al., ASPLOS 2009; Kalibera and Jones, ISMM 2013).
 
-Layer ``b``, per stratum of the ``symbolic_oracle`` workload of ``perfbench/workloads.py``:
-its oracle ops on the corpus it draws at ``--seed``, one ``check_interpretation_soundness``
-call per formula (``"refused"`` past the budget), timed in-process; the formulas decided,
-the refusals and the witness tuples (the sum of ``search_size``) are counts recorded once
-per source.
+A case's record holds each source's median in microseconds per ``per`` (rows, steps, formulas,
+terms or 1), the median ratio second/first over the pairs, a 95% interval from a seeded
+two-level bootstrap (rounds, then pairs within a round), and the verdict: ``gain`` when the
+interval's top is below 1, ``defect`` (a slowdown) when its bottom is above ``DEFECT``,
+``level`` otherwise.  Counts that do not depend on the machine are recorded once; sources
+whose cases or counts differ are refused (exit 1).
 
-Layer ``d``, per catalog instance, over 300 rows ``(gamma, x)`` cycling the
-instance's step-size grid (half drawn from the resolvent domain, each followed by
-its next proximal-point iterate where that stays in the domain, the rest drawn):
+Usage, from the root of a checkout, the JSON record on stdout::
 
-- ``scalar_us_per_call``: one ``resolvent(op, gamma, x)`` call per row;
-- ``batch_us_per_row``: one ``resolve_rows(op, gammas, X)`` call over all rows, per row;
-- ``ppa_us_per_step``: one ``proximal_point`` run of at most ``PPA_STEPS`` steps from
-  the instance's start in ``PPA_RUNS``, per step taken;
-- for ``tan_subgradient``, ``batch_us_per_row_by_rows``: ``batch_us_per_row`` of the
-  first rows of a larger draw, at sizes that bracket the measured package's
-  ``_TAN_LOCKSTEP_ROWS`` cutoff between its two bisections.
-
-Layer ``e``, per group of ``operator_lab.CHECK_GROUPS``: the ``check_group(op, group, rng,
-gamma_grid, samples, 1e-8)`` calls of ``prooflab oplab verify`` at the sample sizes the
-``oplab_verify`` workload runs (30, 60 and ``LARGE_SAMPLES`` per instance of
-``perfbench/workloads.py``), ``rng`` spawned per group as the verb does, timed in-process;
-``samples_checked``, the sum of the reports' ``checks``, and the ``resolve_rows`` calls and
-rows the group makes are counts recorded once per source.
-
-Each time is the median of ``--repeats`` timed passes after a warm-up.  Usage, from
-the root of a checkout, the JSON record on stdout::
-
-    python tools/bench_layers.py d --src parent=../parent/src --src change=src --runs 10
+    python tools/bench_layers.py d --src parent=../parent/src --src change=src
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import gc
+import importlib.metadata
 import json
 import os
 import pathlib
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -56,8 +40,6 @@ import time
 ROWS = 300
 SIZES = (1, 16, 32, 64, 300, 750)  # tan sweep sizes next to the two at the cutoff
 SWEEP = "batch_us_per_row_by_rows"
-CHECK_COUNTS = "check_counts"  # a run's counts: one set per group, the same in every run
-ORACLE_COUNTS = "oracle_counts"  # likewise, one per stratum
 PPA_STEPS = 1000
 PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload draws them
     "identity": ([2.0, -3.0], "const:0.006"),
@@ -67,21 +49,10 @@ PPA_RUNS = {  # instance: start point and schedule, as the prox_iterate workload
     "neg_half_identity": ([3.0, -1.0], "const:8.0"),  # reaches the zero at step 20
     "tan_subgradient": ([1.4], "const:0.0013"),  # leaves the domain at step 604
 }
-
-
-def _median_s(fn, repeats: int) -> float:
-    """Median seconds of one ``fn()`` over ``repeats`` timed passes, after a warm-up."""
-    fn()  # first-call costs are not the layer's
-    times = []
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter_ns()
-            fn()
-            times.append((time.perf_counter_ns() - start) / 1e9)
-    finally:
-        gc.enable()
-    return statistics.median(times)
+PAIRS = 30  # timed pairs per case and round
+REQUEST_S = 0.002  # a request's target length
+RESAMPLES = 2000  # bootstrap resamples per interval
+DEFECT = 1.10  # an interval whose bottom is above this is a slowdown defect
 
 
 def sweep_sizes(operator_lab) -> list[int]:
@@ -96,49 +67,39 @@ def _rows(operator_lab, np, name: str, seed: int, count: int = ROWS):
     gammas = np.resize(np.asarray(operator_lab.CATALOG[name].gamma_grid, dtype=float), count)
     drawn = np.concatenate([draw(rng, 1, gamma, 5.0) for gamma in gammas])
 
-    def resolvable(gamma, x) -> bool:
-        try:
-            operator_lab.resolvent(op, gamma, x)
-        except operator_lab.OutsideDomain:
-            return False
-        return True
-
-    rows = []
-    for gamma, x in zip(gammas[: count // 2], drawn):
-        nxt = operator_lab.resolvent(op, gamma, x)
-        rows += [(gamma, x)] + ([(gamma, nxt)] if resolvable(gamma, nxt) else [])
-    rows = (rows + list(zip(gammas[count // 2 :], drawn[count // 2 :])))[:count]
+    half, rows = count // 2, []
+    nxt = operator_lab.resolve_rows(op, gammas[:half], drawn[:half])[0]
+    stays = ~np.isnan(operator_lab.resolve_rows(op, gammas[:half], nxt)[0]).any(1)
+    for gamma, x, y, inside in zip(gammas, drawn, nxt, stays):
+        rows += [(gamma, x)] + ([(gamma, y)] if inside else [])
+    rows = (rows + list(zip(gammas[half:], drawn[half:])))[:count]
     return op, np.array([g for g, _ in rows]), np.array([x for _, x in rows])
 
 
-def measure_d(repeats: int, seed: int) -> dict:
+def _each(calls) -> list:
+    return [call() for call in calls]
+
+
+def cases_d(seed: int) -> tuple[dict, dict]:
     import numpy as np
 
     from prooflab import algorithms, operator_lab
 
-    resolvent, batch = operator_lab.resolvent, operator_lab.resolve_rows
-
-    def us(fn, per: int = ROWS) -> float:
-        return round(_median_s(fn, repeats) * 1e6 / per, 4)
-
-    out = {}
+    cases = {}
     for name in operator_lab.CATALOG:
         op, gammas, points = _rows(operator_lab, np, name, seed)
-        pairs = list(zip(gammas.tolist(), points))
-        x0, schedule = PPA_RUNS[name]
-
-        def ppa():
-            return algorithms.proximal_point(op, x0, schedule, PPA_STEPS)
-
-        out[name] = {"scalar_us_per_call": us(lambda: [resolvent(op, g, x) for g, x in pairs]),
-                     "batch_us_per_row": us(lambda: batch(op, gammas, points)),
-                     "ppa_us_per_step": us(ppa, len(ppa().points) - 1)}
+        ppa = functools.partial(algorithms.proximal_point, op, *PPA_RUNS[name], PPA_STEPS)
+        cases[f"{name}.scalar_us_per_call"] = (functools.partial(_each, [functools.partial(
+            operator_lab.resolvent, op, g, x) for g, x in zip(gammas.tolist(), points)]), ROWS)
+        cases[f"{name}.batch_us_per_row"] = (
+            functools.partial(operator_lab.resolve_rows, op, gammas, points), ROWS)
+        cases[f"{name}.ppa_us_per_step"] = (ppa, len(ppa().points) - 1)
         if name == "tan_subgradient":
             sizes = sweep_sizes(operator_lab)
             op, gammas, points = _rows(operator_lab, np, name, seed, max(sizes))
-            out[name][SWEEP] = {str(n): us(lambda n=n: batch(op, gammas[:n], points[:n]), n)
-                                for n in sizes}
-    return out
+            cases.update({f"{name}.{SWEEP}.{n}": (functools.partial(
+                operator_lab.resolve_rows, op, gammas[:n], points[:n]), n) for n in sizes})
+    return cases, {}
 
 
 def _workloads():
@@ -149,8 +110,22 @@ def _workloads():
     return workloads
 
 
-def measure_b(repeats: int, seed: int) -> dict:
-    import random
+def cases_a(seed: int) -> tuple[dict, dict]:
+    from prooflab import term_calculus
+
+    ops, _ = _workloads().term_normalize(random.Random(f"term_normalize:{seed}"),
+                                         {"term_calculus": term_calculus}, None)
+    kinds = {}
+    for op in ops:  # a rung's four monus ops repeat one term: its first stands for them
+        kind = op.id.split("-")[0]
+        if kind != "monus" or op.id.endswith("-0"):
+            kinds.setdefault(kind, []).append(op.run)
+    cases = {kind: (functools.partial(_each, runs), len(runs)) for kind, runs in kinds.items()}
+    return cases, {kind: sum(result.steps for result in _each(runs))
+                   for kind, runs in kinds.items() if kind != "typecheck"}
+
+
+def cases_b(seed: int) -> tuple[dict, dict]:
     import tempfile
 
     from prooflab import cli, formula_engine, term_calculus
@@ -165,21 +140,21 @@ def measure_b(repeats: int, seed: int) -> dict:
         if op.id.startswith("oracle-"):
             strata.setdefault(op.group, []).append(op.run.__defaults__[0])
     model = term_calculus.FiniteModel(workloads.ORACLE_CARRIER)
-    out, counts = {}, {}
+    cases, counts = {}, {}
     for stratum, formulas in sorted(strata.items()):
-
-        def run():  # the ops' own call: check_interpretation_soundness, or "refused"
-            return [workloads._oracle_call(m, f) for f in formulas]
-
+        run = functools.partial(_each, [functools.partial(workloads._oracle_call, m, f)
+                                        for f in formulas])
         decided = [f for f, got in zip(formulas, run()) if got != "refused"]
         counts[stratum] = {"decided": len(decided), "refusals": len(formulas) - len(decided),
                            "witness_tuples": sum(formula_engine.dialectica(f).search_size(model)
                                                  for f in decided)}
-        out[f"oracle.{stratum}.in_process_s"] = {"value": round(_median_s(run, repeats), 6)}
-    return {**out, ORACLE_COUNTS: counts}
+        cases[f"oracle.{stratum}"] = (run, len(formulas))
+    trips = [op.run for op in ops if op.id.startswith("roundtrip-")]
+    cases["roundtrip"] = (functools.partial(_each, trips), len(trips))
+    return cases, counts
 
 
-def measure_e(repeats: int, seed: int) -> dict:
+def cases_e(seed: int) -> tuple[dict, dict]:
     import numpy as np
 
     from prooflab import cli, operator_lab
@@ -189,152 +164,207 @@ def measure_e(repeats: int, seed: int) -> dict:
     calls = [(ops[name], operator_lab.CATALOG[name].gamma_grid, samples)
              for inst in workloads.INSTANCES for name in [cli.INSTANCE_ALIASES.get(inst, inst)]
              for samples in (30, 60, workloads.LARGE_SAMPLES[inst])]  # as oplab_verify runs them
-    kernel, tally = operator_lab.resolve_rows, {}
+    kernel, tally, open_calls = operator_lab.resolve_rows, {}, []
 
     def counted(op, gammas, X, tol=1e-8):  # the outermost calls: a partial domain recurses
-        outermost = not tally["open"]
-        tally["resolve_rows_calls"] += outermost
-        tally["resolve_rows_rows"] += outermost * len(gammas)
-        tally["open"] += 1
+        tally["resolve_rows_calls"] += not open_calls
+        tally["resolve_rows_rows"] += (not open_calls) * len(gammas)
+        open_calls.append(op)
         try:
             return kernel(op, gammas, X, tol)
         finally:
-            tally["open"] -= 1
+            open_calls.pop()
 
-    out, counts = {}, {}
+    def run(group, child):  # every call draws from the group's child of seed, as oplab verify
+        return [report for op, grid, samples in calls for report in operator_lab.check_group(
+            op, group, np.random.default_rng(child), grid, samples, 1e-8)]
+
+    cases, counts = {}, {}
     for group, child in zip(groups, np.random.SeedSequence(seed).spawn(len(groups))):
-
-        def run():  # every call draws from the group's child of seed, as oplab verify does
-            return [report for op, grid, samples in calls for report in operator_lab.check_group(
-                op, group, np.random.default_rng(child), grid, samples, 1e-8)]
-
-        tally.update(open=0, resolve_rows_calls=0, resolve_rows_rows=0)
+        tally.update(resolve_rows_calls=0, resolve_rows_rows=0)
         operator_lab.resolve_rows = counted
         try:
-            checked = sum(report.checks for report in run())
+            counts[group] = {"samples_checked": sum(report.checks for report in run(group, child)),
+                             **tally}
         finally:
             operator_lab.resolve_rows = kernel
-        counts[group] = {"samples_checked": checked,
-                         "resolve_rows_calls": tally["resolve_rows_calls"],
-                         "resolve_rows_rows": tally["resolve_rows_rows"]}
-        out[f"check_group.{group}.in_process_s"] = {"value": round(_median_s(run, repeats), 6)}
-    return {**out, CHECK_COUNTS: counts}
+        cases[f"check_group.{group}"] = (functools.partial(run, group, child), 1)
+    return cases, counts
 
 
 LAYERS = {
+    "a": {
+        "cases": cases_a,
+        "layer": "(a) term reduction and type checking, per kind of term_normalize op",
+        "metrics": {
+            "<kind>": "one pass over the kind's ops of the term_normalize workload, on the terms "
+            "it draws from Random('term_normalize:<seed>'), per term: reduce (reduce_term on the "
+            "random corpus, fuel 200000), typecheck (on the same terms), monus (reduce_term of "
+            "monus n n/2 at each rung of MONUS_RUNGS, one op per rung) and pred",
+            "counts": "reduction steps per kind",
+        },
+    },
     "b": {
-        "measure": measure_b,
-        "runs_key": lambda key: "runs",
-        "counts": ORACLE_COUNTS,
+        "cases": cases_b,
         "layer": "(b) the translation-soundness oracle, per symbolic_oracle stratum",
-        "record": {
-            "unit": "s",
-            "metrics": {
-                "oracle.<stratum>.in_process_s": "seconds of the stratum's oracle ops of the "
-                "symbolic_oracle workload, on the corpus it draws from Random('symbolic_oracle:"
-                "<seed>'): one check_interpretation_soundness(f, FiniteModel(ORACLE_CARRIER), "
-                "budget=ORACLE_BUDGET) call per formula, a refusal being EnumerationBudgetExceeded",
-                ORACLE_COUNTS: "per stratum, formulas decided, refusals, and witness tuples (the "
-                "sum of search_size of the decided formulas' Dialectica forms); they do not "
-                "depend on the machine, so they are recorded once per source",
-            },
+        "metrics": {
+            "oracle.<stratum>": "the stratum's oracle ops of the symbolic_oracle workload on the "
+            "corpus it draws from Random('symbolic_oracle:<seed>'), per formula: one "
+            "check_interpretation_soundness(f, FiniteModel(ORACLE_CARRIER), budget=ORACLE_BUDGET)",
+            "roundtrip": "its round-trip ops, per formula: parse_formula, then format_formula",
+            "counts": "per stratum, formulas decided, refusals, and witness tuples (the sum of "
+            "search_size of the decided formulas' Dialectica forms)",
         },
     },
     "d": {
-        "measure": measure_d,
-        "runs_key": lambda key: f"{key}_runs" if key == SWEEP else key.split("_")[0] + "_runs",
+        "cases": cases_d,
         "layer": "(d) resolvent kernel, per catalog operator",
-        "record": {
-            "rows": ROWS,
-            "unit": "us",
-            "rows_drawn": "half drawn from the resolvent domain at the step-size grid, each "
-            "followed by its next proximal-point iterate where that stays in the domain, the "
-            "rest drawn",
-            "metrics": {
-                "scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
-                "batch_us_per_row": "one resolve_rows(op, gammas, X) call over all 300 rows, "
-                "per row",
-                "ppa_us_per_step": f"one proximal_point run of at most {PPA_STEPS} steps from "
-                "PPA_RUNS, per step taken",
-                SWEEP: "batch_us_per_row of a batch of the first n rows of a larger draw, at n "
-                f"in {', '.join(map(str, SIZES))} and the two sizes at the package's "
-                "_TAN_LOCKSTEP_ROWS cutoff L (L - 1 and L), tan_subgradient only",
-            },
+        "rows": ROWS,
+        "rows_drawn": "half drawn from the resolvent domain at the step-size grid, each followed "
+        "by its next proximal-point iterate where that stays in the domain, the rest drawn",
+        "metrics": {
+            "<instance>.scalar_us_per_call": "one resolvent(op, gamma, x) call per row",
+            "<instance>.batch_us_per_row": "one resolve_rows(op, gammas, X) call, per row",
+            "<instance>.ppa_us_per_step": f"one proximal_point run of at most {PPA_STEPS} steps "
+            "from PPA_RUNS, per step taken",
+            f"tan_subgradient.{SWEEP}.<n>": "batch_us_per_row of a batch of the first n rows of "
+            f"a larger draw, at n in {', '.join(map(str, SIZES))} and the two sizes at the "
+            "package's _TAN_LOCKSTEP_ROWS cutoff L (L - 1 and L)",
         },
     },
     "e": {
-        "measure": measure_e,
-        "runs_key": lambda key: "runs",
-        "counts": CHECK_COUNTS,
+        "cases": cases_e,
         "layer": "(e) property-suite check groups, with the resolvent kernel they call",
-        "record": {
-            "unit": "s",
-            "metrics": {
-                "check_group.<group>.in_process_s": "seconds of the check_group(op, group, rng, "
-                "gamma_grid, samples, 1e-8) calls of oplab_verify, at 30, 60 and LARGE_SAMPLES "
-                "samples per instance, rng spawned per group from SeedSequence(seed) as oplab "
-                "verify does: the group's draws, the sample sets its checks read (resolvents "
-                "included), and the reports; not the tracer's operator_lab.check.*.busy_s",
-                CHECK_COUNTS: "per group, samples_checked, the sum of those reports' checks, and "
-                "resolve_rows_calls and resolve_rows_rows, the outermost operator_lab.resolve_rows "
-                "calls the group makes and their rows; they do not depend on the machine, so they "
-                "are recorded once per source",
-            },
+        "metrics": {
+            "check_group.<group>": "the check_group(op, group, rng, gamma_grid, samples, 1e-8) "
+            "calls of oplab_verify, at 30, 60 and LARGE_SAMPLES samples per instance, rng "
+            "spawned per group from SeedSequence(seed) as oplab verify does",
+            "counts": "per group, samples_checked (the sum of the reports' checks), and the "
+            "outermost operator_lab.resolve_rows calls the group makes and their rows",
         },
     },
 }
 
 
-def _tree(f, *trees):
-    """``f`` over the leaves that the nested dicts ``trees`` share."""
-    return {key: _tree(f, *(t[key] for t in trees)) if isinstance(first, dict)
-            else f(*(t[key] for t in trees))
-            for key, first in trees[0].items() if all(key in t for t in trees)}
+def serve(layer: str, src: str, seed: int) -> int:
+    """A worker: the case names and counts as one JSON line, then, for each ``NAME K`` line,
+    the seconds of ``K`` back-to-back calls of the case, with gc off; it exits at EOF."""
+    sys.path.insert(0, src)
+    import prooflab
+
+    if pathlib.Path(prooflab.__file__).resolve().parents[1] != pathlib.Path(src).resolve():
+        sys.exit(f"{src} holds no prooflab package (found {prooflab.__file__})")
+    out, sys.stdout = sys.stdout, sys.stderr  # the replies own stdout
+    cases, counts = LAYERS[layer]["cases"](seed)
+    print(json.dumps({"cases": {name: per for name, (_, per) in cases.items()},
+                      "counts": counts}), file=out, flush=True)
+    for line in sys.stdin:
+        name, calls = line.split()
+        fn, calls = cases[name][0], range(int(calls))
+        gc.disable()
+        start = time.perf_counter_ns()
+        for _ in calls:
+            fn()
+        elapsed = time.perf_counter_ns() - start
+        gc.enable()
+        print(elapsed / 1e9, file=out, flush=True)
+    return 0
 
 
-def paired(first: list, second: list) -> dict:
-    """The ratio second/first over the adjacent runs: median, min, max, and the wins of
-    the second source, the pairs in which it is lower."""
-    ratios = [b / a for a, b in zip(first, second)]
-    return {"median": round(statistics.median(ratios), 4), "min": round(min(ratios), 4),
-            "max": round(max(ratios), 4), "wins": sum(r < 1 for r in ratios)}
+def _ask(proc, label: str, request: str = "") -> str:
+    if request:
+        proc.stdin.write(request + "\n")
+        proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        sys.exit(f"bench_layers: the worker of source {label} exited with {proc.wait()}")
+    return line
 
 
-def build_record(layer: str, runs: dict[str, list], command: str, host: str) -> dict:
-    """The layer's record from each source's list of runs, in order."""
-    spec = LAYERS[layer]
-    record = {"layer": spec["layer"], "harness": f"tools/bench_layers.py {layer}",
-              "command": command, "host": host,
-              "method": f"{len(next(iter(runs.values())))} runs per source, each in a fresh "
-              "interpreter, alternating the order of the sources; a value is the median of "
-              "the runs (each a median over --repeats timed passes), *_runs lists every run "
-              "in order, and paired gives the ratio second/first over adjacent runs",
-              **spec["record"]}
-    columns, counted = {}, spec.get("counts")
-    for label, per_run in runs.items():
-        counts = [run.get(counted) for run in per_run]
-        if any(count != counts[0] for count in counts):
-            raise ValueError(f"{label}: {counted} differs between runs: {counts}")
-        columns[label] = column = _tree(lambda *xs: list(xs), *(
-            {key: value for key, value in run.items() if key != counted} for run in per_run))
-        record[label] = {
-            top: {**_tree(lambda xs: round(statistics.median(xs), 6), entry),
-                  **{spec["runs_key"](key): value for key, value in entry.items()}}
-            for top, entry in column.items()}
-        if counts[0] is not None:
-            record[label][counted] = counts[0]
-    if len(columns) == 2:
-        first, second = columns.values()
-        record["paired"] = {"ratio": "/".join(reversed(columns)),
-                            **_tree(paired, first, second)}
+def agreed(headers: dict) -> dict:
+    """The header all ``{label: header}`` share; exit 1, naming what differs, if none."""
+    (first, head), *rest = headers.items()
+    for label, other in rest:
+        differ = sorted(key for part in ("cases", "counts") for key in {*head[part], *other[part]}
+                        if head[part].get(key) != other[part].get(key))
+        if differ:
+            sys.exit(f"bench_layers: {label} and {first} differ in their cases or counts: "
+                     f"{differ}")
+    return head
+
+
+def abba(labels: list, pairs: int = PAIRS) -> list:
+    """The order of one case's requests: ``labels``, then reversed, pair by pair."""
+    return [label for i in range(pairs) for label in labels[:: 1 if i % 2 == 0 else -1]]
+
+
+def interval(rounds: list, seed: int = 0, resamples: int = RESAMPLES) -> list:
+    """95% interval of the median of ``rounds``' per-pair ratios, from a two-level bootstrap:
+    rounds drawn with replacement, then the pairs within each drawn round."""
+    rng, medians = random.Random(seed), []
+    for _ in range(resamples):
+        medians.append(statistics.median(
+            ratio for drawn in rng.choices(rounds, k=len(rounds))
+            for ratio in rng.choices(drawn, k=len(drawn))))
+    cuts = statistics.quantiles(medians, n=40)
+    return [round(cuts[0], 4), round(cuts[-1], 4)]
+
+
+def verdict(low: float, high: float) -> str:
+    return "gain" if high < 1 else "defect" if low > DEFECT else "level"
+
+
+def measure(layer: str, sources: dict, runs: int, seed: int):
+    """The shared header, each case's calls per request, and ``times[case]``: per round, the
+    seconds of each pair's requests as ``{label: seconds}``."""
+    labels, headers, calls, times = list(sources), {}, {}, {}
+    for i in range(runs):
+        order = labels[:: 1 if i % 2 == 0 else -1]
+        with contextlib.ExitStack() as stack:  # closing a worker's stdin ends it
+            procs = {}
+            for label in order:  # each starts once the last has named its cases
+                procs[label] = stack.enter_context(subprocess.Popen(
+                    [sys.executable, __file__, layer, "--worker", sources[label], "--seed",
+                     str(seed)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
+                headers[f"{label} (round {i + 1})"] = json.loads(_ask(procs[label], label))
+            head = agreed(headers)
+            for name in head["cases"]:  # two warm-up calls; the first source's second sizes
+                for label in order * 2:
+                    took = float(_ask(procs[label], label, f"{name} 1"))
+                    if i == 0 and label == labels[0]:
+                        calls[name] = max(1, round(REQUEST_S / took))
+            for name in head["cases"]:
+                pairs = [{} for _ in range(PAIRS)]
+                for j, label in enumerate(abba(labels)):
+                    pairs[j // len(labels)][label] = float(_ask(procs[label], label,
+                                                                f"{name} {calls[name]}"))
+                times.setdefault(name, []).append(pairs)
+    return head, calls, times
+
+
+def build_record(layer: str, head: dict, calls: dict, times: dict, command: str,
+                 host: str) -> dict:
+    """The layer's record from ``measure``'s results."""
+    rounds = next(iter(times.values()))
+    labels = list(rounds[0][0])
+    record = {**{key: value for key, value in LAYERS[layer].items() if key != "cases"},
+              "harness": f"tools/bench_layers.py {layer}", "command": command, "host": host,
+              "method": " ".join(" ".join(__doc__.split("\n\n")[1:3]).split()),
+              "rounds": len(rounds), "pairs": PAIRS, "resamples": RESAMPLES,
+              "defect_above": DEFECT, "ratio": f"{labels[-1]}/{labels[0]}" if labels[1:] else None,
+              "unit": "us per the case's per", "counts": head["counts"], "cases": {}}
+    for name, per in head["cases"].items():
+        entry = record["cases"][name] = {"per": per, "calls_per_request": calls[name]}
+        for label in labels:
+            entry[label] = round(statistics.median(pair[label] for one in times[name]
+                                                   for pair in one) * 1e6 / (calls[name] * per), 4)
+        if len(labels) > 1:
+            ratios = [[pair[labels[-1]] / pair[labels[0]] for pair in one] for one in times[name]]
+            low, high = interval(ratios)
+            entry.update(ratio=round(statistics.median(r for one in ratios for r in one), 4),
+                         interval=[low, high], width=round(high - low, 4),
+                         verdict=verdict(low, high))
     return record
-
-
-def _host() -> str:
-    import numpy
-
-    return (f"{platform.machine()}, {os.cpu_count()} cpus, "
-            f"Python {platform.python_version()}, numpy {numpy.__version__}")
 
 
 def main(argv=None) -> int:
@@ -342,27 +372,20 @@ def main(argv=None) -> int:
     parser.add_argument("layer", choices=sorted(LAYERS))
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=DIR",
                         help="a labelled directory holding the prooflab package (repeatable)")
-    parser.add_argument("--runs", type=int, default=5, help="fresh-interpreter runs per source")
-    parser.add_argument("--repeats", type=int, default=15, help="timed passes per run")
+    parser.add_argument("--runs", type=int, default=20, help="rounds of fresh workers")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--one", metavar="DIR", help=argparse.SUPPRESS)  # a single run
+    parser.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)  # one resident worker
     args = parser.parse_args(argv)
-    if args.one:
-        sys.path.insert(0, args.one)
-        json.dump(LAYERS[args.layer]["measure"](args.repeats, args.seed), sys.stdout)
-        return 0
+    if args.worker:
+        return serve(args.layer, args.worker, args.seed)
     sources = dict(s.split("=", 1) for s in args.src or ["src=src"])
-    runs = {label: [] for label in sources}
-    for i in range(args.runs):
-        for label in list(sources)[:: 1 if i % 2 == 0 else -1]:
-            cmd = [sys.executable, __file__, args.layer, "--one", sources[label],
-                   "--repeats", str(args.repeats), "--seed", str(args.seed)]
-            runs[label].append(json.loads(subprocess.run(cmd, check=True, capture_output=True,
-                                                         text=True).stdout))
+    head, calls, times = measure(args.layer, sources, args.runs, args.seed)
     command = (f"python tools/bench_layers.py {args.layer} "
                + " ".join(f"--src '{label}=...'" for label in sources)
-               + f" --runs {args.runs} --repeats {args.repeats} --seed {args.seed}")
-    json.dump(build_record(args.layer, runs, command, _host()), sys.stdout, indent=2)
+               + f" --runs {args.runs} --seed {args.seed}")
+    host = (f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}, "
+            f"numpy {importlib.metadata.version('numpy')}")
+    json.dump(build_record(args.layer, head, calls, times, command, host), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
